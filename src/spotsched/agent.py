@@ -8,13 +8,13 @@ node with room for the pending task.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .cluster import EPS, ON_DEMAND, SPOT, ClusterSpec
+from .cluster import ON_DEMAND, SPOT, ClusterSpec, fits
 from .engine import Observation, SimEnv
 from .errors import ConfigError, LayoutMismatchError
 from .nets import Adam, Mlp, forward
@@ -25,7 +25,7 @@ from .ppo import (
     actor_step,
     critic_step,
 )
-from .workflow import WorkflowSpec
+from .workflow import WorkflowSpec, check_fields, read_json, seed_list
 
 GROUP_ORDER = (ON_DEMAND, SPOT)
 HIDDEN_SIZES = (64, 64)
@@ -52,12 +52,6 @@ class ActionSpaceLayout:
 
     def node_id(self, group: int, node: int) -> str:
         return self.group_nodes[group][node]
-
-    def position(self, node_id: str) -> tuple[int, int]:
-        for g, nodes in enumerate(self.group_nodes):
-            if node_id in nodes:
-                return g, nodes.index(node_id)
-        raise KeyError(node_id)
 
 
 @dataclass(frozen=True)
@@ -119,12 +113,7 @@ def feasibility_masks(obs: Observation, layout: ActionSpaceLayout):
     for nodes in layout.group_nodes:
         mask = np.zeros(max(1, len(nodes)), dtype=bool)
         for i, node_id in enumerate(nodes):
-            view = by_id[node_id]
-            mask[i] = (
-                view.alive
-                and task.cpu_req <= view.cpu_free + EPS
-                and task.mem_req <= view.mem_free + EPS
-            )
+            mask[i] = fits(by_id[node_id], task)
         node_masks.append(mask)
     group_mask = np.array([m.any() for m in node_masks], dtype=bool)
     return group_mask, node_masks
@@ -188,7 +177,7 @@ class MultiActorAgent:
         self.cluster = cluster
         self.layout = ActionSpaceLayout.from_cluster(cluster)
         self.scaling = scaling or ScalingConstants.from_cluster(cluster)
-        init_rng = np.random.default_rng(_seed_list(seed) + [0])
+        init_rng = np.random.default_rng(seed_list(seed) + [0])
         self.policies = policies or PolicySet.build(
             state_dim(len(cluster.nodes)), self.layout, init_rng
         )
@@ -280,12 +269,6 @@ class EpisodeRecord:
     timed_out: int
 
 
-def _seed_list(seed) -> list[int]:
-    if isinstance(seed, (int, np.integer)):
-        return [int(seed)]
-    return [int(s) for s in seed]
-
-
 def train(agent: MultiActorAgent,
           make_workload: Callable[[int], Sequence[WorkflowSpec]],
           config: TrainConfig) -> list[EpisodeRecord]:
@@ -295,7 +278,7 @@ def train(agent: MultiActorAgent,
     minibatch selection draw from their own fixed streams so the curve is
     reproducible end to end.
     """
-    base = _seed_list(config.seed)
+    base = seed_list(config.seed)
     act_rng = np.random.default_rng(base + [3])
     update_rng = np.random.default_rng(base + [4])
     buffer = RolloutBuffer()
@@ -339,6 +322,11 @@ def train(agent: MultiActorAgent,
 
 # -- checkpoints -----------------------------------------------------------
 
+_CHECKPOINT_FIELDS = {"format_version", "groups", "scaling", "networks"}
+_SCALING_FIELDS = {f.name for f in fields(ScalingConstants)}
+_NETWORKS_FIELDS = {"group_actor", "node_actors", "critic"}
+_NET_FIELDS = {"sizes", "policy_head", "weights", "biases"}
+
 
 def _net_to_dict(net: Mlp) -> dict:
     return {
@@ -350,6 +338,7 @@ def _net_to_dict(net: Mlp) -> dict:
 
 
 def _net_from_dict(doc: dict) -> Mlp:
+    check_fields(doc, _NET_FIELDS, "checkpoint network")
     net = Mlp(doc["sizes"], np.random.default_rng(0), policy_head=doc["policy_head"])
     for i, (w, b) in enumerate(zip(doc["weights"], doc["biases"])):
         net.weights[i] = np.array(w, dtype=float)
@@ -384,13 +373,12 @@ def save_checkpoint(agent: MultiActorAgent, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path, cluster: ClusterSpec) -> MultiActorAgent:
     """Rebuild an agent; refuses checkpoints for a different cluster layout."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    version = doc.get("format_version")
+    doc = read_json(path)
+    check_fields(doc, _CHECKPOINT_FIELDS, f"{path}: checkpoint")
+    version = doc["format_version"]
     if version != CHECKPOINT_VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint version {version!r}")
+    check_fields(doc["groups"], set(GROUP_ORDER), f"{path}: checkpoint groups")
     layout = ActionSpaceLayout.from_cluster(cluster)
     stored = tuple(tuple(doc["groups"][name]) for name in GROUP_ORDER)
     if stored != layout.group_nodes:
@@ -398,11 +386,14 @@ def load_checkpoint(path: str | Path, cluster: ClusterSpec) -> MultiActorAgent:
             f"{path}: checkpoint groups {stored} do not match cluster layout "
             f"{layout.group_nodes}"
         )
+    check_fields(doc["scaling"], _SCALING_FIELDS, f"{path}: checkpoint scaling")
     scaling = ScalingConstants(**doc["scaling"])
+    nets = doc["networks"]
+    check_fields(nets, _NETWORKS_FIELDS, f"{path}: checkpoint networks")
     policies = PolicySet(
-        group_actor=_net_from_dict(doc["networks"]["group_actor"]),
-        node_actors=tuple(_net_from_dict(d) for d in doc["networks"]["node_actors"]),
-        critic=_net_from_dict(doc["networks"]["critic"]),
+        group_actor=_net_from_dict(nets["group_actor"]),
+        node_actors=tuple(_net_from_dict(d) for d in nets["node_actors"]),
+        critic=_net_from_dict(nets["critic"]),
     )
     expected = state_dim(len(cluster.nodes))
     if policies.critic.sizes[0] != expected:

@@ -10,9 +10,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .cluster import EPS, ON_DEMAND, ClusterSpec
+from .cluster import ON_DEMAND, ClusterSpec, fits
 from .engine import Observation
 from .errors import ConfigError, NoFeasibleActionError
+from .workflow import seed_list
 
 BASELINE_NAMES = ("random", "k8-default", "on-demand")
 
@@ -21,13 +22,9 @@ MEM_WEIGHT = 0.5
 
 
 def _feasible(obs: Observation, restrict: str | None):
-    task = obs.task
     return [
         n for n in obs.nodes
-        if n.alive
-        and task.cpu_req <= n.cpu_free + EPS
-        and task.mem_req <= n.mem_free + EPS
-        and (restrict is None or n.pricing_class == restrict)
+        if fits(n, obs.task) and (restrict is None or n.pricing_class == restrict)
     ]
 
 
@@ -55,9 +52,7 @@ def score_policy(obs: Observation, cluster: ClusterSpec, restrict: str | None = 
 
 class RandomPolicy:
     def __init__(self, cluster: ClusterSpec, seed: int | Sequence[int] = 0):
-        if isinstance(seed, (int, np.integer)):
-            seed = [int(seed)]
-        self.rng = np.random.default_rng(list(seed))
+        self.rng = np.random.default_rng(seed_list(seed))
 
     def __call__(self, obs: Observation) -> str:
         return random_policy(obs, self.rng)

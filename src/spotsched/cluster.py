@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError
-from .workflow import TaskSpec, computation_time
+from .workflow import TaskSpec, check_fields, computation_time, duplicates, read_json
 
 SPOT = "spot"
 ON_DEMAND = "on_demand"
@@ -72,9 +72,8 @@ class ClusterSpec:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         if not self.nodes:
             raise ValueError("cluster must have at least one node")
-        ids = [n.id for n in self.nodes]
-        if len(ids) != len(set(ids)):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
+        dupes = duplicates(n.id for n in self.nodes)
+        if dupes:
             raise ValueError(f"duplicate node ids {dupes}")
         if self.bandwidth_mbps <= 0:
             raise ValueError("bandwidth_mbps must be > 0")
@@ -109,6 +108,21 @@ class RunningTask:
     exec_start: float
 
 
+def fits(node, task: TaskSpec) -> bool:
+    """True when the node is up and has the free cpu and memory for the task.
+
+    The one fit rule shared by the simulator, the agent's feasibility masks
+    and the baselines; `node` is a NodeState or an engine NodeView. Memory
+    is tested only after cpu passes, because on a NodeState each free
+    figure re-sums the running set.
+    """
+    return (
+        node.alive
+        and task.cpu_req <= node.cpu_free + EPS
+        and task.mem_req <= node.mem_free + EPS
+    )
+
+
 @dataclass
 class NodeState:
     """Mutable per-node simulator state.
@@ -120,9 +134,7 @@ class NodeState:
     spec: NodeSpec
     alive: bool = True
     down_until: float = 0.0
-    next_interruption: float = math.inf
     running: dict[tuple[str, str], RunningTask] = field(default_factory=dict)
-    queued: list[RunningTask] = field(default_factory=list)
 
     @property
     def cpu_free(self) -> float:
@@ -132,20 +144,13 @@ class NodeState:
     def mem_free(self) -> float:
         return self.spec.mem_gb - sum(t.mem_req for t in self.running.values())
 
-    def can_fit(self, task: TaskSpec) -> bool:
-        """True when the node is up and has the free cpu and memory."""
-        if not self.alive:
-            return False
-        return (
-            task.cpu_req <= self.cpu_free + EPS
-            and task.mem_req <= self.mem_free + EPS
-        )
+    can_fit = fits
 
     def estimated_wait(self, now: float) -> float:
         """Seconds of work backlog ahead of a new arrival on this node.
 
-        Remaining work of running tasks plus all queued work, divided by
-        the node's rate. A dead node reports DEAD_NODE_WAIT.
+        Remaining work of running tasks divided by the node's rate. A dead
+        node reports DEAD_NODE_WAIT.
         """
         if not self.alive:
             return DEAD_NODE_WAIT
@@ -155,8 +160,6 @@ class NodeState:
             elapsed = now - t.exec_start
             remaining = t.compute - elapsed
             backlog += min(max(remaining, 0.0), t.compute) * rate
-        for t in self.queued:
-            backlog += t.compute * rate
         return backlog / rate
 
 
@@ -177,7 +180,7 @@ def sample_next_interruption(rate_per_hour: float, rng: np.random.Generator) -> 
 def apply_interruption(state: NodeState, now: float, downtime_s: float) -> list[tuple[str, str]]:
     """Kill everything on a live spot node and take it down for downtime_s.
 
-    Returns the killed (workflow id, task id) pairs, running before queued.
+    Returns the killed (workflow id, task id) pairs.
     The node revives empty; restoring alive is the caller's job.
     """
     if state.spec.pricing_class != SPOT:
@@ -185,9 +188,7 @@ def apply_interruption(state: NodeState, now: float, downtime_s: float) -> list[
     if not state.alive:
         raise ValueError(f"node {state.spec.id!r} is already down")
     killed = [(t.workflow_id, t.task_id) for t in state.running.values()]
-    killed += [(t.workflow_id, t.task_id) for t in state.queued]
     state.running.clear()
-    state.queued.clear()
     state.alive = False
     state.down_until = now + downtime_s
     return killed
@@ -253,22 +254,11 @@ _CLUSTER_FIELDS = {
 _NODE_FIELDS = {"id", "flavor", "cpu", "mem_gb", "rate", "class", "price_per_hour"}
 
 
-def _check_fields(obj: Mapping, allowed: set[str], where: str) -> None:
-    if not isinstance(obj, Mapping):
-        raise ConfigError(f"{where}: expected an object, got {type(obj).__name__}")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
-    missing = allowed - set(obj)
-    if missing:
-        raise ConfigError(f"{where}: missing fields {sorted(missing)}")
-
-
 def cluster_from_dict(doc: Mapping) -> ClusterSpec:
-    _check_fields(doc, _CLUSTER_FIELDS, "cluster")
+    check_fields(doc, _CLUSTER_FIELDS, "cluster")
     nodes = []
     for i, n in enumerate(doc["nodes"]):
-        _check_fields(n, _NODE_FIELDS, f"cluster node[{i}]")
+        check_fields(n, _NODE_FIELDS, f"cluster node[{i}]")
         try:
             nodes.append(NodeSpec(
                 id=str(n["id"]), flavor=str(n["flavor"]), cpu=float(n["cpu"]),
@@ -305,11 +295,7 @@ def cluster_to_dict(cluster: ClusterSpec) -> dict:
 
 
 def load_cluster(path: str | Path) -> ClusterSpec:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    return cluster_from_dict(doc)
+    return cluster_from_dict(read_json(path))
 
 
 def save_cluster(cluster: ClusterSpec, path: str | Path) -> None:

@@ -29,6 +29,8 @@ from .workflow import (
     TaskSpec,
     WorkflowSpec,
     WorkflowStats,
+    duplicates,
+    seed_list,
     task_cost,
     task_timing,
     transmission_time,
@@ -136,15 +138,14 @@ class SimEnv:
     ):
         if not workload:
             raise ConfigError("workload must contain at least one workflow")
-        ids = [wf.id for wf in workload]
-        if len(ids) != len(set(ids)):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
+        dupes = duplicates(wf.id for wf in workload)
+        if dupes:
             raise ConfigError(f"duplicate workflow ids {dupes}")
         for wf in workload:
             validate_dag(wf)
         self.cluster = cluster
         self.workload = tuple(workload)
-        self.seed = [int(seed)] if isinstance(seed, (int, np.integer)) else [int(s) for s in seed]
+        self.seed = seed_list(seed)
         self.on_event = on_event
         if eligible is not None:
             eligible = frozenset(eligible)
@@ -183,7 +184,6 @@ class SimEnv:
             self._int_rng[spec.id] = rng
             gap = sample_next_interruption(rate, rng)
             if math.isfinite(gap):
-                self.nodes[spec.id].next_interruption = gap
                 self._push(gap, INTERRUPT, (spec.id,))
         return self._advance()
 
@@ -387,10 +387,7 @@ class SimEnv:
             self.cluster.interruption_rate_per_hour, self._int_rng[node_id]
         )
         if math.isfinite(gap):
-            node.next_interruption = revive_at + gap
             self._push(revive_at + gap, INTERRUPT, (node_id,))
-        else:
-            node.next_interruption = math.inf
         for wf_id, task_id in killed:
             run = self.runs[wf_id]
             run.running.discard(task_id)

@@ -8,7 +8,6 @@ scheduling decisions.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -20,7 +19,7 @@ from .baselines import BASELINE_NAMES, eligible_nodes, make_baseline
 from .cluster import ClusterSpec
 from .engine import run_episode
 from .errors import ConfigError
-from .workflow import WorkflowSpec, load_workflow
+from .workflow import WorkflowSpec, duplicates, load_workflow, seed_list
 from .workload import WorkloadConfig, generate, load_config
 
 AGENT_NAME = "agent"
@@ -52,12 +51,6 @@ class SchedulerSummary:
     mean_timed_out: float
 
 
-def _seed_list(seed) -> list[int]:
-    if isinstance(seed, (int, np.integer)):
-        return [int(seed)]
-    return [int(s) for s in seed]
-
-
 def workload_for_seed(source: WorkloadSource, seed: int) -> list[WorkflowSpec]:
     """The workflow batch one evaluation seed maps to.
 
@@ -65,7 +58,7 @@ def workload_for_seed(source: WorkloadSource, seed: int) -> list[WorkflowSpec]:
     workflow list replays unchanged for every seed.
     """
     if isinstance(source, WorkloadConfig):
-        return generate(replace(source, seed=tuple(_seed_list(source.seed) + [seed, 1])))
+        return generate(replace(source, seed=tuple(seed_list(source.seed) + [seed, 1])))
     return list(source)
 
 
@@ -77,9 +70,8 @@ def load_workload_source(path: str | Path) -> WorkloadSource:
         if not files:
             raise ConfigError(f"{p}: no workflow files (*.json) found")
         workflows = [load_workflow(f) for f in files]
-        ids = [wf.id for wf in workflows]
-        if len(ids) != len(set(ids)):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
+        dupes = duplicates(wf.id for wf in workflows)
+        if dupes:
             raise ConfigError(f"{p}: duplicate workflow ids {dupes}")
         workflows.sort(key=lambda wf: (wf.arrival_time, wf.id))
         return workflows
@@ -97,7 +89,6 @@ def _policy_for(name: str, cluster: ClusterSpec, seed: int,
 
 def evaluate_rows(name: str, cluster: ClusterSpec, source: WorkloadSource,
                   seeds: Sequence[int], agent: MultiActorAgent | None = None,
-                  on_event_for_seed: Callable[[int], Callable | None] | None = None,
                   ) -> list[MetricsRow]:
     """One metrics row per evaluation seed for a named scheduler."""
     rows = []
@@ -107,9 +98,7 @@ def evaluate_rows(name: str, cluster: ClusterSpec, source: WorkloadSource,
             rows.append(MetricsRow(name, seed, 0.0, 0.0, 0, 0, 0))
             continue
         policy, eligible = _policy_for(name, cluster, seed, agent)
-        on_event = on_event_for_seed(seed) if on_event_for_seed else None
-        stats = run_episode(policy, cluster, workload, seed=[seed, 2],
-                            on_event=on_event, eligible=eligible)
+        stats = run_episode(policy, cluster, workload, seed=[seed, 2], eligible=eligible)
         rows.append(MetricsRow(
             scheduler=name,
             seed=seed,
@@ -137,14 +126,6 @@ def summarize(rows: Sequence[MetricsRow]) -> SchedulerSummary:
         mean_interrupted=float(np.mean([r.interrupted for r in rows])),
         mean_timed_out=float(np.mean([r.timed_out for r in rows])),
     )
-
-
-def evaluate(name: str, cluster: ClusterSpec, source: WorkloadSource,
-             seeds: Sequence[int], agent: MultiActorAgent | None = None) -> SchedulerSummary:
-    """Greedy/deterministic evaluation of one scheduler across seeds."""
-    if not seeds:
-        raise ConfigError("seed list must be nonempty")
-    return summarize(evaluate_rows(name, cluster, source, seeds, agent))
 
 
 def compare(schedulers: Sequence[str], cluster: ClusterSpec, source: WorkloadSource,
@@ -217,19 +198,12 @@ def format_summary_table(summaries: Sequence[SchedulerSummary]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_trace(records: Sequence[dict], path: str | Path) -> None:
-    """Line-delimited event records with stable field order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record) + "\n")
-
-
 # --- training driver ------------------------------------------------------
 
 
 def make_training_workloads(config: WorkloadConfig, seed) -> Callable[[int], list[WorkflowSpec]]:
     """Per-episode workload factory keyed by the training seed."""
-    base = _seed_list(seed)
+    base = seed_list(seed)
 
     def factory(episode: int) -> list[WorkflowSpec]:
         return generate(replace(config, seed=tuple(base + [1, episode])))

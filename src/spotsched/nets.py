@@ -125,12 +125,6 @@ def forward(net: Mlp, x: np.ndarray, mask: np.ndarray | None = None):
     return float(out[0]) if out.size == 1 else out
 
 
-def entropy(probs: np.ndarray) -> float:
-    p = np.asarray(probs, dtype=float)
-    plogp = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-    return float(-plogp.sum())
-
-
 def clip_grad_norm(grads: list[np.ndarray], max_norm: float) -> float:
     """Scale grads in place to a global L2 norm cap; returns the raw norm."""
     total = math.sqrt(sum(float(np.sum(g * g)) for g in grads))

@@ -1,15 +1,19 @@
 """Workflow DAGs and the per-task timing/cost arithmetic.
 
 Everything here is a pure function over immutable values; the simulator
-owns all mutable state.
+owns all mutable state. The module also holds the few helpers every other
+module shares: seed lists, duplicate ids, field checks and JSON input files.
 """
 from __future__ import annotations
 
 import enum
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import ConfigError, DagCycleError, DagReferenceError
 
@@ -84,12 +88,6 @@ class WorkflowSpec:
         for e in self.edges:
             preds[e.dst].append(e)
         return preds
-
-    def successors(self) -> dict[str, list[str]]:
-        succs: dict[str, list[str]] = {t.id: [] for t in self.tasks}
-        for e in self.edges:
-            succs[e.src].append(e.dst)
-        return succs
 
 
 @dataclass(frozen=True)
@@ -178,39 +176,12 @@ def workflow_stats(timings: Mapping[str, TaskTiming] | Iterable[TaskTiming], out
     return WorkflowStats(makespan=makespan, cost=cost, outcome=outcome)
 
 
-def ready_tasks(
-    workflow: WorkflowSpec,
-    completed: Iterable[str],
-    *,
-    exclude: Iterable[str] = (),
-) -> list[str]:
-    """Task ids whose predecessors are all completed, sorted by id.
-
-    `exclude` removes tasks that are already running or queued; completed
-    tasks are never returned. Unknown ids in `completed` are an error.
-    """
-    ids = {t.id for t in workflow.tasks}
-    completed = set(completed)
-    unknown = completed - ids
-    if unknown:
-        raise ValueError(f"unknown task ids in completed set: {sorted(unknown)}")
-    skip = completed | set(exclude)
-    preds = workflow.predecessors()
-    out = [
-        tid
-        for tid in ids - skip
-        if all(e.src in completed for e in preds[tid])
-    ]
-    return sorted(out)
-
-
 def validate_dag(workflow: WorkflowSpec) -> None:
     """Raise unless the edge relation is acyclic and every endpoint resolves."""
-    ids = [t.id for t in workflow.tasks]
-    id_set = set(ids)
-    if len(ids) != len(id_set):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
+    dupes = duplicates(t.id for t in workflow.tasks)
+    if dupes:
         raise DagReferenceError(f"workflow {workflow.id!r}: duplicate task ids {dupes}")
+    id_set = {t.id for t in workflow.tasks}
     for e in workflow.edges:
         for endpoint in (e.src, e.dst):
             if endpoint not in id_set:
@@ -241,17 +212,23 @@ def validate_dag(workflow: WorkflowSpec) -> None:
         raise DagCycleError(("?", "?"))  # unreachable on consistent input
 
 
-# --- workflow file format -------------------------------------------------
-#
-# {id, arrival_time, timeout, tasks: [{id, cpu, mem_gb, work}],
-#  edges: [{src, dst, data_mb}]} with unknown fields rejected.
-
-_WF_FIELDS = {"id", "arrival_time", "timeout", "tasks", "edges"}
-_TASK_FIELDS = {"id", "cpu", "mem_gb", "work"}
-_EDGE_FIELDS = {"src", "dst", "data_mb"}
+# --- helpers shared by every module ----------------------------------------
 
 
-def _check_fields(obj: Mapping, allowed: set[str], where: str) -> None:
+def seed_list(seed: int | Iterable[int]) -> list[int]:
+    """A seed or seed sequence as a list of ints, ready to extend with a stream key."""
+    if isinstance(seed, (int, np.integer)):
+        return [int(seed)]
+    return [int(s) for s in seed]
+
+
+def duplicates(ids: Iterable[str]) -> list[str]:
+    """Ids that occur more than once, sorted."""
+    return sorted(i for i, n in Counter(ids).items() if n > 1)
+
+
+def check_fields(obj: Mapping, allowed: set[str], where: str) -> None:
+    """Raise ConfigError unless obj is an object with exactly the allowed fields."""
     if not isinstance(obj, Mapping):
         raise ConfigError(f"{where}: expected an object, got {type(obj).__name__}")
     unknown = set(obj) - allowed
@@ -262,16 +239,41 @@ def _check_fields(obj: Mapping, allowed: set[str], where: str) -> None:
         raise ConfigError(f"{where}: missing fields {sorted(missing)}")
 
 
+def read_json(path: str | Path):
+    """Parse a JSON input file; bad syntax or a NaN literal raise ConfigError."""
+    def constant(name: str) -> float:
+        # Python's json accepts NaN, which would pass every `<= 0` check
+        # downstream and surface only as a silently failed episode.
+        if name == "NaN":
+            raise ConfigError(f"{path}: NaN is not a valid number")
+        return float(name)
+
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=constant)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+
+
+# --- workflow file format -------------------------------------------------
+#
+# {id, arrival_time, timeout, tasks: [{id, cpu, mem_gb, work}],
+#  edges: [{src, dst, data_mb}]} with unknown fields rejected.
+
+_WF_FIELDS = {"id", "arrival_time", "timeout", "tasks", "edges"}
+_TASK_FIELDS = {"id", "cpu", "mem_gb", "work"}
+_EDGE_FIELDS = {"src", "dst", "data_mb"}
+
+
 def workflow_from_dict(doc: Mapping) -> WorkflowSpec:
-    _check_fields(doc, _WF_FIELDS, "workflow")
+    check_fields(doc, _WF_FIELDS, "workflow")
     tasks = []
     for i, t in enumerate(doc["tasks"]):
-        _check_fields(t, _TASK_FIELDS, f"workflow task[{i}]")
+        check_fields(t, _TASK_FIELDS, f"workflow task[{i}]")
         tasks.append(TaskSpec(id=str(t["id"]), cpu_req=float(t["cpu"]),
                               mem_req=float(t["mem_gb"]), work=float(t["work"])))
     edges = []
     for i, e in enumerate(doc["edges"]):
-        _check_fields(e, _EDGE_FIELDS, f"workflow edge[{i}]")
+        check_fields(e, _EDGE_FIELDS, f"workflow edge[{i}]")
         edges.append(EdgeSpec(src=str(e["src"]), dst=str(e["dst"]), data_mb=float(e["data_mb"])))
     wf = WorkflowSpec(
         id=str(doc["id"]),
@@ -301,11 +303,7 @@ def workflow_to_dict(wf: WorkflowSpec) -> dict:
 
 
 def load_workflow(path: str | Path) -> WorkflowSpec:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    return workflow_from_dict(doc)
+    return workflow_from_dict(read_json(path))
 
 
 def save_workflow(wf: WorkflowSpec, path: str | Path) -> None:

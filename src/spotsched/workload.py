@@ -6,7 +6,6 @@ drawn uniformly; everything is reproducible from the config seed.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -14,7 +13,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError
-from .workflow import EdgeSpec, TaskSpec, WorkflowSpec
+from .workflow import EdgeSpec, TaskSpec, WorkflowSpec, read_json, seed_list
 
 # Fork/join anchor tasks are deliberately near-free so they never compete
 # with map tasks for resources or dominate cost.
@@ -58,18 +57,12 @@ class WorkloadConfig:
             raise ConfigError("timeout must be > 0")
 
 
-def _seed_list(seed) -> list[int]:
-    if isinstance(seed, (int, np.integer)):
-        return [int(seed)]
-    return [int(s) for s in seed]
-
-
 def generate(config: WorkloadConfig) -> list[WorkflowSpec]:
     """Build `count` fork/join workflows; deterministic for a fixed seed.
 
     Per workflow, in draw order: arrival gap, fan-out P, then P map sizes.
     """
-    rng = np.random.default_rng(_seed_list(config.seed))
+    rng = np.random.default_rng(seed_list(config.seed))
     lo_w, hi_w = config.work_range
     lo_a, hi_a = config.interarrival_range
     workflows = []
@@ -133,8 +126,4 @@ def config_from_dict(doc: Mapping) -> WorkloadConfig:
 
 
 def load_config(path: str | Path) -> WorkloadConfig:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    return config_from_dict(doc)
+    return config_from_dict(read_json(path))

@@ -1,5 +1,6 @@
 """Hierarchical action space, state encoding, updates, and checkpoints."""
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from spotsched.agent import (
     state_dim,
     train,
 )
+from spotsched.baselines import RandomPolicy, _feasible
 from spotsched.cluster import ON_DEMAND, SPOT, ClusterSpec, NodeSpec, default_cluster
 from spotsched.engine import Observation, NodeView, SimEnv, run_episode
 from spotsched.errors import ConfigError, LayoutMismatchError
@@ -52,10 +54,7 @@ def test_layout_orders_on_demand_first():
     assert all(i.startswith("od-") for i in layout.group_nodes[0])
     assert all(i.startswith("spot-") for i in layout.group_nodes[1])
     assert layout.group_sizes == (5, 6)
-    g, n = layout.position("spot-xlarge-1")
-    assert layout.node_id(g, n) == "spot-xlarge-1"
-    with pytest.raises(KeyError):
-        layout.position("nope")
+    assert layout.node_id(1, 3) == "spot-xlarge-1"
 
 
 def test_scaling_constants_from_cluster():
@@ -110,6 +109,33 @@ def test_feasibility_masks_respect_capacity():
     spot_fit = [layout.group_nodes[1][i] for i in np.flatnonzero(nmasks[1])]
     assert od_fit == ["od-2xlarge-0"]
     assert spot_fit == ["spot-2xlarge-0"]
+
+
+def test_masks_and_baselines_match_engine_fit_over_episodes():
+    # 30 interruptions/h with 60 s downtime and arrivals far faster than the
+    # cluster serves them: offers see dead nodes and full nodes. Maps of
+    # 2 cores and 8 GB fill every flavor exactly, so offers also meet fits
+    # with no slack, where a drifted comparison would disagree.
+    cluster = default_cluster(interruption_rate_per_hour=30.0, interruption_downtime_s=60.0)
+    layout = ActionSpaceLayout.from_cluster(cluster)
+    config = WorkloadConfig(count=15, parallelism=(6,), interarrival_range=(0.5, 2.0),
+                            cpu_req=2.0, mem_req=8.0, timeout=600.0)
+    saw_dead = saw_full = 0
+    for seed in (1, 2):
+        env = SimEnv(cluster, generate(replace(config, seed=seed)), seed=[seed, 2])
+        policy = RandomPolicy(cluster, seed=[seed, 3])
+        obs = env.reset()
+        while obs is not None:
+            fit = {i for i, state in env.nodes.items() if state.can_fit(obs.task)}
+            _, node_masks = feasibility_masks(obs, layout)
+            masked = {layout.node_id(g, int(i))
+                      for g, mask in enumerate(node_masks) for i in np.flatnonzero(mask)}
+            assert masked == fit
+            assert {n.id for n in _feasible(obs, None)} == fit
+            saw_dead += any(not n.alive for n in obs.nodes)
+            saw_full += any(n.alive and n.id not in fit for n in obs.nodes)
+            obs, _, _ = env.step(policy(obs))
+    assert saw_dead and saw_full
 
 
 def test_single_feasible_node_is_forced():
@@ -289,3 +315,25 @@ def test_checkpoint_version_and_shape_guards(tmp_path):
     bad.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ConfigError):
         load_checkpoint(bad, small_cluster())
+
+
+@pytest.mark.parametrize("damage", [
+    "format_version", "groups", "scaling", "networks", "groups.spot",
+    "scaling.cpu_norm", "networks.critic", "networks.critic.sizes", "list",
+])
+def test_checkpoint_missing_keys_are_config_errors(tmp_path, damage):
+    agent = MultiActorAgent(small_cluster(), seed=0)
+    path = tmp_path / "ck.json"
+    save_checkpoint(agent, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    if damage == "list":
+        doc = [doc]
+    else:
+        *parents, key = damage.split(".")
+        target = doc
+        for name in parents:
+            target = target[name]
+        del target[key]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError):
+        load_checkpoint(path, small_cluster())

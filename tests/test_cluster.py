@@ -17,6 +17,7 @@ from spotsched.cluster import (
     cluster_to_dict,
     compute_time_on,
     default_cluster,
+    fits,
     load_cluster,
     sample_next_interruption,
     save_cluster,
@@ -59,6 +60,7 @@ def test_can_fit():
     assert state.can_fit(task(cpu=2, mem=8))  # exact fit counts
     state.alive = False
     assert not state.can_fit(task(cpu=1, mem=4))
+    assert NodeState.can_fit is fits  # one fit rule, no wrapper
 
 
 def test_can_fit_tracks_running_tasks():
@@ -77,16 +79,8 @@ def test_estimated_wait():
     state.running[("w", "a")] = RunningTask("w", "a", 1, 1, compute=50.0, exec_start=0.0)
     assert state.estimated_wait(now=25.0) == pytest.approx(25.0)
     assert state.estimated_wait(now=1000.0) == 0.0  # clamped, never negative
-    state.queued.append(RunningTask("w", "b", 1, 1, compute=50.0, exec_start=0.0))
-    assert state.estimated_wait(now=25.0) == pytest.approx(75.0)
     state.alive = False
     assert state.estimated_wait(now=25.0) == DEAD_NODE_WAIT
-
-
-def test_estimated_wait_queued_only():
-    state = NodeState(spec=node(rate=2.0))
-    state.queued.append(RunningTask("w", "b", 1, 1, compute=50.0, exec_start=0.0))
-    assert state.estimated_wait(now=0.0) == pytest.approx(50.0)
 
 
 def test_sample_next_interruption_edge_rates():
@@ -111,7 +105,7 @@ def test_apply_interruption_kills_everything():
     killed = apply_interruption(state, now=100.0, downtime_s=600.0)
     assert sorted(killed) == [("w", "a"), ("w", "b")]
     assert not state.alive and state.down_until == 700.0
-    assert not state.running and not state.queued
+    assert not state.running
     assert state.cpu_free == state.spec.cpu  # capacity released
 
 

@@ -1,6 +1,5 @@
 """Evaluation rows, summaries, CSV output, and the training driver."""
 import csv
-import json
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from spotsched.harness import (
     MetricsRow,
     SCHEDULER_NAMES,
     compare,
-    evaluate,
     evaluate_rows,
     format_summary_table,
     load_workload_source,
@@ -24,7 +22,6 @@ from spotsched.harness import (
     workload_for_seed,
     write_comparison_csv,
     write_curve_csv,
-    write_trace,
 )
 from spotsched.ppo import TrainConfig
 from spotsched.workload import WorkloadConfig, generate
@@ -99,11 +96,9 @@ def test_evaluate_rows_and_summary():
 
 def test_evaluate_is_deterministic_per_seed():
     cluster = tiny_cluster()
-    one = evaluate("random", cluster, WorkloadConfig(count=2), [4, 5])
-    two = evaluate("random", cluster, WorkloadConfig(count=2), [4, 5])
+    one = evaluate_rows("random", cluster, WorkloadConfig(count=2), [4, 5])
+    two = evaluate_rows("random", cluster, WorkloadConfig(count=2), [4, 5])
     assert one == two
-    with pytest.raises(ConfigError):
-        evaluate("random", cluster, WorkloadConfig(count=2), [])
 
 
 def test_summarize_requires_rows():
@@ -164,18 +159,6 @@ def test_format_summary_table():
     assert "scheduler" in lines[0] and "mean_cost" in lines[0]
     assert lines[2].startswith("on-demand")
     assert "random" in table
-
-
-def test_write_trace(tmp_path):
-    records = [
-        {"time": 0.0, "kind": "arrival", "workflow": "w"},
-        {"time": 1.5, "kind": "finish", "node": "s0", "workflow": "w", "task": "t"},
-    ]
-    path = tmp_path / "trace.jsonl"
-    write_trace(records, path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert [json.loads(line) for line in lines] == records
-    assert list(json.loads(lines[0])) == ["time", "kind", "workflow"]
 
 
 def test_make_training_workloads_vary_by_episode():

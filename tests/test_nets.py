@@ -10,7 +10,6 @@ from spotsched.nets import (
     Adam,
     Mlp,
     clip_grad_norm,
-    entropy,
     forward,
     masked_log_softmax,
     masked_softmax,
@@ -135,12 +134,6 @@ def test_forward_rejects_poisoned_value():
     net.weights[0][0, 0] = np.inf
     with pytest.raises(FloatingPointError):
         forward(net, np.ones(2))
-
-
-def test_entropy():
-    assert entropy(np.full(4, 0.25)) == pytest.approx(math.log(4))
-    assert entropy(np.array([1.0, 0.0, 0.0])) == 0.0
-    assert entropy(np.array([0.5, 0.5, 0.0])) == pytest.approx(math.log(2))
 
 
 def test_clip_grad_norm_scales_in_place():

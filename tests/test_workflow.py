@@ -12,7 +12,6 @@ from spotsched.workflow import (
     WorkflowSpec,
     computation_time,
     load_workflow,
-    ready_tasks,
     save_workflow,
     task_cost,
     task_timing,
@@ -112,22 +111,6 @@ def test_workflow_stats_aggregates():
     assert empty.makespan == 0.0 and empty.cost == 0.0
 
 
-def test_ready_tasks_respects_precedence():
-    wf = diamond()
-    assert ready_tasks(wf, []) == ["a"]
-    assert ready_tasks(wf, ["a"]) == ["b", "c"]
-    assert ready_tasks(wf, ["a", "b"]) == ["c"]
-    assert ready_tasks(wf, ["a", "b", "c"]) == ["d"]
-    assert ready_tasks(wf, ["a", "b", "c", "d"]) == []
-
-
-def test_ready_tasks_exclude_and_unknown():
-    wf = diamond()
-    assert ready_tasks(wf, ["a"], exclude=["b"]) == ["c"]
-    with pytest.raises(ValueError):
-        ready_tasks(wf, ["zz"])
-
-
 def test_validate_dag_accepts_diamond():
     validate_dag(diamond())
 
@@ -222,3 +205,14 @@ def test_load_workflow_bad_json(tmp_path):
     path.write_text("{", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_workflow(path)
+
+
+def test_load_workflow_rejects_nan(tmp_path):
+    doc = workflow_to_dict(diamond())
+    doc["tasks"][0]["cpu"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert '"cpu": NaN' in path.read_text(encoding="utf-8")
+    with pytest.raises(ConfigError, match="NaN") as err:
+        load_workflow(path)
+    assert str(path) in str(err.value)
