@@ -8,13 +8,13 @@ node with room for the pending task.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .cluster import ON_DEMAND, SPOT, ClusterSpec, fits
+from .cluster import ON_DEMAND, SPOT, ClusterSpec
 from .engine import Observation, SimEnv
 from .errors import ConfigError, LayoutMismatchError
 from .nets import Adam, Mlp, forward
@@ -35,15 +35,22 @@ CHECKPOINT_VERSION = 1
 
 @dataclass(frozen=True)
 class ActionSpaceLayout:
-    """Maps joint actions (group, node-in-group) to concrete node ids."""
+    """Maps joint actions (group, node-in-group) to node ids.
+
+    `group_positions` holds the same nodes' positions in cluster order, the
+    order of an observation's arrays.
+    """
 
     group_nodes: tuple[tuple[str, ...], ...]
+    group_positions: tuple[np.ndarray, ...] = field(compare=False)
 
     @classmethod
     def from_cluster(cls, cluster: ClusterSpec) -> "ActionSpaceLayout":
         groups = cluster.pricing_groups()
-        return cls(group_nodes=tuple(
-            tuple(n.id for n in groups[g]) for g in GROUP_ORDER
+        position = {n.id: i for i, n in enumerate(cluster.nodes)}
+        group_nodes = tuple(tuple(n.id for n in groups[g]) for g in GROUP_ORDER)
+        return cls(group_nodes=group_nodes, group_positions=tuple(
+            np.array([position[i] for i in ids], dtype=np.intp) for ids in group_nodes
         ))
 
     @property
@@ -84,21 +91,15 @@ def encode(obs: Observation, scaling: ScalingConstants) -> np.ndarray:
     Dead nodes read as saturated: wait 1, alive 0.
     """
     task = obs.task
-    features = [
-        task.cpu_req / scaling.cpu_norm,
-        task.mem_req / scaling.mem_norm,
-        task.work / scaling.work_norm,
-    ]
-    for node in obs.nodes:
-        wait = 1.0 if not node.alive else min(node.estimated_wait / scaling.wait_norm, 1.0)
-        features.extend([
-            node.cpu_free / scaling.cpu_norm,
-            node.mem_free / scaling.mem_norm,
-            wait,
-            node.unit_cost / scaling.cost_norm,
-            1.0 if node.alive else 0.0,
-        ])
-    return np.array(features)
+    nodes = np.array([obs.cpu_free, obs.mem_free, obs.wait, obs.unit_cost, obs.alive]) / np.array(
+        [[scaling.cpu_norm], [scaling.mem_norm], [scaling.wait_norm], [scaling.cost_norm], [1.0]])
+    nodes[2] = np.where(obs.alive, np.minimum(nodes[2], 1.0), 1.0)
+    return np.concatenate([
+        [task.cpu_req / scaling.cpu_norm,
+         task.mem_req / scaling.mem_norm,
+         task.work / scaling.work_norm],
+        nodes.T.ravel(),
+    ])
 
 
 def state_dim(node_count: int) -> int:
@@ -106,16 +107,13 @@ def state_dim(node_count: int) -> int:
 
 
 def feasibility_masks(obs: Observation, layout: ActionSpaceLayout):
-    """(group mask, per-group node masks): true means alive and fits."""
-    task = obs.task
-    by_id = {n.id: n for n in obs.nodes}
-    node_masks = []
-    for nodes in layout.group_nodes:
-        mask = np.zeros(max(1, len(nodes)), dtype=bool)
-        for i, node_id in enumerate(nodes):
-            mask[i] = fits(by_id[node_id], task)
-        node_masks.append(mask)
-    group_mask = np.array([m.any() for m in node_masks], dtype=bool)
+    """(group mask, per-group node masks): true means alive and fits.
+
+    An empty group still has one node output, always masked out.
+    """
+    node_masks = [obs.fit[pos] if pos.size else np.zeros(1, dtype=bool)
+                  for pos in layout.group_positions]
+    group_mask = np.array([m.any() for m in node_masks])
     return group_mask, node_masks
 
 
@@ -138,9 +136,6 @@ class PolicySet:
         )
         critic = Mlp([n_features, *hidden, 1], rng)
         return cls(group_actor=group, node_actors=nodes, critic=critic)
-
-    def networks(self) -> list[Mlp]:
-        return [self.group_actor, *self.node_actors, self.critic]
 
 
 @dataclass(frozen=True)
@@ -289,7 +284,7 @@ def train(agent: MultiActorAgent,
         total_reward = 0.0
         while obs is not None:
             node_id, choice, features, (gmask, nmasks) = agent.act(obs, act_rng)
-            obs, reward, done = env.step(node_id)
+            obs, reward, _ = env.step(node_id)
             total_reward += reward
             buffer.add(Transition(
                 state=features,
@@ -301,7 +296,6 @@ def train(agent: MultiActorAgent,
                 node_mask=nmasks[choice.group],
                 reward=reward,
                 value=choice.value,
-                done=done,
             ))
         if len(buffer):
             buffer.compute(config.discount)
@@ -355,13 +349,7 @@ def save_checkpoint(agent: MultiActorAgent, path: str | Path) -> None:
             name: list(nodes)
             for name, nodes in zip(GROUP_ORDER, agent.layout.group_nodes)
         },
-        "scaling": {
-            "cpu_norm": agent.scaling.cpu_norm,
-            "mem_norm": agent.scaling.mem_norm,
-            "work_norm": agent.scaling.work_norm,
-            "wait_norm": agent.scaling.wait_norm,
-            "cost_norm": agent.scaling.cost_norm,
-        },
+        "scaling": asdict(agent.scaling),
         "networks": {
             "group_actor": _net_to_dict(agent.policies.group_actor),
             "node_actors": [_net_to_dict(n) for n in agent.policies.node_actors],

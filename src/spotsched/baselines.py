@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cluster import ON_DEMAND, ClusterSpec, fits
+from .cluster import ON_DEMAND, ClusterSpec
 from .engine import Observation
 from .errors import ConfigError, NoFeasibleActionError
 from .workflow import seed_list
@@ -21,33 +21,31 @@ CPU_WEIGHT = 0.5
 MEM_WEIGHT = 0.5
 
 
-def _feasible(obs: Observation, restrict: str | None):
-    return [
-        n for n in obs.nodes
-        if fits(n, obs.task) and (restrict is None or n.pricing_class == restrict)
-    ]
-
-
 def random_policy(obs: Observation, rng: np.random.Generator) -> str:
     """Uniform choice among alive nodes that fit the pending task."""
-    nodes = _feasible(obs, None)
-    if not nodes:
+    nodes = np.flatnonzero(obs.fit)
+    if not nodes.size:
         raise NoFeasibleActionError("no feasible node for pending task")
-    return nodes[int(rng.integers(len(nodes)))].id
+    return obs.node_ids[nodes[rng.integers(nodes.size)]]
 
 
 def score_policy(obs: Observation, cluster: ClusterSpec, restrict: str | None = None) -> str:
-    """Filter then score by free-fraction average; first node wins ties."""
-    nodes = _feasible(obs, restrict)
+    """Filter then score by free-fraction average; first node wins ties.
+
+    Node i of the observation's arrays is cluster.nodes[i].
+    """
+    nodes = [i for i in np.flatnonzero(obs.fit).tolist()
+             if restrict is None or cluster.nodes[i].pricing_class == restrict]
     if not nodes:
         raise NoFeasibleActionError("no feasible node for pending task")
-    best, best_score = None, -1.0
-    for view in nodes:
-        spec = cluster.node(view.id)
-        score = CPU_WEIGHT * view.cpu_free / spec.cpu + MEM_WEIGHT * view.mem_free / spec.mem_gb
-        if score > best_score:
-            best, best_score = view.id, score
-    return best
+    # Python floats: indexing numpy arrays one element at a time costs more.
+    cpu_free, mem_free = obs.cpu_free.tolist(), obs.mem_free.tolist()
+
+    def score(i):
+        spec = cluster.nodes[i]
+        return CPU_WEIGHT * cpu_free[i] / spec.cpu + MEM_WEIGHT * mem_free[i] / spec.mem_gb
+
+    return obs.node_ids[max(nodes, key=score)]
 
 
 class RandomPolicy:

@@ -41,17 +41,17 @@ class NodeSpec:
     price_per_hour: float
 
     def __post_init__(self):
-        if self.cpu <= 0 or self.mem_gb <= 0:
-            raise ValueError(f"node {self.id!r}: capacities must be > 0")
-        if self.rate <= 0:
-            raise ValueError(f"node {self.id!r}: rate must be > 0")
+        if not (0 < self.cpu < math.inf and 0 < self.mem_gb < math.inf):
+            raise ValueError(f"node {self.id!r}: capacities must be finite and > 0")
+        if not 0 < self.rate < math.inf:
+            raise ValueError(f"node {self.id!r}: rate must be finite and > 0")
         if self.pricing_class not in PRICING_CLASSES:
             raise ValueError(
                 f"node {self.id!r}: pricing_class must be one of {PRICING_CLASSES}, "
                 f"got {self.pricing_class!r}"
             )
-        if self.price_per_hour < 0:
-            raise ValueError(f"node {self.id!r}: price_per_hour must be >= 0")
+        if not 0 <= self.price_per_hour < math.inf:
+            raise ValueError(f"node {self.id!r}: price_per_hour must be finite and >= 0")
 
     @property
     def unit_cost(self) -> float:
@@ -75,18 +75,12 @@ class ClusterSpec:
         dupes = duplicates(n.id for n in self.nodes)
         if dupes:
             raise ValueError(f"duplicate node ids {dupes}")
-        if self.bandwidth_mbps <= 0:
-            raise ValueError("bandwidth_mbps must be > 0")
-        if self.interruption_rate_per_hour < 0:
-            raise ValueError("interruption_rate_per_hour must be >= 0")
-        if self.interruption_downtime_s <= 0:
-            raise ValueError("interruption_downtime_s must be > 0")
-
-    def node(self, node_id: str) -> NodeSpec:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
+        if not 0 < self.bandwidth_mbps < math.inf:
+            raise ValueError("bandwidth_mbps must be finite and > 0")
+        if not 0 <= self.interruption_rate_per_hour < math.inf:
+            raise ValueError("interruption_rate_per_hour must be finite and >= 0")
+        if not 0 < self.interruption_downtime_s < math.inf:
+            raise ValueError("interruption_downtime_s must be finite and > 0")
 
     def pricing_groups(self) -> dict[str, list[NodeSpec]]:
         """Nodes keyed by pricing class, both keys always present."""
@@ -106,21 +100,6 @@ class RunningTask:
     mem_req: float
     compute: float
     exec_start: float
-
-
-def fits(node, task: TaskSpec) -> bool:
-    """True when the node is up and has the free cpu and memory for the task.
-
-    The one fit rule shared by the simulator, the agent's feasibility masks
-    and the baselines; `node` is a NodeState or an engine NodeView. Memory
-    is tested only after cpu passes, because on a NodeState each free
-    figure re-sums the running set.
-    """
-    return (
-        node.alive
-        and task.cpu_req <= node.cpu_free + EPS
-        and task.mem_req <= node.mem_free + EPS
-    )
 
 
 @dataclass
@@ -144,13 +123,31 @@ class NodeState:
     def mem_free(self) -> float:
         return self.spec.mem_gb - sum(t.mem_req for t in self.running.values())
 
-    can_fit = fits
+    def can_fit(self, task: TaskSpec) -> bool:
+        """True when the node is up and has the free cpu and memory for the task.
+
+        The one fit rule: the simulator offers and places by it, and each
+        observation carries it per node as `fit` for the schedulers. Memory
+        is tested only after cpu passes: each free figure re-sums `running`.
+        """
+        return (
+            self.alive
+            and task.cpu_req <= self.cpu_free + EPS
+            and task.mem_req <= self.mem_free + EPS
+        )
 
     def estimated_wait(self, now: float) -> float:
         """Seconds of work backlog ahead of a new arrival on this node.
 
         Remaining work of running tasks divided by the node's rate. A dead
         node reports DEAD_NODE_WAIT.
+
+        Known gap: a task placed at t holds its node until it finishes at
+        t + max_transfer + compute, but RunningTask records only compute, so
+        each running task counts as if it had started computing at t. The
+        wait falls short of the node's real busy time by up to that task's
+        max_transfer, and reads 0 in its last max_transfer seconds. Counting
+        the transfer would change an agent input, and so trained agents.
         """
         if not self.alive:
             return DEAD_NODE_WAIT

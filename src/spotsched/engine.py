@@ -49,30 +49,25 @@ TIMEOUT = "timeout"
 _KIND_PRIORITY = {FINISH: 0, REVIVE: 1, INTERRUPT: 2, ARRIVAL: 3, TIMEOUT: 4}
 
 
-@dataclass(frozen=True)
-class NodeView:
-    """Read-only per-node snapshot exposed to schedulers."""
-
-    id: str
-    pricing_class: str
-    cpu_free: float
-    mem_free: float
-    estimated_wait: float
-    unit_cost: float
-    alive: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observation:
     """One pending task plus the cluster as the scheduler may see it.
 
-    Node views follow cluster config order, always all nodes.
+    Per-node arrays follow cluster config order, always all nodes: `fit` is
+    NodeState.can_fit for the task, `wait` is estimated_wait. `node_ids` and
+    the read-only `unit_cost` are shared by all of an environment's offers.
     """
 
     time: float
     workflow_id: str
     task: TaskSpec
-    nodes: tuple[NodeView, ...]
+    node_ids: tuple[str, ...]
+    unit_cost: np.ndarray
+    cpu_free: np.ndarray
+    mem_free: np.ndarray
+    wait: np.ndarray
+    alive: np.ndarray
+    fit: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -144,6 +139,9 @@ class SimEnv:
         for wf in workload:
             validate_dag(wf)
         self.cluster = cluster
+        self._node_ids = tuple(n.id for n in cluster.nodes)
+        self._unit_cost = np.array([n.unit_cost for n in cluster.nodes])
+        self._unit_cost.flags.writeable = False
         self.workload = tuple(workload)
         self.seed = seed_list(seed)
         self.on_event = on_event
@@ -317,23 +315,19 @@ class SimEnv:
 
     def _observe(self, offer: tuple[str, str]) -> Observation:
         wf_id, task_id = offer
-        views = tuple(
-            NodeView(
-                id=n.spec.id,
-                pricing_class=n.spec.pricing_class,
-                cpu_free=n.cpu_free,
-                mem_free=n.mem_free,
-                estimated_wait=n.estimated_wait(self.now),
-                unit_cost=n.spec.unit_cost,
-                alive=n.alive,
-            )
-            for n in self.nodes.values()
-        )
+        task = self.runs[wf_id].tasks[task_id]
+        nodes = self.nodes.values()
         return Observation(
             time=self.now,
             workflow_id=wf_id,
-            task=self.runs[wf_id].tasks[task_id],
-            nodes=views,
+            task=task,
+            node_ids=self._node_ids,
+            unit_cost=self._unit_cost,
+            cpu_free=np.array([n.cpu_free for n in nodes]),
+            mem_free=np.array([n.mem_free for n in nodes]),
+            wait=np.array([n.estimated_wait(self.now) for n in nodes]),
+            alive=np.array([n.alive for n in nodes]),
+            fit=np.array([n.can_fit(task) for n in nodes]),
         )
 
     def _process(self, time: float, _prio: int, _seq: int, kind: str, payload: tuple) -> None:

@@ -51,12 +51,7 @@ class Mlp:
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         """Batched forward pass; x is (batch, in) and the result (batch, out)."""
-        a = np.atleast_2d(np.asarray(x, dtype=float))
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = a @ w + b
-            if i < len(self.weights) - 1:
-                a = np.tanh(a)
-        return a
+        return self.forward_cache(x)[0]
 
     def forward_cache(self, x: np.ndarray):
         """Forward pass keeping post-activation values for backward()."""
@@ -90,22 +85,26 @@ class Mlp:
 
 
 def masked_log_softmax(logits: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Log-probabilities with -inf on masked-out entries (1-D input)."""
-    z = np.asarray(logits, dtype=float).reshape(-1)
+    """Log-probabilities with -inf on masked-out entries.
+
+    Takes a row of logits (n,) or a batch (batch, n), and a mask of that
+    shape. Masked entries enter each row's sum as exact zeros (exp(-inf)),
+    so a batch gives exactly the row-by-row results.
+    """
+    z = np.asarray(logits, dtype=float)
     if not np.all(np.isfinite(z)):
         raise FloatingPointError("non-finite policy logits")
     if mask is None:
         mask = np.ones(z.shape, dtype=bool)
     else:
-        mask = np.asarray(mask, dtype=bool).reshape(-1)
+        mask = np.asarray(mask, dtype=bool)
         if mask.shape != z.shape:
-            raise ValueError(f"mask length {mask.size} != logits length {z.size}")
-    if not mask.any():
+            raise ValueError(f"mask shape {mask.shape} != logits shape {z.shape}")
+    if not mask.any(axis=-1).all():
         raise NoFeasibleActionError("all actions masked out")
     z = np.where(mask, z, -np.inf)
-    m = z[mask].max()
-    log_total = m + np.log(np.exp(z[mask] - m).sum())
-    return z - log_total
+    m = z.max(axis=-1, keepdims=True)
+    return z - (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:

@@ -59,7 +59,6 @@ class Transition:
     node_mask: np.ndarray
     reward: float
     value: float
-    done: bool
 
 
 @dataclass
@@ -153,40 +152,34 @@ def _actor_terms(net, states, actions, old_logps, advs, masks,
     actions = np.asarray(actions, dtype=int)
     old_logps = np.asarray(old_logps, dtype=float)
     advs = np.asarray(advs, dtype=float)
+    masks = np.asarray(masks, dtype=bool)
     n = x.shape[0]
+    rows = np.arange(n)
     out, acts = net.forward_cache(x)
-    dlogits = np.zeros_like(out) if want_grads else None
-    total = 0.0
-    clipped_count = 0
-    for b in range(n):
-        mask = np.asarray(masks[b], dtype=bool)
-        logp = masked_log_softmax(out[b], mask)
-        p = np.exp(logp)
-        a = actions[b]
-        ratio = float(np.exp(logp[a] - old_logps[b]))
-        adv = advs[b]
-        unclipped = ratio * adv
-        clip_lo, clip_hi = 1.0 - epsilon, 1.0 + epsilon
-        clipped = min(max(ratio, clip_lo), clip_hi) * adv
-        surr = min(unclipped, clipped)
-        if not clip_lo <= ratio <= clip_hi:
-            clipped_count += 1
-        ent = float(-(p[mask] * logp[mask]).sum())
-        total += -surr - entropy_weight * ent
-        if want_grads:
-            # d(surr)/dlogp[a] is ratio*adv on the active unclipped branch,
-            # zero when the clamp saturates and wins the min.
-            coeff = unclipped if (clip_lo <= ratio <= clip_hi or unclipped <= clipped) else 0.0
-            onehot = np.zeros_like(p)
-            onehot[a] = 1.0
-            dsurr = coeff * (onehot - p)
-            dent = np.where(mask, -p * (np.where(mask, logp, 0.0) + ent), 0.0)
-            dlogits[b] = np.where(mask, -dsurr - entropy_weight * dent, 0.0)
-    loss = total / n
+    logp = masked_log_softmax(out, masks)
+    p = np.exp(logp)
+    ratio = np.exp(logp[rows, actions] - old_logps)
+    unclipped = ratio * advs
+    clip_lo, clip_hi = 1.0 - epsilon, 1.0 + epsilon
+    clipped = np.clip(ratio, clip_lo, clip_hi) * advs
+    inside = (clip_lo <= ratio) & (ratio <= clip_hi)
+    # Masked entries have p == 0 and logp == -inf, and 0 * -inf is NaN.
+    logp_live = np.where(masks, logp, 0.0)
+    ent = -(p * logp_live).sum(axis=1)
+    loss = float(np.mean(-np.minimum(unclipped, clipped) - entropy_weight * ent))
+    clip_fraction = np.count_nonzero(~inside) / n
     if not want_grads:
-        return loss, None, clipped_count / n
+        return loss, None, clip_fraction
+    # d(surr)/dlogp[a] is ratio*adv on the active unclipped branch,
+    # zero when the clamp saturates and wins the min.
+    coeff = np.where(inside | (unclipped <= clipped), unclipped, 0.0)
+    onehot = np.zeros_like(p)
+    onehot[rows, actions] = 1.0
+    dsurr = coeff[:, None] * (onehot - p)
+    dent = np.where(masks, -p * (logp_live + ent[:, None]), 0.0)
+    dlogits = np.where(masks, -dsurr - entropy_weight * dent, 0.0)
     grads = net.backward(acts, dlogits / n)
-    return loss, grads, clipped_count / n
+    return loss, grads, clip_fraction
 
 
 def critic_loss(net: Mlp, states, returns) -> float:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,12 +35,14 @@ class TaskSpec:
     work: float
 
     def __post_init__(self):
-        if self.cpu_req <= 0:
-            raise ValueError(f"task {self.id!r}: cpu_req must be > 0")
-        if self.mem_req <= 0:
-            raise ValueError(f"task {self.id!r}: mem_req must be > 0")
-        if self.work < 0:
-            raise ValueError(f"task {self.id!r}: work must be >= 0")
+        # Bounded ranges reject infinities, and NaN, which fails every
+        # comparison, here and in every spec below.
+        if not 0 < self.cpu_req < math.inf:
+            raise ValueError(f"task {self.id!r}: cpu_req must be finite and > 0")
+        if not 0 < self.mem_req < math.inf:
+            raise ValueError(f"task {self.id!r}: mem_req must be finite and > 0")
+        if not 0 <= self.work < math.inf:
+            raise ValueError(f"task {self.id!r}: work must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -53,8 +56,8 @@ class EdgeSpec:
     def __post_init__(self):
         if self.src == self.dst:
             raise ValueError(f"self-edge on task {self.src!r}")
-        if self.data_mb < 0:
-            raise ValueError(f"edge {self.src!r}->{self.dst!r}: data_mb must be >= 0")
+        if not 0 <= self.data_mb < math.inf:
+            raise ValueError(f"edge {self.src!r}->{self.dst!r}: data_mb must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -74,10 +77,10 @@ class WorkflowSpec:
     def __post_init__(self):
         object.__setattr__(self, "tasks", tuple(self.tasks))
         object.__setattr__(self, "edges", tuple(self.edges))
-        if self.timeout <= 0:
-            raise ValueError(f"workflow {self.id!r}: timeout must be > 0")
-        if self.arrival_time < 0:
-            raise ValueError(f"workflow {self.id!r}: arrival_time must be >= 0")
+        if not 0 < self.timeout < math.inf:
+            raise ValueError(f"workflow {self.id!r}: timeout must be finite and > 0")
+        if not 0 <= self.arrival_time < math.inf:
+            raise ValueError(f"workflow {self.id!r}: arrival_time must be finite and >= 0")
 
     def task_map(self) -> dict[str, TaskSpec]:
         return {t.id: t for t in self.tasks}
@@ -240,13 +243,11 @@ def check_fields(obj: Mapping, allowed: set[str], where: str) -> None:
 
 
 def read_json(path: str | Path):
-    """Parse a JSON input file; bad syntax or a NaN literal raise ConfigError."""
-    def constant(name: str) -> float:
-        # Python's json accepts NaN, which would pass every `<= 0` check
-        # downstream and surface only as a silently failed episode.
-        if name == "NaN":
-            raise ConfigError(f"{path}: NaN is not a valid number")
-        return float(name)
+    """Parse a JSON input file; bad syntax, NaN or Infinity raise ConfigError."""
+    def constant(name: str):
+        # Python's json accepts NaN, Infinity and -Infinity, none of which
+        # is JSON; the specs would reject them later with a vaguer message.
+        raise ConfigError(f"{path}: {name} is not a valid number")
 
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=constant)

@@ -6,6 +6,7 @@ drawn uniformly; everything is reproducible from the config seed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -47,14 +48,14 @@ class WorkloadConfig:
             raise ConfigError("parallelism must be positive")
         for name, (lo, hi) in (("work_range", self.work_range),
                                ("interarrival_range", self.interarrival_range)):
-            if not 0 < lo <= hi:
-                raise ConfigError(f"{name} must satisfy 0 < lo <= hi, got ({lo}, {hi})")
-        if self.data_mb < 0:
-            raise ConfigError("data_mb must be >= 0")
-        if self.cpu_req <= 0 or self.mem_req <= 0:
-            raise ConfigError("cpu_req and mem_req must be > 0")
-        if self.timeout <= 0:
-            raise ConfigError("timeout must be > 0")
+            if not 0 < lo <= hi < math.inf:
+                raise ConfigError(f"{name} must satisfy 0 < lo <= hi < inf, got ({lo}, {hi})")
+        if not 0 <= self.data_mb < math.inf:
+            raise ConfigError("data_mb must be finite and >= 0")
+        if not (0 < self.cpu_req < math.inf and 0 < self.mem_req < math.inf):
+            raise ConfigError("cpu_req and mem_req must be finite and > 0")
+        if not 0 < self.timeout < math.inf:
+            raise ConfigError("timeout must be finite and > 0")
 
 
 def generate(config: WorkloadConfig) -> list[WorkflowSpec]:

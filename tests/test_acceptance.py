@@ -137,16 +137,12 @@ def test_criterion_2_brute_force_minimum():
         for assignment in itertools.product(nodes, repeat=len(works))
     )
 
-    rate_of = {n.id: n.rate for n in nodes}
-
     def greedy(obs):
         best, best_cost = None, float("inf")
-        for v in obs.nodes:
-            if not v.alive or obs.task.cpu_req > v.cpu_free or obs.task.mem_req > v.mem_free:
-                continue
-            c = task_cost(computation_time(obs.task.work, rate_of[v.id]), v.unit_cost)
+        for i in np.flatnonzero(obs.fit):
+            c = task_cost(computation_time(obs.task.work, nodes[i].rate), obs.unit_cost[i])
             if c < best_cost:
-                best, best_cost = v.id, c
+                best, best_cost = obs.node_ids[i], c
         return best
 
     stats = run_episode(greedy, cluster, [wf], seed=0)
@@ -242,7 +238,7 @@ def test_criterion_3_policy_numerics(builtin_cluster):
             state=state, group=g, node=0,
             logp_group=float(np.log(p_group[g])), logp_node=float(np.log(p_node[0])),
             group_mask=group_mask, node_mask=node_mask,
-            reward=0.0, value=0.0, done=False,
+            reward=0.0, value=0.0,
         ))
     config = TrainConfig(entropy_weight=0.0)
     buffer.compute(config.discount)

@@ -17,9 +17,9 @@ from spotsched.agent import (
     state_dim,
     train,
 )
-from spotsched.baselines import RandomPolicy, _feasible
+from spotsched.baselines import K8DefaultPolicy, OnDemandPolicy, RandomPolicy, eligible_nodes
 from spotsched.cluster import ON_DEMAND, SPOT, ClusterSpec, NodeSpec, default_cluster
-from spotsched.engine import Observation, NodeView, SimEnv, run_episode
+from spotsched.engine import Observation, SimEnv, run_episode
 from spotsched.errors import ConfigError, LayoutMismatchError
 from spotsched.harness import train_run
 from spotsched.ppo import RolloutBuffer, TrainConfig, Transition
@@ -86,16 +86,19 @@ def test_encode_layout():
 
 
 def test_encode_dead_node_saturates():
-    view = NodeView(
-        id="x", pricing_class=SPOT, cpu_free=2.0, mem_free=8.0,
-        estimated_wait=1e9, unit_cost=1e-5, alive=False,
-    )
+    # a dead node next to a live one whose backlog exceeds wait_norm
     obs = Observation(
-        time=0.0, workflow_id="w",
-        task=TaskSpec(id="t", cpu_req=1, mem_req=1, work=1), nodes=(view,),
+        time=0.0, workflow_id="w", task=TaskSpec(id="t", cpu_req=1, mem_req=1, work=1),
+        node_ids=("x", "y"), unit_cost=np.array([1e-5, 2e-5]),
+        cpu_free=np.array([2.0, 1.0]), mem_free=np.array([8.0, 4.0]),
+        wait=np.array([1e9, 250.0]), alive=np.array([False, True]),
+        fit=np.array([False, True]),
     )
-    feats = encode(obs, ScalingConstants(cpu_norm=8.0, mem_norm=32.0, cost_norm=1e-4))
-    assert feats[5] == 1.0 and feats[7] == 0.0
+    feats = encode(obs, ScalingConstants(cpu_norm=8.0, mem_norm=32.0, cost_norm=1e-4,
+                                         wait_norm=100.0))
+    assert feats.tolist() == [1 / 8, 1 / 32, 1 / 200,
+                              2 / 8, 8 / 32, 1.0, 1e-5 / 1e-4, 0.0,
+                              1 / 8, 4 / 32, 1.0, 2e-5 / 1e-4, 1.0]
 
 
 def test_feasibility_masks_respect_capacity():
@@ -117,25 +120,30 @@ def test_masks_and_baselines_match_engine_fit_over_episodes():
     # 2 cores and 8 GB fill every flavor exactly, so offers also meet fits
     # with no slack, where a drifted comparison would disagree.
     cluster = default_cluster(interruption_rate_per_hour=30.0, interruption_downtime_s=60.0)
-    layout = ActionSpaceLayout.from_cluster(cluster)
     config = WorkloadConfig(count=15, parallelism=(6,), interarrival_range=(0.5, 2.0),
                             cpu_req=2.0, mem_req=8.0, timeout=600.0)
-    saw_dead = saw_full = 0
-    for seed in (1, 2):
-        env = SimEnv(cluster, generate(replace(config, seed=seed)), seed=[seed, 2])
-        policy = RandomPolicy(cluster, seed=[seed, 3])
-        obs = env.reset()
-        while obs is not None:
-            fit = {i for i, state in env.nodes.items() if state.can_fit(obs.task)}
-            _, node_masks = feasibility_masks(obs, layout)
-            masked = {layout.node_id(g, int(i))
-                      for g, mask in enumerate(node_masks) for i in np.flatnonzero(mask)}
-            assert masked == fit
-            assert {n.id for n in _feasible(obs, None)} == fit
-            saw_dead += any(not n.alive for n in obs.nodes)
-            saw_full += any(n.alive and n.id not in fit for n in obs.nodes)
-            obs, _, _ = env.step(policy(obs))
-    assert saw_dead and saw_full
+    agent = MultiActorAgent(cluster, seed=0)
+    rng = np.random.default_rng(3)
+    schedulers = {
+        "random": RandomPolicy(cluster, seed=3),
+        "k8-default": K8DefaultPolicy(cluster),
+        "on-demand": OnDemandPolicy(cluster),
+        "agent": lambda obs: agent.act(obs, rng)[0],
+    }
+    for name, policy in schedulers.items():
+        saw_dead = saw_full = 0
+        for seed in (1, 2):
+            env = SimEnv(cluster, generate(replace(config, seed=seed)), seed=[seed, 2],
+                         eligible=eligible_nodes(cluster, name))
+            obs = env.reset()
+            while obs is not None:
+                assert obs.fit.tolist() == [env.nodes[i].can_fit(obs.task) for i in obs.node_ids]
+                pick = policy(obs)
+                assert obs.fit[obs.node_ids.index(pick)], name
+                saw_dead += not obs.alive.all()
+                saw_full += (obs.alive & ~obs.fit).any()
+                obs, _, _ = env.step(pick)
+        assert saw_dead and saw_full, name
 
 
 def test_single_feasible_node_is_forced():
@@ -200,12 +208,12 @@ def _collect_buffer(agent, cluster, wfs, seed):
     obs = env.reset()
     while obs is not None:
         node_id, choice, feats, (gmask, nmasks) = agent.act(obs, rng)
-        obs, reward, done = env.step(node_id)
+        obs, reward, _ = env.step(node_id)
         buffer.add(Transition(
             state=feats, group=choice.group, node=choice.node,
             logp_group=choice.logp_group, logp_node=choice.logp_node,
             group_mask=gmask, node_mask=nmasks[choice.group],
-            reward=reward, value=choice.value, done=done,
+            reward=reward, value=choice.value,
         ))
     return buffer
 
@@ -234,7 +242,7 @@ def test_update_requires_computed_buffer():
         state=np.zeros(state_dim(2)), group=0, node=0,
         logp_group=0.0, logp_node=0.0,
         group_mask=np.ones(2, dtype=bool), node_mask=np.ones(1, dtype=bool),
-        reward=0.0, value=0.0, done=True,
+        reward=0.0, value=0.0,
     ))
     with pytest.raises(ValueError):
         agent.update(buffer, TrainConfig(), np.random.default_rng(0))
@@ -281,7 +289,8 @@ def test_checkpoint_round_trip(tmp_path):
     path = tmp_path / "ck.json"
     save_checkpoint(agent, path)
     clone = load_checkpoint(path, cluster)
-    for mine, theirs in zip(agent.policies.networks(), clone.policies.networks()):
+    nets = lambda p: [p.group_actor, *p.node_actors, p.critic]
+    for mine, theirs in zip(nets(agent.policies), nets(clone.policies)):
         assert mine.sizes == theirs.sizes
         for a, b in zip(mine.params, theirs.params):
             assert np.array_equal(a, b)

@@ -15,7 +15,7 @@ from spotsched.baselines import (
     score_policy,
 )
 from spotsched.cluster import ON_DEMAND, SPOT, ClusterSpec, NodeSpec, default_cluster
-from spotsched.engine import NodeView, Observation, SimEnv
+from spotsched.engine import Observation, SimEnv
 from spotsched.errors import ConfigError, NoFeasibleActionError
 from spotsched.workflow import TaskSpec, WorkflowSpec
 
@@ -26,16 +26,21 @@ def idle_offer(cluster, cpu=1.0, mem=2.0):
     return SimEnv(cluster, [wf], seed=0).reset()
 
 
-def view(node_id, cls, cpu_free, mem_free, alive=True):
-    return NodeView(
-        id=node_id, pricing_class=cls, cpu_free=cpu_free, mem_free=mem_free,
-        estimated_wait=0.0, unit_cost=1e-5, alive=alive,
-    )
+def view(node_id, cpu_free, mem_free, alive=True):
+    return node_id, cpu_free, mem_free, alive
 
 
 def manual_obs(nodes, cpu=1.0, mem=1.0):
+    """An observation of hand-set nodes, in the order of the cluster it stands for."""
     task = TaskSpec(id="t", cpu_req=cpu, mem_req=mem, work=10.0)
-    return Observation(time=0.0, workflow_id="w", task=task, nodes=tuple(nodes))
+    ids, cpu_free, mem_free, alive = zip(*nodes)
+    cpu_free, mem_free, alive = np.array(cpu_free), np.array(mem_free), np.array(alive)
+    return Observation(
+        time=0.0, workflow_id="w", task=task, node_ids=ids,
+        unit_cost=np.full(len(ids), 1e-5), cpu_free=cpu_free, mem_free=mem_free,
+        wait=np.zeros(len(ids)), alive=alive,
+        fit=alive & (cpu <= cpu_free) & (mem <= mem_free),
+    )
 
 
 def ab_cluster():
@@ -67,7 +72,7 @@ def test_random_restricted_to_fitting_nodes():
 
 
 def test_random_no_feasible_node():
-    obs = manual_obs([view("a", SPOT, 1.0, 1.0)], cpu=4.0)
+    obs = manual_obs([view("a", 1.0, 1.0)], cpu=4.0)
     with pytest.raises(NoFeasibleActionError):
         random_policy(obs, np.random.default_rng(0))
 
@@ -94,28 +99,28 @@ def test_score_prefers_first_node_on_idle_cluster():
 
 def test_score_prefers_emptier_node():
     cluster = ab_cluster()
-    half = view("a", SPOT, 1.0, 8.0)  # half the cores taken
-    idle = view("b", ON_DEMAND, 2.0, 8.0)
+    half = view("a", 1.0, 8.0)  # half the cores taken
+    idle = view("b", 2.0, 8.0)
     assert score_policy(manual_obs([half, idle]), cluster) == "b"
 
 
 def test_score_tie_keeps_first():
     cluster = ab_cluster()
-    obs = manual_obs([view("a", SPOT, 2.0, 8.0), view("b", ON_DEMAND, 2.0, 8.0)])
+    obs = manual_obs([view("a", 2.0, 8.0), view("b", 2.0, 8.0)])
     assert score_policy(obs, cluster) == "a"
 
 
 def test_score_skips_dead_and_overfull_nodes():
     cluster = ab_cluster()
-    dead = view("a", SPOT, 2.0, 8.0, alive=False)
-    alive = view("b", ON_DEMAND, 1.0, 1.0)
+    dead = view("a", 2.0, 8.0, alive=False)
+    alive = view("b", 1.0, 1.0)
     assert score_policy(manual_obs([dead, alive]), cluster) == "b"
 
 
 def test_score_restriction_to_on_demand():
     cluster = ab_cluster()
-    spot_idle = view("a", SPOT, 2.0, 8.0)
-    od_busy = view("b", ON_DEMAND, 1.0, 4.0)
+    spot_idle = view("a", 2.0, 8.0)  # a is spot, b on-demand
+    od_busy = view("b", 1.0, 4.0)
     obs = manual_obs([spot_idle, od_busy])
     assert score_policy(obs, cluster) == "a"
     assert score_policy(obs, cluster, restrict=ON_DEMAND) == "b"

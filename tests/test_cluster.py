@@ -17,7 +17,6 @@ from spotsched.cluster import (
     cluster_to_dict,
     compute_time_on,
     default_cluster,
-    fits,
     load_cluster,
     sample_next_interruption,
     save_cluster,
@@ -60,7 +59,6 @@ def test_can_fit():
     assert state.can_fit(task(cpu=2, mem=8))  # exact fit counts
     state.alive = False
     assert not state.can_fit(task(cpu=1, mem=4))
-    assert NodeState.can_fit is fits  # one fit rule, no wrapper
 
 
 def test_can_fit_tracks_running_tasks():
@@ -167,14 +165,11 @@ def test_default_cluster_overrides():
     assert c.bandwidth_mbps == 250.0
 
 
-def test_pricing_groups_and_lookup():
+def test_pricing_groups():
     c = default_cluster()
     groups = c.pricing_groups()
     assert set(groups) == {SPOT, ON_DEMAND}
     assert {n.id for n in groups[SPOT]} == {n.id for n in c.nodes if n.pricing_class == SPOT}
-    assert c.node("od-2xlarge-0").flavor == "t4g.2xlarge"
-    with pytest.raises(KeyError):
-        c.node("nope")
 
 
 def test_spec_validation_errors():
@@ -198,6 +193,23 @@ def test_spec_validation_errors():
         ClusterSpec(nodes=(node(),), interruption_rate_per_hour=-1)
     with pytest.raises(ValueError):
         ClusterSpec(nodes=(node(),), interruption_downtime_s=0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make, name", [
+    (lambda v: node(cpu=v), "capacities"),
+    (lambda v: node(mem=v), "capacities"),
+    (lambda v: node(rate=v), "rate"),
+    (lambda v: node(price=v), "price_per_hour"),
+    (lambda v: ClusterSpec(nodes=(node(),), bandwidth_mbps=v), "bandwidth_mbps"),
+    (lambda v: ClusterSpec(nodes=(node(),), interruption_rate_per_hour=v),
+     "interruption_rate_per_hour"),
+    (lambda v: ClusterSpec(nodes=(node(),), interruption_downtime_s=v),
+     "interruption_downtime_s"),
+])
+def test_specs_reject_non_finite(make, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        make(value)
 
 
 def test_cluster_file_round_trip(tmp_path):

@@ -61,9 +61,9 @@ def test_reset_offers_first_task_at_time_zero():
     obs = env.reset()
     assert obs.time == 0.0
     assert obs.workflow_id == "w" and obs.task.id == "t"
-    assert [v.id for v in obs.nodes] == ["s0", "o0"]
-    assert all(v.alive for v in obs.nodes)
-    assert all(v.estimated_wait == 0.0 for v in obs.nodes)
+    assert obs.node_ids == ("s0", "o0")
+    assert obs.alive.all() and obs.fit.all()
+    assert (obs.wait == 0.0).all()
 
 
 def test_one_arrival_event_per_workflow():
@@ -157,7 +157,9 @@ def test_identical_observation_sequences():
                 obs.time,
                 obs.workflow_id,
                 obs.task.id,
-                tuple((v.id, v.cpu_free, v.mem_free, v.estimated_wait, v.alive) for v in obs.nodes),
+                obs.node_ids,
+                *(tuple(a.tolist()) for a in (obs.cpu_free, obs.mem_free, obs.wait,
+                                               obs.alive, obs.fit)),
             ))
             obs, _, _ = env.step(policy(obs))
         return seen
@@ -229,7 +231,7 @@ def test_interruption_fails_workflow_and_still_charges_it():
     # w1 died with the node; w2 is offered after the revival
     assert obs is not None and obs.workflow_id == "w2"
     assert obs.time == w2_arrival
-    assert obs.nodes[0].alive
+    assert obs.alive[0]
     _, _, done = env.step("s0")
     assert done
 
@@ -255,8 +257,8 @@ def test_action_on_dead_node_rejected():
     env = SimEnv(cluster, wfs, seed=[7, 9])
     env.reset()
     obs, _, _ = env.step("s0")
-    assert obs.workflow_id == "w2" and not obs.nodes[0].alive
-    assert obs.nodes[0].estimated_wait == DEAD_NODE_WAIT
+    assert obs.workflow_id == "w2" and not obs.alive[0] and not obs.fit[0]
+    assert obs.wait[0] == DEAD_NODE_WAIT
     with pytest.raises(InvalidActionError):
         env.step("s0")
     _, _, done = env.step("o0")

@@ -56,6 +56,23 @@ def test_masked_log_softmax_masked_entries():
     assert np.exp(lp[[0, 2]]).sum() == pytest.approx(1.0)
 
 
+def test_masked_log_softmax_batch_equals_rows():
+    rng = np.random.default_rng(3)
+    logits = rng.normal(size=(40, 11)) * 5.0
+    mask = rng.random((40, 11)) < 0.5
+    mask[np.arange(40), rng.integers(11, size=40)] = True
+    batch = masked_log_softmax(logits, mask)
+    rows = np.array([masked_log_softmax(z, m) for z, m in zip(logits, mask)])
+    assert np.array_equal(batch, rows)
+    assert (~mask).any() and np.isneginf(batch[~mask]).all()
+    assert np.isfinite(batch[mask]).all()
+    mask[7] = False
+    with pytest.raises(NoFeasibleActionError):
+        masked_log_softmax(logits, mask)
+    with pytest.raises(ValueError):
+        masked_log_softmax(logits, mask[:, :5])
+
+
 def test_mlp_orthogonal_init():
     net = Mlp([6, 8, 3], np.random.default_rng(0), policy_head=True)
     assert [w.shape for w in net.weights] == [(6, 8), (8, 3)]

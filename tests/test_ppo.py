@@ -138,6 +138,48 @@ def test_unit_ratio_reduces_to_vanilla_policy_gradient():
         assert np.allclose(g, e, atol=1e-12)
 
 
+def _per_sample_actor_terms(net, states, actions, old_logps, advs, masks, eps, weight):
+    """The per-sample loop that the batched actor loss replaced, as its reference."""
+    out, acts = net.forward_cache(states)
+    dlogits = np.zeros_like(out)
+    total = clipped_count = 0
+    for b, (a, mask) in enumerate(zip(actions, masks)):
+        logp = masked_log_softmax(out[b], mask)
+        p = np.exp(logp)
+        ratio = float(np.exp(logp[a] - old_logps[b]))
+        unclipped = ratio * advs[b]
+        clipped = min(max(ratio, 1.0 - eps), 1.0 + eps) * advs[b]
+        inside = 1.0 - eps <= ratio <= 1.0 + eps
+        clipped_count += not inside
+        ent = float(-(p[mask] * logp[mask]).sum())
+        total += -min(unclipped, clipped) - weight * ent
+        onehot = np.zeros_like(p)
+        onehot[a] = 1.0
+        dsurr = (unclipped if inside or unclipped <= clipped else 0.0) * (onehot - p)
+        dent = np.where(mask, -p * (np.where(mask, logp, 0.0) + ent), 0.0)
+        dlogits[b] = np.where(mask, -dsurr - weight * dent, 0.0)
+    n = len(actions)
+    return total / n, net.backward(acts, dlogits / n), clipped_count / n
+
+
+def test_batched_actor_terms_match_per_sample_loop():
+    rng = np.random.default_rng(5)
+    net = Mlp([5, 8, 6], rng, policy_head=True)
+    states = rng.normal(size=(16, 5))
+    actions = rng.integers(6, size=16)
+    masks = rng.random((16, 6)) < 0.6
+    masks[np.arange(16), actions] = True
+    old = _live_logps(net, states, actions, masks) + rng.normal(scale=0.4, size=16)
+    advs = rng.normal(size=16)
+    loss, grads, clip_frac = actor_loss_and_grads(net, states, actions, old, advs, masks,
+                                                  epsilon=0.2, entropy_weight=0.05)
+    ref_loss, ref_grads, ref_clip = _per_sample_actor_terms(
+        net, states, actions, old, advs, masks, 0.2, 0.05)
+    assert 0 < clip_frac < 1 and clip_frac == ref_clip
+    assert loss == pytest.approx(ref_loss, rel=1e-12)  # summed in another order
+    assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
+
+
 def test_clip_fraction_counts_out_of_range_ratios():
     net, states, actions, masks, advs = _toy_batch(seed=1)
     old = _live_logps(net, states, actions, masks)

@@ -1,5 +1,6 @@
 """Timing/cost arithmetic and DAG plumbing."""
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -158,6 +159,20 @@ def test_spec_validation():
     TaskSpec(id="t", cpu_req=1, mem_req=1, work=0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make, name", [
+    (lambda v: TaskSpec(id="t", cpu_req=v, mem_req=1, work=1), "cpu_req"),
+    (lambda v: TaskSpec(id="t", cpu_req=1, mem_req=v, work=1), "mem_req"),
+    (lambda v: TaskSpec(id="t", cpu_req=1, mem_req=1, work=v), "work"),
+    (lambda v: EdgeSpec(src="a", dst="b", data_mb=v), "data_mb"),
+    (lambda v: WorkflowSpec(id="w", tasks=(), edges=(), arrival_time=v), "arrival_time"),
+    (lambda v: WorkflowSpec(id="w", tasks=(), edges=(), timeout=v), "timeout"),
+])
+def test_specs_reject_non_finite(make, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        make(value)
+
+
 def test_outcome_labels():
     assert Outcome.COMPLETED.value == "completed"
     assert Outcome.FAILED_INTERRUPTED.value == "failed-interrupted"
@@ -214,5 +229,18 @@ def test_load_workflow_rejects_nan(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert '"cpu": NaN' in path.read_text(encoding="utf-8")
     with pytest.raises(ConfigError, match="NaN") as err:
+        load_workflow(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("value, literal", [(math.inf, "Infinity"), (-math.inf, "-Infinity")])
+def test_load_workflow_rejects_infinity(tmp_path, value, literal):
+    doc = workflow_to_dict(diamond())
+    doc["tasks"][0]["cpu"] = value
+    doc["timeout"] = value
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert f'"cpu": {literal}' in path.read_text(encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"{literal} is not a valid number") as err:
         load_workflow(path)
     assert str(path) in str(err.value)

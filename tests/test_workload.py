@@ -1,5 +1,6 @@
 """Synthetic fork-join workload generation."""
 import json
+import math
 
 import numpy as np
 import pytest
@@ -78,6 +79,23 @@ def test_config_validation():
         WorkloadConfig(mem_req=0)
     with pytest.raises(ConfigError):
         WorkloadConfig(timeout=0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", [
+    "data_mb", "cpu_req", "mem_req", "timeout", "work_range", "interarrival_range",
+])
+def test_config_rejects_non_finite(name, value):
+    field = {"work_range": (50.0, value), "interarrival_range": (value, 30.0)}.get(name, value)
+    with pytest.raises(ConfigError, match=name):
+        WorkloadConfig(**{name: field})
+
+
+def test_config_file_rejects_infinity(tmp_path):
+    path = tmp_path / "wl.json"
+    path.write_text('{"timeout": Infinity}', encoding="utf-8")
+    with pytest.raises(ConfigError, match="Infinity is not a valid number"):
+        load_config(path)
 
 
 def test_scalar_parallelism_normalized():
