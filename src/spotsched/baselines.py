@@ -3,9 +3,12 @@
 All three consume the same observations as the learned agent and return a
 node id. The score policy mimics a default container scheduler: filter
 infeasible nodes, then rank the rest by average free-resource fraction.
+The on-demand-only baseline is that policy run on the cluster's on-demand
+nodes alone (`baseline_cluster`).
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -29,13 +32,15 @@ def random_policy(obs: Observation, rng: np.random.Generator) -> str:
     return obs.node_ids[nodes[rng.integers(nodes.size)]]
 
 
-def score_policy(obs: Observation, cluster: ClusterSpec, restrict: str | None = None) -> str:
+def score_policy(obs: Observation, cluster: ClusterSpec) -> str:
     """Filter then score by free-fraction average; first node wins ties.
 
     Node i of the observation's arrays is cluster.nodes[i].
     """
-    nodes = [i for i in np.flatnonzero(obs.fit).tolist()
-             if restrict is None or cluster.nodes[i].pricing_class == restrict]
+    if len(obs.node_ids) != len(cluster.nodes):
+        raise ValueError(f"observation of {len(obs.node_ids)} nodes, "
+                         f"cluster of {len(cluster.nodes)}")
+    nodes = np.flatnonzero(obs.fit).tolist()
     if not nodes:
         raise NoFeasibleActionError("no feasible node for pending task")
     # Python floats: indexing numpy arrays one element at a time costs more.
@@ -65,24 +70,27 @@ class K8DefaultPolicy:
 
 
 class OnDemandPolicy:
-    """Filter-and-score restricted to the on-demand pricing class.
+    """Filter-and-score on the on-demand nodes of the cluster it is given.
 
-    Run it in an environment restricted to the same nodes so that tasks
-    are held back until an on-demand node frees up.
+    Run it on baseline_cluster(cluster, "on-demand"), whose observations
+    name those nodes alone.
     """
 
     def __init__(self, cluster: ClusterSpec):
-        self.cluster = cluster
+        self.cluster = baseline_cluster(cluster, "on-demand")
 
     def __call__(self, obs: Observation) -> str:
-        return score_policy(obs, self.cluster, restrict=ON_DEMAND)
+        return score_policy(obs, self.cluster)
 
 
-def eligible_nodes(cluster: ClusterSpec, name: str) -> frozenset[str] | None:
-    """Node subset a named baseline is allowed to use, None for all."""
-    if name == "on-demand":
-        return frozenset(n.id for n in cluster.nodes if n.pricing_class == ON_DEMAND)
-    return None
+def baseline_cluster(cluster: ClusterSpec, name: str) -> ClusterSpec:
+    """The cluster a named scheduler runs on: on-demand-only keeps only those nodes."""
+    if name != "on-demand":
+        return cluster
+    nodes = tuple(n for n in cluster.nodes if n.pricing_class == ON_DEMAND)
+    if not nodes:
+        raise ConfigError("cluster has no on-demand nodes")
+    return replace(cluster, nodes=nodes)
 
 
 def make_baseline(name: str, cluster: ClusterSpec, seed: int | Sequence[int] = 0):
@@ -91,7 +99,5 @@ def make_baseline(name: str, cluster: ClusterSpec, seed: int | Sequence[int] = 0
     if name == "k8-default":
         return K8DefaultPolicy(cluster)
     if name == "on-demand":
-        if not any(n.pricing_class == ON_DEMAND for n in cluster.nodes):
-            raise ConfigError("cluster has no on-demand nodes")
         return OnDemandPolicy(cluster)
     raise ConfigError(f"unknown scheduler {name!r}; expected one of {BASELINE_NAMES}")

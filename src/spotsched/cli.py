@@ -10,18 +10,18 @@ from pathlib import Path
 
 import click
 
-from .agent import load_checkpoint, save_checkpoint
+from .agent import EpisodeRecord, load_checkpoint, save_checkpoint
 from .cluster import default_cluster, load_cluster
 from .errors import LayoutMismatchError, SpotSchedError
 from .harness import (
     AGENT_NAME,
     SCHEDULER_NAMES,
+    MetricsRow,
     compare,
     format_summary_table,
     load_workload_source,
     train_run,
-    write_comparison_csv,
-    write_curve_csv,
+    write_csv,
 )
 from .ppo import TrainConfig
 from .workload import WorkloadConfig, generate, load_config
@@ -70,7 +70,7 @@ def train(cluster_path, workload_path, episodes, seed, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(agent, out / "checkpoint.json")
-    write_curve_csv(curve, out / "training_curve.csv")
+    write_csv(EpisodeRecord, curve, out / "training_curve.csv")
     first = curve[0].total_cost
     last = curve[-1].total_cost
     click.echo(f"trained {len(curve)} episodes: cost {first:.6f} -> {last:.6f}")
@@ -110,7 +110,7 @@ def compare_cmd(cluster_path, workload_path, schedulers, checkpoint_path, seeds,
         raise click.ClickException(str(exc))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_comparison_csv(rows, out / "comparison.csv")
+    write_csv(MetricsRow, rows, out / "comparison.csv")
     table = format_summary_table(summaries)
     (out / "summary.txt").write_text(table, encoding="utf-8")
     click.echo(table, nl=False)

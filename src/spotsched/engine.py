@@ -7,6 +7,7 @@ pending task; step() places it and resumes.
 """
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -95,22 +96,20 @@ class _Run:
         self.preds = spec.predecessors()
         self.completed: set[str] = set()
         self.running: set[str] = set()
-        self.pending: set[str] = set()
+        # Set when a task is queued and never cleared, so a task in it is
+        # queued, running or completed.
         self.ready_time: dict[str, float] = {}
         self.node_of: dict[str, str] = {}
         self.timings: dict = {}
         self.outcome: Outcome | None = None
 
     def newly_ready(self) -> list[str]:
-        out = [
+        return sorted(
             tid
             for tid in self.tasks
-            if tid not in self.completed
-            and tid not in self.running
-            and tid not in self.pending
+            if tid not in self.ready_time
             and all(e.src in self.completed for e in self.preds[tid])
-        ]
-        return sorted(out)
+        )
 
 
 class SimEnv:
@@ -129,7 +128,6 @@ class SimEnv:
         workload: Sequence[WorkflowSpec],
         seed: int | Sequence[int] = 0,
         on_event: Callable[[dict], None] | None = None,
-        eligible: Sequence[str] | None = None,
     ):
         if not workload:
             raise ConfigError("workload must contain at least one workflow")
@@ -145,14 +143,6 @@ class SimEnv:
         self.workload = tuple(workload)
         self.seed = seed_list(seed)
         self.on_event = on_event
-        if eligible is not None:
-            eligible = frozenset(eligible)
-            known = {n.id for n in cluster.nodes}
-            if not eligible or not eligible <= known:
-                raise ConfigError(f"eligible nodes {sorted(eligible - known)} not in cluster")
-        # Restricting eligibility makes the offer loop hold tasks back until
-        # one of these nodes can take them (class-restricted schedulers).
-        self.eligible = eligible
         self._done = False
         self._started = False
 
@@ -162,6 +152,7 @@ class SimEnv:
         self.now = 0.0
         self._heap: list = []
         self._seq = 0
+        # Queued tasks of unresolved workflows, kept sorted.
         self._queue: list[tuple[float, str, str]] = []
         self._offered: tuple[str, str] | None = None
         self._total_cost = 0.0
@@ -200,7 +191,6 @@ class SimEnv:
             raise InvalidActionError(f"task {task_id!r} does not fit on node {node_id!r}")
 
         self._queue.remove((run.ready_time[task_id], wf_id, task_id))
-        run.pending.discard(task_id)
         reward = -self._place(run, task, node)
         obs = self._advance()
         return obs, reward, self._done
@@ -293,25 +283,12 @@ class SimEnv:
 
     def _next_offer(self) -> tuple[str, str] | None:
         """First queued task, in (ready, workflow, task) order, that fits somewhere."""
-        stale = []
-        offer = None
-        candidates = [
-            n for n in self.nodes.values()
-            if self.eligible is None or n.spec.id in self.eligible
-        ]
-        for entry in sorted(self._queue):
-            ready, wf_id, task_id = entry
-            run = self.runs[wf_id]
-            if run.outcome is not None or task_id not in run.pending:
-                stale.append(entry)
-                continue
-            if offer is None:
-                task = run.tasks[task_id]
-                if any(n.can_fit(task) for n in candidates):
-                    offer = (wf_id, task_id)
-        for entry in stale:
-            self._queue.remove(entry)
-        return offer
+        nodes = self.nodes.values()
+        for _ready, wf_id, task_id in self._queue:
+            task = self.runs[wf_id].tasks[task_id]
+            if any(n.can_fit(task) for n in nodes):
+                return wf_id, task_id
+        return None
 
     def _observe(self, offer: tuple[str, str]) -> Observation:
         wf_id, task_id = offer
@@ -399,7 +376,7 @@ class SimEnv:
             self._fail(run, Outcome.FAILED_TIMEOUT)
 
     def _fail(self, run: _Run, outcome: Outcome) -> None:
-        """Mark failed and cancel whatever is still pending or running.
+        """Mark failed, cancel whatever is still running and unqueue the rest.
 
         Started tasks keep their timing records: consumed compute is billed
         whether or not the workflow survives.
@@ -408,7 +385,7 @@ class SimEnv:
             node_id = run.node_of[task_id]
             self.nodes[node_id].running.pop((run.spec.id, task_id), None)
         run.running.clear()
-        run.pending.clear()
+        self._queue = [e for e in self._queue if e[1] != run.spec.id]
         self._resolve(run, outcome)
 
     def _resolve(self, run: _Run, outcome: Outcome) -> None:
@@ -417,9 +394,8 @@ class SimEnv:
 
     def _enqueue_ready(self, run: _Run) -> None:
         for task_id in run.newly_ready():
-            run.pending.add(task_id)
             run.ready_time[task_id] = self.now
-            self._queue.append((self.now, run.spec.id, task_id))
+            bisect.insort(self._queue, (self.now, run.spec.id, task_id))
 
 
 def run_episode(
@@ -428,10 +404,9 @@ def run_episode(
     workload: Sequence[WorkflowSpec],
     seed: int | Sequence[int] = 0,
     on_event: Callable[[dict], None] | None = None,
-    eligible: Sequence[str] | None = None,
 ) -> EpisodeStats:
     """Drive one full episode with a scheduler callback; returns the stats."""
-    env = SimEnv(cluster, workload, seed=seed, on_event=on_event, eligible=eligible)
+    env = SimEnv(cluster, workload, seed=seed, on_event=on_event)
     obs = env.reset()
     while obs is not None:
         obs, _reward, _done = env.step(scheduler(obs))

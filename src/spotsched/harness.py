@@ -8,14 +8,14 @@ scheduling decisions.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .agent import EpisodeRecord, MultiActorAgent, train
-from .baselines import BASELINE_NAMES, eligible_nodes, make_baseline
+from .baselines import BASELINE_NAMES, baseline_cluster, make_baseline
 from .cluster import ClusterSpec
 from .engine import run_episode
 from .errors import ConfigError
@@ -83,22 +83,19 @@ def _policy_for(name: str, cluster: ClusterSpec, seed: int,
     if name == AGENT_NAME:
         if agent is None:
             raise ConfigError("scheduler 'agent' requires a checkpoint")
-        return agent.scheduler(), None
-    return make_baseline(name, cluster, seed=[seed, 3]), eligible_nodes(cluster, name)
+        return agent.scheduler()
+    return make_baseline(name, cluster, seed=[seed, 3])
 
 
 def evaluate_rows(name: str, cluster: ClusterSpec, source: WorkloadSource,
                   seeds: Sequence[int], agent: MultiActorAgent | None = None,
                   ) -> list[MetricsRow]:
     """One metrics row per evaluation seed for a named scheduler."""
+    run_cluster = baseline_cluster(cluster, name)
     rows = []
     for seed in seeds:
-        workload = workload_for_seed(source, seed)
-        if not workload:
-            rows.append(MetricsRow(name, seed, 0.0, 0.0, 0, 0, 0))
-            continue
-        policy, eligible = _policy_for(name, cluster, seed, agent)
-        stats = run_episode(policy, cluster, workload, seed=[seed, 2], eligible=eligible)
+        policy = _policy_for(name, cluster, seed, agent)
+        stats = run_episode(policy, run_cluster, workload_for_seed(source, seed), seed=[seed, 2])
         rows.append(MetricsRow(
             scheduler=name,
             seed=seed,
@@ -149,37 +146,15 @@ def compare(schedulers: Sequence[str], cluster: ClusterSpec, source: WorkloadSou
 
 # --- output files ---------------------------------------------------------
 
-COMPARISON_HEADER = [
-    "scheduler", "seed", "total_cost", "mean_execution_time",
-    "completed", "interrupted", "timed_out",
-]
-CURVE_HEADER = [
-    "episode", "total_reward", "total_cost", "mean_execution_time",
-    "completed", "interrupted", "timed_out",
-]
+def write_csv(row_type: type, rows: Sequence, path: str | Path) -> None:
+    """One line per dataclass row under a header of its field names.
 
-
-def write_comparison_csv(rows: Sequence[MetricsRow], path: str | Path) -> None:
+    csv writes floats with repr, so they read back exactly.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(COMPARISON_HEADER)
-        for r in rows:
-            writer.writerow([
-                r.scheduler, r.seed, repr(r.total_cost), repr(r.mean_execution_time),
-                r.completed, r.interrupted, r.timed_out,
-            ])
-
-
-def write_curve_csv(curve: Sequence[EpisodeRecord], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CURVE_HEADER)
-        for rec in curve:
-            writer.writerow([
-                rec.episode, repr(rec.total_reward), repr(rec.total_cost),
-                repr(rec.mean_execution_time), rec.completed, rec.interrupted,
-                rec.timed_out,
-            ])
+        writer.writerow([f.name for f in fields(row_type)])
+        writer.writerows(astuple(r) for r in rows)
 
 
 def format_summary_table(summaries: Sequence[SchedulerSummary]) -> str:

@@ -40,7 +40,7 @@ import numpy as np
 from click.testing import CliRunner
 
 from spotsched.agent import MultiActorAgent, state_dim
-from spotsched.baselines import RandomPolicy, eligible_nodes, make_baseline
+from spotsched.baselines import RandomPolicy, baseline_cluster, make_baseline
 from spotsched.cli import main
 from spotsched.cluster import ON_DEMAND, SPOT, ClusterSpec, NodeSpec
 from spotsched.engine import SimEnv, run_episode
@@ -302,11 +302,11 @@ def _spot_exposure(cluster, agent, name, seed):
     """Rerun one evaluation episode of the comparison; returns the task-seconds
     held on spot nodes (placement to recorded finish) and the episode stats."""
     if name == "agent":
-        policy, eligible = agent.scheduler(), None
+        policy = agent.scheduler()
     else:
-        policy, eligible = make_baseline(name, cluster, seed=[seed, 3]), eligible_nodes(cluster, name)
-    env = SimEnv(cluster, workload_for_seed(WorkloadConfig(), seed), seed=[seed, 2],
-                 eligible=eligible)
+        policy = make_baseline(name, cluster, seed=[seed, 3])
+    env = SimEnv(baseline_cluster(cluster, name), workload_for_seed(WorkloadConfig(), seed),
+                 seed=[seed, 2])
     obs = env.reset()
     while obs is not None:
         obs, _, _ = env.step(policy(obs))

@@ -17,7 +17,7 @@ from spotsched.agent import (
     state_dim,
     train,
 )
-from spotsched.baselines import K8DefaultPolicy, OnDemandPolicy, RandomPolicy, eligible_nodes
+from spotsched.baselines import K8DefaultPolicy, OnDemandPolicy, RandomPolicy, baseline_cluster
 from spotsched.cluster import ON_DEMAND, SPOT, ClusterSpec, NodeSpec, default_cluster
 from spotsched.engine import Observation, SimEnv, run_episode
 from spotsched.errors import ConfigError, LayoutMismatchError
@@ -133,8 +133,8 @@ def test_masks_and_baselines_match_engine_fit_over_episodes():
     for name, policy in schedulers.items():
         saw_dead = saw_full = 0
         for seed in (1, 2):
-            env = SimEnv(cluster, generate(replace(config, seed=seed)), seed=[seed, 2],
-                         eligible=eligible_nodes(cluster, name))
+            env = SimEnv(baseline_cluster(cluster, name), generate(replace(config, seed=seed)),
+                         seed=[seed, 2])
             obs = env.reset()
             while obs is not None:
                 assert obs.fit.tolist() == [env.nodes[i].can_fit(obs.task) for i in obs.node_ids]
@@ -143,7 +143,9 @@ def test_masks_and_baselines_match_engine_fit_over_episodes():
                 saw_dead += not obs.alive.all()
                 saw_full += (obs.alive & ~obs.fit).any()
                 obs, _, _ = env.step(pick)
-        assert saw_dead and saw_full, name
+        assert saw_full, name
+        # on-demand runs on the on-demand nodes, which are never interrupted
+        assert bool(saw_dead) == (name != "on-demand"), name
 
 
 def test_single_feasible_node_is_forced():
@@ -184,8 +186,8 @@ def test_spot_free_cluster_matches_on_demand_restriction():
     wfs = generate(WorkloadConfig(count=4, seed=2))
     agent = MultiActorAgent(cluster, seed=1)
 
-    def drive(eligible):
-        env = SimEnv(cluster, wfs, seed=[5], eligible=eligible)
+    def drive(cluster):
+        env = SimEnv(cluster, wfs, seed=[5])
         rng = np.random.default_rng(77)
         groups = set()
         obs = env.reset()
@@ -195,8 +197,8 @@ def test_spot_free_cluster_matches_on_demand_restriction():
             obs, _, _ = env.step(node_id)
         return env.episode_stats(), groups
 
-    free, groups = drive(None)
-    restricted, _ = drive([n.id for n in nodes])
+    free, groups = drive(cluster)
+    restricted, _ = drive(baseline_cluster(cluster, "on-demand"))
     assert groups == {0}  # masking forces the on-demand arm
     assert free == restricted
 

@@ -1,5 +1,6 @@
 """Random, filter-and-score, and on-demand-only schedulers."""
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from spotsched.baselines import (
     K8DefaultPolicy,
     OnDemandPolicy,
     RandomPolicy,
-    eligible_nodes,
+    baseline_cluster,
     make_baseline,
     random_policy,
     score_policy,
@@ -119,27 +120,45 @@ def test_score_skips_dead_and_overfull_nodes():
 
 def test_score_restriction_to_on_demand():
     cluster = ab_cluster()
+    od_cluster = baseline_cluster(cluster, "on-demand")
     spot_idle = view("a", 2.0, 8.0)  # a is spot, b on-demand
     od_busy = view("b", 1.0, 4.0)
-    obs = manual_obs([spot_idle, od_busy])
-    assert score_policy(obs, cluster) == "a"
-    assert score_policy(obs, cluster, restrict=ON_DEMAND) == "b"
+    assert score_policy(manual_obs([spot_idle, od_busy]), cluster) == "a"
+    assert score_policy(manual_obs([od_busy]), od_cluster) == "b"
+    assert OnDemandPolicy(cluster)(manual_obs([od_busy])) == "b"
     with pytest.raises(NoFeasibleActionError):
-        score_policy(manual_obs([spot_idle, od_busy], cpu=2.0), cluster, restrict=ON_DEMAND)
+        score_policy(manual_obs([od_busy], cpu=2.0), od_cluster)
+
+
+def test_score_rejects_observation_of_another_cluster():
+    cluster = default_cluster()
+    policy = OnDemandPolicy(cluster)
+    with pytest.raises(ValueError):
+        policy(idle_offer(cluster))
+    # Only the first five nodes fit, as many as the on-demand cluster has:
+    # read by position, this would pick a spot node.
+    five = [view(n.id, n.cpu if i < 5 else 0.0, n.mem_gb) for i, n in enumerate(cluster.nodes)]
+    with pytest.raises(ValueError):
+        policy(manual_obs(five))
 
 
 def test_on_demand_policy_never_touches_spot():
     cluster = default_cluster()
-    obs = idle_offer(cluster)
+    obs = idle_offer(baseline_cluster(cluster, "on-demand"))
     assert OnDemandPolicy(cluster)(obs).startswith("od-")
 
 
-def test_eligible_nodes():
+def test_baseline_cluster():
     cluster = default_cluster()
-    subset = eligible_nodes(cluster, "on-demand")
-    assert subset == {n.id for n in cluster.nodes if n.pricing_class == ON_DEMAND}
-    assert eligible_nodes(cluster, "random") is None
-    assert eligible_nodes(cluster, "k8-default") is None
+    od = baseline_cluster(cluster, "on-demand")
+    assert od.nodes == tuple(n for n in cluster.nodes if n.pricing_class == ON_DEMAND)
+    assert replace(od, nodes=cluster.nodes) == cluster  # nothing else changes
+    assert OnDemandPolicy(cluster).cluster == od
+    assert baseline_cluster(cluster, "random") is cluster
+    assert baseline_cluster(cluster, "k8-default") is cluster
+    spot_only = ClusterSpec(nodes=cluster.pricing_groups()[SPOT])
+    with pytest.raises(ConfigError, match="no on-demand nodes"):
+        baseline_cluster(spot_only, "on-demand")
 
 
 def test_make_baseline():

@@ -5,7 +5,6 @@ from click.testing import CliRunner
 
 from spotsched.cli import main
 from spotsched.cluster import ON_DEMAND, SPOT, ClusterSpec, NodeSpec, save_cluster
-from spotsched.harness import COMPARISON_HEADER, CURVE_HEADER
 from spotsched.workflow import load_workflow
 
 
@@ -65,7 +64,7 @@ def test_train_then_compare_pipeline(tmp_path):
     assert result.exit_code == 0, result.output
     assert (train_out / "checkpoint.json").exists()
     curve = (train_out / "training_curve.csv").read_text(encoding="utf-8").splitlines()
-    assert curve[0] == ",".join(CURVE_HEADER)
+    assert curve[0] == "episode,total_reward,total_cost,mean_execution_time,completed,interrupted,timed_out"
     assert len(curve) == 3  # header + one line per episode
     assert "trained 2 episodes" in result.output
 
@@ -81,7 +80,7 @@ def test_train_then_compare_pipeline(tmp_path):
     table = (cmp_out / "summary.txt").read_text(encoding="utf-8")
     assert "agent" in table and "random" in table
     rows = (cmp_out / "comparison.csv").read_text(encoding="utf-8").splitlines()
-    assert rows[0] == ",".join(COMPARISON_HEADER)
+    assert rows[0] == "scheduler,seed,total_cost,mean_execution_time,completed,interrupted,timed_out"
     assert len(rows) == 5  # header + 2 schedulers x 2 seeds
 
 

@@ -1,11 +1,14 @@
 """Event-driven episode mechanics: placement, timing, failures, determinism."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spotsched.baselines import RandomPolicy
+from spotsched.baselines import RandomPolicy, baseline_cluster
 from spotsched.cluster import (
     DEAD_NODE_WAIT,
+    EPS,
     ON_DEMAND,
     SPOT,
     ClusterSpec,
@@ -324,25 +327,21 @@ def test_full_cluster_defers_the_offer():
 
 
 def test_eligible_subset_defers_until_a_listed_node_frees():
-    cluster = two_nodes(od_cpu=1.0)
+    # The on-demand baseline's cluster holds o0 alone.
+    cluster = baseline_cluster(two_nodes(od_cpu=1.0), "on-demand")
     wfs = [single("w1", work=20.0), single("w2", work=10.0, arrival=1.0)]
-    env = SimEnv(cluster, wfs, seed=0, eligible=["o0"])
+    env = SimEnv(cluster, wfs, seed=0)
     obs = env.reset()
-    assert obs.workflow_id == "w1"
+    assert obs.workflow_id == "w1" and obs.node_ids == ("o0",)
     obs, _, _ = env.step("o0")
-    # s0 has room the whole time but is off limits
+    # s0 would have room the whole time but is not in the cluster
     assert obs.time == 20.0 and obs.workflow_id == "w2"
+    with pytest.raises(InvalidActionError):
+        env.step("s0")
     _, _, done = env.step("o0")
     assert done
     assert env.runs["w2"].timings["t"].wait == 19.0
     assert env.episode_stats().completed == 2
-
-
-def test_eligible_must_name_known_nodes():
-    with pytest.raises(ConfigError):
-        SimEnv(two_nodes(), [single()], eligible=["ghost"])
-    with pytest.raises(ConfigError):
-        SimEnv(two_nodes(), [single()], eligible=[])
 
 
 def test_env_validates_workload():
@@ -405,3 +404,67 @@ def test_precedence_is_never_violated():
                     same_node=run.node_of[edge.src] == run.node_of[task_id],
                 )
                 assert exec_start + 1e-9 >= upstream.finish + tt
+
+
+@st.composite
+def small_episodes(draw):
+    """A 1-4 node cluster of both pricing classes, interrupted at 0-60/h, and
+    2-4 overlapping random DAGs of 1-5 tasks with short timeouts; a task
+    asking for 8 cores fits no node. Workflows often fail with tasks still
+    queued while others run on."""
+    pick = lambda *values: draw(st.sampled_from(values))
+    nodes = tuple(
+        NodeSpec(id=f"n{i}", flavor="f", cpu=pick(1.0, 2.0, 4.0), mem_gb=pick(2.0, 4.0, 8.0),
+                 rate=pick(1.0, 2.0, 4.0), pricing_class=pick(SPOT, ON_DEMAND),
+                 price_per_hour=pick(0.03, 0.1, 0.4))
+        for i in range(draw(st.integers(1, 4)))
+    )
+    cluster = ClusterSpec(nodes=nodes, interruption_rate_per_hour=pick(0.0, 0.5, 30.0, 60.0),
+                          interruption_downtime_s=pick(5.0, 30.0))
+    workflows = []
+    for w in range(draw(st.integers(2, 4))):
+        n = draw(st.integers(1, 5))
+        tasks = tuple(
+            TaskSpec(id=f"t{i}", cpu_req=pick(0.5, 1.0, 2.0, 4.0, 8.0), mem_req=pick(1.0, 2.0, 4.0),
+                     work=pick(10.0, 40.0))
+            for i in range(n)
+        )
+        edges = tuple(
+            EdgeSpec(f"t{i}", f"t{j}", pick(0.0, 50.0))
+            for j in range(n) for i in range(j) if draw(st.integers(0, 3)) == 0
+        )
+        workflows.append(WorkflowSpec(
+            id=f"w{w}", tasks=tasks, edges=edges,
+            arrival_time=float(draw(st.integers(0, 10))), timeout=pick(10.0, 30.0, 120.0),
+        ))
+    return cluster, workflows
+
+
+@settings(max_examples=60, deadline=None)
+@given(episode=small_episodes(), seed=st.integers(0, 1000))
+def test_random_episodes_keep_the_engine_invariants(episode, seed):
+    cluster, workflows = episode
+
+    def capacity_holds(_record=None):
+        for node in env.nodes.values():
+            assert node.cpu_free >= -EPS and node.mem_free >= -EPS
+
+    env = SimEnv(cluster, workflows, seed=[seed], on_event=capacity_holds)
+    policy = RandomPolicy(cluster, seed=[seed, 1])
+    rewards = []
+    obs = env.reset()
+    while obs is not None:
+        run = env.runs[obs.workflow_id]
+        assert run.outcome is None
+        assert obs.task.id not in run.timings
+        assert all(e.src in run.completed for e in run.preds[obs.task.id])
+        obs, reward, _ = env.step(policy(obs))
+        rewards.append(reward)
+        capacity_holds()
+    stats = env.episode_stats()
+    assert env.now <= max(wf.arrival_time + wf.timeout for wf in workflows)
+    assert len(rewards) <= sum(len(wf.tasks) for wf in workflows)
+    assert stats.submitted == len(workflows)
+    assert -sum(rewards) == stats.total_cost
+    assert math.isclose(stats.total_cost, math.fsum(w.cost for w in stats.workflows.values()),
+                        rel_tol=1e-9, abs_tol=1e-12)

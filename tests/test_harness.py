@@ -8,8 +8,6 @@ from spotsched.agent import EpisodeRecord
 from spotsched.cluster import ON_DEMAND, SPOT, ClusterSpec, NodeSpec, default_cluster
 from spotsched.errors import ConfigError
 from spotsched.harness import (
-    COMPARISON_HEADER,
-    CURVE_HEADER,
     MetricsRow,
     SCHEDULER_NAMES,
     compare,
@@ -20,8 +18,7 @@ from spotsched.harness import (
     summarize,
     train_run,
     workload_for_seed,
-    write_comparison_csv,
-    write_curve_csv,
+    write_csv,
 )
 from spotsched.ppo import TrainConfig
 from spotsched.workload import WorkloadConfig, generate
@@ -120,6 +117,11 @@ def test_compare_orders_by_cost_and_validates():
         evaluate_rows("agent", cluster, WorkloadConfig(count=1), [1])  # no checkpoint
 
 
+def test_compare_rejects_empty_fixed_workload():
+    with pytest.raises(ConfigError, match="at least one workflow"):
+        compare(["random"], tiny_cluster(), [], [1])
+
+
 def test_scheduler_names():
     assert SCHEDULER_NAMES == ("agent", "random", "k8-default", "on-demand")
 
@@ -130,10 +132,11 @@ def test_comparison_csv_round_trip(tmp_path):
         MetricsRow("random", 2, 1 / 3, 12.5, 2, 1, 0),
     ]
     path = tmp_path / "cmp.csv"
-    write_comparison_csv(rows, path)
+    write_csv(MetricsRow, rows, path)
     with open(path, newline="", encoding="utf-8") as fh:
         got = list(csv.reader(fh))
-    assert got[0] == COMPARISON_HEADER
+    assert got[0] == ["scheduler", "seed", "total_cost", "mean_execution_time",
+                      "completed", "interrupted", "timed_out"]
     assert got[1][0] == "random" and got[1][1] == "1"
     assert float(got[2][2]) == 1 / 3  # repr keeps full precision
 
@@ -141,12 +144,15 @@ def test_comparison_csv_round_trip(tmp_path):
 def test_curve_csv(tmp_path):
     curve = [EpisodeRecord(0, -0.5, 0.5, 10.0, 2, 0, 0), EpisodeRecord(1, -0.25, 0.25, 8.0, 2, 0, 0)]
     path = tmp_path / "curve.csv"
-    write_curve_csv(curve, path)
+    write_csv(EpisodeRecord, curve, path)
     with open(path, newline="", encoding="utf-8") as fh:
         got = list(csv.reader(fh))
-    assert got[0] == CURVE_HEADER
+    assert got[0] == ["episode", "total_reward", "total_cost", "mean_execution_time",
+                      "completed", "interrupted", "timed_out"]
     assert [row[0] for row in got[1:]] == ["0", "1"]
     assert float(got[1][2]) == 0.5
+    write_csv(EpisodeRecord, [], path)  # the header comes from the row type
+    assert path.read_text(encoding="utf-8").count("\n") == 1
 
 
 def test_format_summary_table():
