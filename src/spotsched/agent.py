@@ -18,13 +18,7 @@ from .cluster import ON_DEMAND, SPOT, ClusterSpec
 from .engine import Observation, SimEnv
 from .errors import ConfigError, LayoutMismatchError
 from .nets import Adam, Mlp, forward
-from .ppo import (
-    RolloutBuffer,
-    TrainConfig,
-    Transition,
-    actor_step,
-    critic_step,
-)
+from .ppo import RolloutBuffer, TrainConfig, actor_step, critic_step
 from .workflow import WorkflowSpec, check_fields, read_json, seed_list
 
 GROUP_ORDER = (ON_DEMAND, SPOT)
@@ -72,15 +66,12 @@ class ScalingConstants:
     cost_norm: float = 1.0
 
     @classmethod
-    def from_cluster(cls, cluster: ClusterSpec, *,
-                     work_norm: float = 200.0, wait_norm: float = 1000.0) -> "ScalingConstants":
+    def from_cluster(cls, cluster: ClusterSpec) -> "ScalingConstants":
         od_costs = [n.unit_cost for n in cluster.nodes if n.pricing_class == ON_DEMAND]
         costs = od_costs or [n.unit_cost for n in cluster.nodes]
         return cls(
             cpu_norm=max(n.cpu for n in cluster.nodes),
             mem_norm=max(n.mem_gb for n in cluster.nodes),
-            work_norm=work_norm,
-            wait_norm=wait_norm,
             cost_norm=max(max(costs), 1e-12),
         )
 
@@ -106,14 +97,16 @@ def state_dim(node_count: int) -> int:
     return 3 + 5 * node_count
 
 
-def feasibility_masks(obs: Observation, layout: ActionSpaceLayout):
-    """(group mask, per-group node masks): true means alive and fits.
+def feasibility_masks(fit: np.ndarray, layout: ActionSpaceLayout):
+    """(group mask, per-group node masks) from an observation's `fit` row.
 
-    An empty group still has one node output, always masked out.
+    True means alive and fits. A batch of fit rows gives a batch of masks,
+    one row per fit row. An empty group still has one node output, always
+    masked out.
     """
-    node_masks = [obs.fit[pos] if pos.size else np.zeros(1, dtype=bool)
+    node_masks = [fit[..., pos] if pos.size else np.zeros(fit.shape[:-1] + (1,), dtype=bool)
                   for pos in layout.group_positions]
-    group_mask = np.array([m.any() for m in node_masks])
+    group_mask = np.array([m.any(axis=-1) for m in node_masks]).T
     return group_mask, node_masks
 
 
@@ -148,12 +141,12 @@ class SelectedAction:
 
 
 def select_action(policies: PolicySet, features: np.ndarray, group_mask, node_masks,
-                  rng: np.random.Generator | None, *, greedy: bool = False) -> SelectedAction:
-    """Sample (or argmax) the group, then a node within it."""
+                  rng: np.random.Generator | None) -> SelectedAction:
+    """Sample the group, then a node within it; the argmax when rng is None."""
     p_group = forward(policies.group_actor, features, group_mask)
-    g = int(np.argmax(p_group)) if greedy else int(rng.choice(p_group.size, p=p_group))
+    g = int(np.argmax(p_group)) if rng is None else int(rng.choice(p_group.size, p=p_group))
     p_node = forward(policies.node_actors[g], features, node_masks[g])
-    n = int(np.argmax(p_node)) if greedy else int(rng.choice(p_node.size, p=p_node))
+    n = int(np.argmax(p_node)) if rng is None else int(rng.choice(p_node.size, p=p_node))
     return SelectedAction(
         group=g,
         node=n,
@@ -180,18 +173,17 @@ class MultiActorAgent:
 
     # -- acting ------------------------------------------------------------
 
-    def act(self, obs: Observation, rng: np.random.Generator | None = None, *,
-            greedy: bool = False) -> tuple[str, SelectedAction, np.ndarray, tuple]:
+    def act(self, obs: Observation,
+            rng: np.random.Generator | None = None) -> tuple[str, SelectedAction, np.ndarray]:
+        """(node id, choice, features): sampled from rng, greedy without one."""
         features = encode(obs, self.scaling)
-        group_mask, node_masks = feasibility_masks(obs, self.layout)
-        choice = select_action(self.policies, features, group_mask, node_masks,
-                               rng, greedy=greedy)
-        node_id = self.layout.node_id(choice.group, choice.node)
-        return node_id, choice, features, (group_mask, node_masks)
+        group_mask, node_masks = feasibility_masks(obs.fit, self.layout)
+        choice = select_action(self.policies, features, group_mask, node_masks, rng)
+        return self.layout.node_id(choice.group, choice.node), choice, features
 
     def scheduler(self) -> Callable[[Observation], str]:
         """Greedy policy callback for evaluation episodes."""
-        return lambda obs: self.act(obs, greedy=True)[0]
+        return lambda obs: self.act(obs)[0]
 
     # -- learning ----------------------------------------------------------
 
@@ -216,36 +208,30 @@ class MultiActorAgent:
         if buffer.returns is None or buffer.advantages is None:
             raise ValueError("buffer returns/advantages not computed")
         opts = self._ensure_optimizers(config)
-        transitions = buffer.transitions
-        states = np.stack([t.state for t in transitions])
-        n = len(transitions)
+        n = len(buffer)
         report = {"critic_loss": [], "group_loss": [], "node_loss": [], "clip_fraction": []}
         for _ in range(config.epochs):
             idx = rng.choice(n, size=min(config.minibatch_size, n), replace=False)
-            batch = [transitions[i] for i in idx]
-            bstates = states[idx]
-            breturns = buffer.returns[idx]
-            badvs = buffer.advantages[idx]
+            states = buffer.features[idx]
+            groups = buffer.groups[idx]
+            nodes = buffer.nodes[idx]
+            logp_nodes = buffer.logp_nodes[idx]
+            advs = buffer.advantages[idx]
+            group_mask, node_masks = feasibility_masks(buffer.fits[idx], self.layout)
             report["critic_loss"].append(
-                critic_step(self.policies.critic, opts["critic"], bstates, breturns, config)["loss"]
+                critic_step(self.policies.critic, opts["critic"], states,
+                            buffer.returns[idx], config)["loss"]
             )
-            stats = actor_step(
-                self.policies.group_actor, opts["group"], bstates,
-                [t.group for t in batch], [t.logp_group for t in batch],
-                badvs, [t.group_mask for t in batch], config,
-            )
+            stats = actor_step(self.policies.group_actor, opts["group"], states, groups,
+                               buffer.logp_groups[idx], advs, group_mask, config)
             report["group_loss"].append(stats["loss"])
             report["clip_fraction"].append(stats["clip_fraction"])
             for g, net in enumerate(self.policies.node_actors):
-                rows = [i for i, t in enumerate(batch) if t.group == g]
-                if not rows:
+                rows = np.flatnonzero(groups == g)
+                if not rows.size:
                     continue
-                sub = [batch[i] for i in rows]
-                stats = actor_step(
-                    net, opts["nodes"][g], bstates[rows],
-                    [t.node for t in sub], [t.logp_node for t in sub],
-                    badvs[rows], [t.node_mask for t in sub], config,
-                )
+                stats = actor_step(net, opts["nodes"][g], states[rows], nodes[rows],
+                                   logp_nodes[rows], advs[rows], node_masks[g][rows], config)
                 report["node_loss"].append(stats["loss"])
         return {k: float(np.mean(v)) if v else 0.0 for k, v in report.items()}
 
@@ -283,20 +269,12 @@ def train(agent: MultiActorAgent,
         obs = env.reset()
         total_reward = 0.0
         while obs is not None:
-            node_id, choice, features, (gmask, nmasks) = agent.act(obs, act_rng)
+            node_id, choice, features = agent.act(obs, act_rng)
+            fit = obs.fit
             obs, reward, _ = env.step(node_id)
             total_reward += reward
-            buffer.add(Transition(
-                state=features,
-                group=choice.group,
-                node=choice.node,
-                logp_group=choice.logp_group,
-                logp_node=choice.logp_node,
-                group_mask=gmask,
-                node_mask=nmasks[choice.group],
-                reward=reward,
-                value=choice.value,
-            ))
+            buffer.add(features, fit, choice.group, choice.node, choice.logp_group,
+                       choice.logp_node, reward, choice.value)
         if len(buffer):
             buffer.compute(config.discount)
             agent.update(buffer, config, update_rng)
@@ -331,15 +309,26 @@ def _net_to_dict(net: Mlp) -> dict:
     }
 
 
-def _net_from_dict(doc: dict) -> Mlp:
-    check_fields(doc, _NET_FIELDS, "checkpoint network")
-    net = Mlp(doc["sizes"], np.random.default_rng(0), policy_head=doc["policy_head"])
-    for i, (w, b) in enumerate(zip(doc["weights"], doc["biases"])):
-        net.weights[i] = np.array(w, dtype=float)
-        net.biases[i] = np.array(b, dtype=float)
-        if net.weights[i].shape != (net.sizes[i], net.sizes[i + 1]):
-            raise ConfigError("checkpoint weight shape does not match layer sizes")
-    return net
+def _load_net(doc: dict, net: Mlp, where: str) -> None:
+    """Copy stored parameters into `net`, a network PolicySet.build made for the cluster."""
+    check_fields(doc, _NET_FIELDS, where)
+    if doc["sizes"] != net.sizes or doc["policy_head"] != net.policy_head:
+        raise LayoutMismatchError(
+            f"{where}: sizes {doc['sizes']}, policy head {doc['policy_head']}; the cluster "
+            f"needs sizes {net.sizes}, policy head {net.policy_head}")
+    stored = (doc["weights"], doc["biases"])
+    if not all(isinstance(x, list) and len(x) == len(net.weights) for x in stored):
+        raise ConfigError(f"{where}: needs {len(net.weights)} weight and bias layers")
+    try:
+        params = [np.array(x, dtype=float) for layer in zip(*stored) for x in layer]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: parameters are not numeric arrays ({exc})") from None
+    for i, (got, want) in enumerate(zip(params, net.params)):
+        if got.shape != want.shape or not np.isfinite(got).all():
+            raise ConfigError(f"{where}: parameter {i} must be finite with shape {want.shape}, "
+                              f"got shape {got.shape}")
+    net.weights[:] = params[0::2]
+    net.biases[:] = params[1::2]
 
 
 def save_checkpoint(agent: MultiActorAgent, path: str | Path) -> None:
@@ -378,15 +367,14 @@ def load_checkpoint(path: str | Path, cluster: ClusterSpec) -> MultiActorAgent:
     scaling = ScalingConstants(**doc["scaling"])
     nets = doc["networks"]
     check_fields(nets, _NETWORKS_FIELDS, f"{path}: checkpoint networks")
-    policies = PolicySet(
-        group_actor=_net_from_dict(nets["group_actor"]),
-        node_actors=tuple(_net_from_dict(d) for d in nets["node_actors"]),
-        critic=_net_from_dict(nets["critic"]),
-    )
-    expected = state_dim(len(cluster.nodes))
-    if policies.critic.sizes[0] != expected:
+    policies = PolicySet.build(state_dim(len(cluster.nodes)), layout, np.random.default_rng(0))
+    node_docs = nets["node_actors"]
+    if not isinstance(node_docs, list) or len(node_docs) != len(policies.node_actors):
         raise LayoutMismatchError(
-            f"{path}: networks expect {policies.critic.sizes[0]} features, "
-            f"cluster needs {expected}"
-        )
+            f"{path}: the cluster needs a list of {len(policies.node_actors)} node actors")
+    node_names = [f"node_actors[{g}]" for g in range(len(node_docs))]
+    for name, doc, net in zip(["group_actor", *node_names, "critic"],
+                              [nets["group_actor"], *node_docs, nets["critic"]],
+                              [policies.group_actor, *policies.node_actors, policies.critic]):
+        _load_net(doc, net, f"{path}: checkpoint network {name}")
     return MultiActorAgent(cluster, scaling=scaling, policies=policies)

@@ -7,7 +7,7 @@ differences.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,45 +46,36 @@ class TrainConfig:
             raise ValueError("entropy_weight and grad_clip_norm must be >= 0")
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One scheduling decision as seen by the trainer."""
-
-    state: np.ndarray
-    group: int
-    node: int
-    logp_group: float
-    logp_node: float
-    group_mask: np.ndarray
-    node_mask: np.ndarray
-    reward: float
-    value: float
-
-
-@dataclass
 class RolloutBuffer:
-    """Transitions of one episode plus derived returns and advantages."""
+    """One row per decision of an episode, plus derived returns and advantages.
 
-    transitions: list[Transition] = field(default_factory=list)
-    returns: np.ndarray | None = None
-    advantages: np.ndarray | None = None
+    A row holds the encoded features, the observation's `fit` row, the
+    chosen group and node with their log-probabilities, the reward and the
+    critic's value. `compute` stacks the rows into column arrays once; the
+    update derives its masks from the `fits` column by the rule acting used.
+    """
 
-    def add(self, transition: Transition) -> None:
-        self.transitions.append(transition)
+    def __init__(self):
+        self.rows: list[tuple] = []
+        self.clear()
+
+    def add(self, features: np.ndarray, fit: np.ndarray, group: int, node: int,
+            logp_group: float, logp_node: float, reward: float, value: float) -> None:
+        self.rows.append((features, fit, group, node, logp_group, logp_node, reward, value))
 
     def __len__(self) -> int:
-        return len(self.transitions)
+        return len(self.rows)
 
     def compute(self, discount: float) -> None:
-        rewards = [t.reward for t in self.transitions]
-        values = [t.value for t in self.transitions]
+        (self.features, self.fits, self.groups, self.nodes, self.logp_groups,
+         self.logp_nodes, rewards, values) = map(np.array, zip(*self.rows))
         self.returns = discounted_returns(rewards, discount)
         self.advantages = advantages(self.returns, values)
 
     def clear(self) -> None:
-        self.transitions.clear()
-        self.returns = None
-        self.advantages = None
+        self.rows.clear()
+        self.features = self.fits = self.groups = self.nodes = None
+        self.logp_groups = self.logp_nodes = self.returns = self.advantages = None
 
 
 def discounted_returns(rewards, discount: float) -> np.ndarray:
@@ -118,36 +109,15 @@ def advantages(returns, values) -> np.ndarray:
     return (adv - adv.mean()) / std
 
 
-def ppo_clip_objective(ratio: float, advantage: float, epsilon: float) -> float:
-    """min(ratio * adv, clamp(ratio, 1 - eps, 1 + eps) * adv)."""
-    if ratio <= 0:
-        raise ValueError(f"probability ratio must be > 0, got {ratio}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    clipped = min(max(ratio, 1.0 - epsilon), 1.0 + epsilon)
-    return min(ratio * advantage, clipped * advantage)
-
-
 # --- batched losses with gradients ---------------------------------------
-
-
-def actor_loss(net: Mlp, states, actions, old_logps, advs, masks,
-               epsilon: float, entropy_weight: float) -> float:
-    """Negated mean clipped surrogate minus entropy bonus (to minimize)."""
-    loss, _, _ = _actor_terms(net, states, actions, old_logps, advs, masks,
-                              epsilon, entropy_weight, want_grads=False)
-    return loss
 
 
 def actor_loss_and_grads(net: Mlp, states, actions, old_logps, advs, masks,
                          epsilon: float, entropy_weight: float):
-    """Loss plus parameter gradients and the fraction of clipped ratios."""
-    return _actor_terms(net, states, actions, old_logps, advs, masks,
-                        epsilon, entropy_weight, want_grads=True)
-
-
-def _actor_terms(net, states, actions, old_logps, advs, masks,
-                 epsilon, entropy_weight, want_grads):
+    """Negated mean clipped surrogate minus entropy bonus (to minimize),
+    its parameter gradients, and the fraction of clipped ratios."""
+    if epsilon <= 0:
+        raise ValueError(f"epsilon must be > 0, got {epsilon}")
     x = np.asarray(states, dtype=float)
     actions = np.asarray(actions, dtype=int)
     old_logps = np.asarray(old_logps, dtype=float)
@@ -168,8 +138,6 @@ def _actor_terms(net, states, actions, old_logps, advs, masks,
     ent = -(p * logp_live).sum(axis=1)
     loss = float(np.mean(-np.minimum(unclipped, clipped) - entropy_weight * ent))
     clip_fraction = np.count_nonzero(~inside) / n
-    if not want_grads:
-        return loss, None, clip_fraction
     # d(surr)/dlogp[a] is ratio*adv on the active unclipped branch,
     # zero when the clamp saturates and wins the min.
     coeff = np.where(inside | (unclipped <= clipped), unclipped, 0.0)
@@ -182,15 +150,8 @@ def _actor_terms(net, states, actions, old_logps, advs, masks,
     return loss, grads, clip_fraction
 
 
-def critic_loss(net: Mlp, states, returns) -> float:
-    """Mean squared error of the value head against the returns."""
-    x = np.asarray(states, dtype=float)
-    g = np.asarray(returns, dtype=float)
-    v = net.logits(x)[:, 0]
-    return float(np.mean((v - g) ** 2))
-
-
 def critic_loss_and_grads(net: Mlp, states, returns):
+    """Mean squared error of the value head against the returns, and its gradients."""
     x = np.asarray(states, dtype=float)
     g = np.asarray(returns, dtype=float)
     out, acts = net.forward_cache(x)

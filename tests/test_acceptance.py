@@ -46,16 +46,7 @@ from spotsched.cluster import ON_DEMAND, SPOT, ClusterSpec, NodeSpec
 from spotsched.engine import SimEnv, run_episode
 from spotsched.harness import workload_for_seed
 from spotsched.nets import Mlp, forward, masked_log_softmax, masked_softmax
-from spotsched.ppo import (
-    RolloutBuffer,
-    TrainConfig,
-    Transition,
-    actor_loss,
-    actor_loss_and_grads,
-    critic_loss,
-    critic_loss_and_grads,
-    ppo_clip_objective,
-)
+from spotsched.ppo import RolloutBuffer, TrainConfig, actor_loss_and_grads, critic_loss_and_grads
 from spotsched.workflow import EdgeSpec, TaskSpec, WorkflowSpec, computation_time, task_cost
 from spotsched.workload import WorkloadConfig
 
@@ -204,7 +195,7 @@ def test_criterion_3_policy_numerics(builtin_cluster):
     _, grads, _ = actor_loss_and_grads(actor, states, actions, old, advs, masks, 0.2, 0.01)
     actor_err = _max_rel_grad_error(
         actor,
-        lambda: actor_loss(actor, states, actions, old, advs, masks, 0.2, 0.01),
+        lambda: actor_loss_and_grads(actor, states, actions, old, advs, masks, 0.2, 0.01)[0],
         grads,
     )
     assert actor_err <= 1e-4
@@ -213,20 +204,25 @@ def test_criterion_3_policy_numerics(builtin_cluster):
     returns = np.random.default_rng(10).normal(size=4)
     _, cgrads = critic_loss_and_grads(critic, states, returns)
     critic_err = _max_rel_grad_error(
-        critic, lambda: critic_loss(critic, states, returns), cgrads
+        critic, lambda: critic_loss_and_grads(critic, states, returns)[0], cgrads
     )
     assert critic_err <= 1e-4
 
-    # (c) clip objective on the three hand cases
-    assert ppo_clip_objective(1.5, 1.0, 0.2) == 1.2
-    assert ppo_clip_objective(0.5, -1.0, 0.2) == -0.8
-    assert ppo_clip_objective(1.0, 0.7, 0.2) == 0.7
+    # (c) the update's actor loss clips the three hand cases: a one-sample
+    # batch whose one live action has log-probability 0, so the old
+    # log-probability -log(ratio) sets the ratio
+    one_live = Mlp([1, 2], np.random.default_rng(0), policy_head=True)
+    for ratio, adv, want in ((1.5, 1.0, 1.2), (0.5, -1.0, -0.8), (1.0, 0.7, 0.7)):
+        loss, _, _ = actor_loss_and_grads(one_live, np.zeros((1, 1)), [0], [-np.log(ratio)],
+                                          [adv], [[True, False]], 0.2, 0.0)
+        assert abs(-loss - want) <= 1e-12
 
     # (d) zero advantages + zero entropy weight leave the actors untouched
     agent = MultiActorAgent(builtin_cluster, seed=0)
     buffer = RolloutBuffer()
     dim = state_dim(len(builtin_cluster.nodes))
     group_mask = np.ones(2, dtype=bool)
+    fit = np.ones(len(builtin_cluster.nodes), dtype=bool)
     for i in range(6):
         g = i % 2
         node_mask = np.ones(agent.layout.group_sizes[g], dtype=bool)
@@ -234,12 +230,8 @@ def test_criterion_3_policy_numerics(builtin_cluster):
         state[0] = 0.1 * i
         p_group = forward(agent.policies.group_actor, state, group_mask)
         p_node = forward(agent.policies.node_actors[g], state, node_mask)
-        buffer.add(Transition(
-            state=state, group=g, node=0,
-            logp_group=float(np.log(p_group[g])), logp_node=float(np.log(p_node[0])),
-            group_mask=group_mask, node_mask=node_mask,
-            reward=0.0, value=0.0,
-        ))
+        buffer.add(state, fit, g, 0, float(np.log(p_group[g])), float(np.log(p_node[0])),
+                   0.0, 0.0)
     config = TrainConfig(entropy_weight=0.0)
     buffer.compute(config.discount)
     assert np.all(buffer.advantages == 0.0)
@@ -253,7 +245,7 @@ def test_criterion_3_policy_numerics(builtin_cluster):
     msg = _report(
         3, True,
         f"softmax within 1e-9; grad err actor {actor_err:.2e}, critic {critic_err:.2e}; "
-        "clip cases exact; zero-advantage update is a no-op",
+        "clip cases within 1e-12; zero-advantage update is a no-op",
     )
     assert msg
 

@@ -22,7 +22,7 @@ from spotsched.cluster import ON_DEMAND, SPOT, ClusterSpec, NodeSpec, default_cl
 from spotsched.engine import Observation, SimEnv, run_episode
 from spotsched.errors import ConfigError, LayoutMismatchError
 from spotsched.harness import train_run
-from spotsched.ppo import RolloutBuffer, TrainConfig, Transition
+from spotsched.ppo import RolloutBuffer, TrainConfig
 from spotsched.workflow import TaskSpec, WorkflowSpec
 from spotsched.workload import WorkloadConfig, generate
 
@@ -106,12 +106,29 @@ def test_feasibility_masks_respect_capacity():
     # cpu 6 only fits the 8-core flavors
     obs = offer(cluster, [single(cpu=6.0, mem=2.0)])
     layout = ActionSpaceLayout.from_cluster(cluster)
-    gmask, nmasks = feasibility_masks(obs, layout)
+    gmask, nmasks = feasibility_masks(obs.fit, layout)
     assert gmask.tolist() == [True, True]
     od_fit = [layout.group_nodes[0][i] for i in np.flatnonzero(nmasks[0])]
     spot_fit = [layout.group_nodes[1][i] for i in np.flatnonzero(nmasks[1])]
     assert od_fit == ["od-2xlarge-0"]
     assert spot_fit == ["spot-2xlarge-0"]
+
+
+def test_feasibility_masks_batch_matches_rows():
+    rng = np.random.default_rng(11)
+    spot_free = ClusterSpec(nodes=tuple(n for n in default_cluster().nodes
+                                        if n.pricing_class == ON_DEMAND))
+    for cluster in (default_cluster(), small_cluster(), spot_free):
+        layout = ActionSpaceLayout.from_cluster(cluster)
+        fits = rng.random((40, len(cluster.nodes))) < 0.3
+        gmasks, nmasks = feasibility_masks(fits, layout)
+        assert gmasks.shape == (40, 2)
+        for b, fit in enumerate(fits):
+            gmask, row_masks = feasibility_masks(fit, layout)
+            assert np.array_equal(gmasks[b], gmask)
+            assert all(np.array_equal(m[b], r) for m, r in zip(nmasks, row_masks))
+    # the spot-free cluster's empty group: one output, never feasible
+    assert nmasks[1].shape == (40, 1) and not nmasks[1].any() and not gmasks[:, 1].any()
 
 
 def test_masks_and_baselines_match_engine_fit_over_episodes():
@@ -152,11 +169,11 @@ def test_single_feasible_node_is_forced():
     cluster = small_cluster()
     obs = offer(cluster, [single(cpu=4.0, mem=2.0)])  # only o0 has 4 cores
     agent = MultiActorAgent(cluster, seed=0)
-    node_id, choice, _, (gmask, _) = agent.act(obs, np.random.default_rng(0))
+    node_id, choice, _ = agent.act(obs, np.random.default_rng(0))
     assert node_id == "o0"
-    assert gmask.tolist() == [True, False]
+    assert feasibility_masks(obs.fit, agent.layout)[0].tolist() == [True, False]
     assert choice.logp_group == 0.0 and choice.logp_node == 0.0
-    assert agent.act(obs, greedy=True)[0] == "o0"
+    assert agent.act(obs)[0] == "o0"  # no rng: the greedy pick
 
 
 def test_untrained_group_choice_is_near_even():
@@ -164,7 +181,7 @@ def test_untrained_group_choice_is_near_even():
     obs = offer(cluster, [single()])
     agent = MultiActorAgent(cluster, seed=0)
     feats = encode(obs, agent.scaling)
-    gmask, nmasks = feasibility_masks(obs, agent.layout)
+    gmask, nmasks = feasibility_masks(obs.fit, agent.layout)
     rng = np.random.default_rng(123)
     counts = np.zeros(2)
     for _ in range(10_000):
@@ -192,7 +209,7 @@ def test_spot_free_cluster_matches_on_demand_restriction():
         groups = set()
         obs = env.reset()
         while obs is not None:
-            node_id, choice, _, _ = agent.act(obs, rng)
+            node_id, choice, _ = agent.act(obs, rng)
             groups.add(choice.group)
             obs, _, _ = env.step(node_id)
         return env.episode_stats(), groups
@@ -209,14 +226,11 @@ def _collect_buffer(agent, cluster, wfs, seed):
     buffer = RolloutBuffer()
     obs = env.reset()
     while obs is not None:
-        node_id, choice, feats, (gmask, nmasks) = agent.act(obs, rng)
+        node_id, choice, feats = agent.act(obs, rng)
+        fit = obs.fit
         obs, reward, _ = env.step(node_id)
-        buffer.add(Transition(
-            state=feats, group=choice.group, node=choice.node,
-            logp_group=choice.logp_group, logp_node=choice.logp_node,
-            group_mask=gmask, node_mask=nmasks[choice.group],
-            reward=reward, value=choice.value,
-        ))
+        buffer.add(feats, fit, choice.group, choice.node, choice.logp_group,
+                   choice.logp_node, reward, choice.value)
     return buffer
 
 
@@ -240,12 +254,7 @@ def test_update_requires_computed_buffer():
     with pytest.raises(ValueError):
         agent.update(RolloutBuffer(), TrainConfig(), np.random.default_rng(0))
     buffer = RolloutBuffer()
-    buffer.add(Transition(
-        state=np.zeros(state_dim(2)), group=0, node=0,
-        logp_group=0.0, logp_node=0.0,
-        group_mask=np.ones(2, dtype=bool), node_mask=np.ones(1, dtype=bool),
-        reward=0.0, value=0.0,
-    ))
+    buffer.add(np.zeros(state_dim(2)), np.ones(2, dtype=bool), 0, 0, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         agent.update(buffer, TrainConfig(), np.random.default_rng(0))
 
@@ -348,3 +357,41 @@ def test_checkpoint_missing_keys_are_config_errors(tmp_path, damage):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ConfigError):
         load_checkpoint(path, small_cluster())
+
+
+def _damage_layer_count(nets):
+    del nets["critic"]["weights"][-1]
+    del nets["critic"]["biases"][-1]
+
+
+def _damage_bias(nets):
+    nets["critic"]["biases"][0].pop()
+
+
+def _damage_node_actor_count(nets):
+    del nets["node_actors"][1]
+
+
+def _damage_spot_outputs(nets):
+    # a self-consistent spot actor with 5 outputs, for the cluster's 6 spot nodes
+    spot = nets["node_actors"][1]
+    spot["sizes"][-1] = 5
+    spot["weights"][-1] = [row[:5] for row in spot["weights"][-1]]
+    spot["biases"][-1] = spot["biases"][-1][:5]
+
+
+@pytest.mark.parametrize("damage,error", [
+    (_damage_layer_count, ConfigError),
+    (_damage_bias, ConfigError),
+    (_damage_node_actor_count, LayoutMismatchError),
+    (_damage_spot_outputs, LayoutMismatchError),
+], ids=["critic-missing-last-layer", "short-bias", "one-node-actor", "spot-actor-5-outputs"])
+def test_checkpoint_rejects_malformed_networks(tmp_path, damage, error):
+    cluster = default_cluster()
+    path = tmp_path / "ck.json"
+    save_checkpoint(MultiActorAgent(cluster, seed=0), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    damage(doc["networks"])
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(error):
+        load_checkpoint(path, cluster)

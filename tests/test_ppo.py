@@ -6,15 +6,12 @@ from hypothesis import given, strategies as st
 from spotsched.nets import Adam, Mlp, forward, masked_log_softmax
 from spotsched.ppo import (
     TrainConfig,
-    actor_loss,
     actor_loss_and_grads,
     actor_step,
     advantages,
-    critic_loss,
     critic_loss_and_grads,
     critic_step,
     discounted_returns,
-    ppo_clip_objective,
 )
 
 
@@ -75,26 +72,40 @@ def test_advantages_degenerate_passthrough():
         advantages([1.0], [1.0, 2.0])
 
 
-def test_ppo_clip_objective_cases():
-    assert ppo_clip_objective(1.5, 1.0, 0.2) == 1.2
-    assert ppo_clip_objective(0.5, -1.0, 0.2) == -0.8
+def clipped_surrogate(ratios, advs, eps):
+    """Mean clipped surrogate of a batch with the given probability ratios,
+    as the update's actor loss computes it (negated, with no entropy term).
+
+    Each sample has one live action of two, so its log-probability is
+    exactly 0 and the old log-probability -log(ratio) sets the ratio.
+    """
+    n = len(ratios)
+    net = Mlp([1, 2], np.random.default_rng(0), policy_head=True)
+    masks = np.tile([True, False], (n, 1))
+    old = -np.log(np.asarray(ratios, dtype=float))
+    loss, _, _ = actor_loss_and_grads(net, np.zeros((n, 1)), np.zeros(n, dtype=int), old,
+                                      advs, masks, eps, entropy_weight=0.0)
+    return -loss
+
+
+def test_actor_loss_clip_cases():
+    assert clipped_surrogate([1.5], [1.0], 0.2) == pytest.approx(1.2, abs=1e-12)
+    assert clipped_surrogate([0.5], [-1.0], 0.2) == pytest.approx(-0.8, abs=1e-12)
     for adv in (-2.0, 0.0, 0.7):
-        assert ppo_clip_objective(1.0, adv, 0.2) == adv
-        assert ppo_clip_objective(1.0, adv, 0.05) == adv
-    with pytest.raises(ValueError):
-        ppo_clip_objective(0.0, 1.0, 0.2)
-    with pytest.raises(ValueError):
-        ppo_clip_objective(-1.0, 1.0, 0.2)
-    with pytest.raises(ValueError):
-        ppo_clip_objective(1.0, 1.0, 0.0)
+        assert clipped_surrogate([1.0], [adv], 0.2) == adv
+        assert clipped_surrogate([1.0], [adv], 0.05) == adv
+    for eps in (0.0, -0.2):
+        with pytest.raises(ValueError):
+            clipped_surrogate([1.0], [1.0], eps)
 
 
-@given(st.floats(0.01, 5), st.floats(-3, 3), st.floats(0.01, 0.5))
-def test_ppo_clip_objective_is_a_lower_bound(ratio, adv, eps):
-    val = ppo_clip_objective(ratio, adv, eps)
-    assert val <= ratio * adv + 1e-12
-    clipped = min(max(ratio, 1 - eps), 1 + eps) * adv
-    assert val <= clipped + 1e-12
+@given(st.lists(st.tuples(st.floats(0.01, 5), st.floats(-3, 3)), min_size=1, max_size=8),
+       st.floats(0.01, 0.5))
+def test_clipped_surrogate_is_a_lower_bound(samples, eps):
+    ratios, advs = np.array(samples).T
+    val = clipped_surrogate(ratios, advs, eps)
+    assert val <= np.mean(ratios * advs) + 1e-12
+    assert val <= np.mean(np.clip(ratios, 1 - eps, 1 + eps) * advs) + 1e-12
 
 
 def _toy_batch(seed=0, n=6, dim=5, actions=4):
@@ -202,10 +213,15 @@ def test_zero_advantages_zero_entropy_gives_zero_grads():
 
 
 def test_actor_loss_matches_grad_variant():
+    # the loss actor_loss_and_grads reports is the clipped surrogate's definition
     net, states, actions, masks, advs = _toy_batch(seed=3)
     old = _live_logps(net, states, actions, masks) - 0.1
-    args = (net, states, actions, old, advs, masks)
-    assert actor_loss(*args, 0.2, 0.01) == actor_loss_and_grads(*args, 0.2, 0.01)[0]
+    loss = actor_loss_and_grads(net, states, actions, old, advs, masks, 0.2, 0.01)[0]
+    ratio = np.exp(_live_logps(net, states, actions, masks) - old)
+    surrogate = np.minimum(ratio * advs, np.clip(ratio, 0.8, 1.2) * advs)
+    logp = masked_log_softmax(net.logits(states), masks)
+    entropy = np.array([-(np.exp(row[m]) * row[m]).sum() for row, m in zip(logp, masks)])
+    assert loss == pytest.approx(np.mean(-surrogate - 0.01 * entropy), rel=1e-12)
 
 
 def test_critic_loss_is_mse():
@@ -214,9 +230,8 @@ def test_critic_loss_is_mse():
     states = rng.normal(size=(7, 4))
     returns = rng.normal(size=7)
     v = net.logits(states)[:, 0]
-    assert critic_loss(net, states, returns) == pytest.approx(float(np.mean((v - returns) ** 2)))
     loss, grads = critic_loss_and_grads(net, states, returns)
-    assert loss == critic_loss(net, states, returns)
+    assert loss == pytest.approx(float(np.mean((v - returns) ** 2)))
     assert len(grads) == len(net.params)
 
 
@@ -227,10 +242,10 @@ def test_critic_step_reduces_loss():
     states = rng.normal(size=(16, 4))
     returns = rng.normal(size=16)
     cfg = TrainConfig()
-    start = critic_loss(net, states, returns)
+    start = critic_loss_and_grads(net, states, returns)[0]
     for _ in range(60):
         report = critic_step(net, opt, states, returns, cfg)
-    assert critic_loss(net, states, returns) < start
+    assert critic_loss_and_grads(net, states, returns)[0] < start
     assert set(report) == {"loss"}
     assert opt.t == 60
 
