@@ -8,6 +8,7 @@ node with room for the pending task.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
@@ -64,6 +65,13 @@ class ScalingConstants:
     work_norm: float = 200.0
     wait_norm: float = 1000.0
     cost_norm: float = 1.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (numeric and 0 < value < math.inf):
+                raise ValueError(f"{f.name} must be a finite number > 0, got {value!r}")
 
     @classmethod
     def from_cluster(cls, cluster: ClusterSpec) -> "ScalingConstants":
@@ -364,7 +372,10 @@ def load_checkpoint(path: str | Path, cluster: ClusterSpec) -> MultiActorAgent:
             f"{layout.group_nodes}"
         )
     check_fields(doc["scaling"], _SCALING_FIELDS, f"{path}: checkpoint scaling")
-    scaling = ScalingConstants(**doc["scaling"])
+    try:
+        scaling = ScalingConstants(**doc["scaling"])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: checkpoint scaling: {exc}") from exc
     nets = doc["networks"]
     check_fields(nets, _NETWORKS_FIELDS, f"{path}: checkpoint networks")
     policies = PolicySet.build(state_dim(len(cluster.nodes)), layout, np.random.default_rng(0))

@@ -106,29 +106,43 @@ class RunningTask:
 class NodeState:
     """Mutable per-node simulator state.
 
-    Free resources are derived from the running set so allocation and
-    release can never drift out of conservation.
+    `running` changes only through add, remove and kill, and each re-sums
+    the free figures from it rather than applying a delta, so they never
+    drift from conservation and equal a fresh sum bit for bit.
     """
 
     spec: NodeSpec
     alive: bool = True
     down_until: float = 0.0
-    running: dict[tuple[str, str], RunningTask] = field(default_factory=dict)
+    running: dict[tuple[str, str], RunningTask] = field(default_factory=dict, init=False)
+    cpu_free: float = field(init=False)
+    mem_free: float = field(init=False)
 
-    @property
-    def cpu_free(self) -> float:
-        return self.spec.cpu - sum(t.cpu_req for t in self.running.values())
+    def __post_init__(self):
+        self._resum()
 
-    @property
-    def mem_free(self) -> float:
-        return self.spec.mem_gb - sum(t.mem_req for t in self.running.values())
+    def _resum(self) -> None:
+        self.cpu_free = self.spec.cpu - sum(t.cpu_req for t in self.running.values())
+        self.mem_free = self.spec.mem_gb - sum(t.mem_req for t in self.running.values())
+
+    def add(self, task: RunningTask) -> None:
+        self.running[(task.workflow_id, task.task_id)] = task
+        self._resum()
+
+    def remove(self, workflow_id: str, task_id: str) -> None:
+        """Release a task's resources; a task no longer here is ignored."""
+        self.running.pop((workflow_id, task_id), None)
+        self._resum()
+
+    def kill(self) -> None:
+        self.running.clear()
+        self._resum()
 
     def can_fit(self, task: TaskSpec) -> bool:
         """True when the node is up and has the free cpu and memory for the task.
 
         The one fit rule: the simulator offers and places by it, and each
-        observation carries it per node as `fit` for the schedulers. Memory
-        is tested only after cpu passes: each free figure re-sums `running`.
+        observation carries it per node as `fit` for the schedulers.
         """
         return (
             self.alive
@@ -184,8 +198,8 @@ def apply_interruption(state: NodeState, now: float, downtime_s: float) -> list[
         raise ValueError(f"node {state.spec.id!r} is not interruptible ({state.spec.pricing_class})")
     if not state.alive:
         raise ValueError(f"node {state.spec.id!r} is already down")
-    killed = [(t.workflow_id, t.task_id) for t in state.running.values()]
-    state.running.clear()
+    killed = list(state.running)
+    state.kill()
     state.alive = False
     state.down_until = now + downtime_s
     return killed

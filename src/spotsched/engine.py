@@ -152,8 +152,9 @@ class SimEnv:
         self.now = 0.0
         self._heap: list = []
         self._seq = 0
-        # Queued tasks of unresolved workflows, kept sorted.
-        self._queue: list[tuple[float, str, str]] = []
+        # Queued tasks of unresolved workflows, one sorted list per task
+        # shape (cpu_req, mem_req): fit depends on nothing else.
+        self._queue: dict[tuple[float, float], list[tuple[float, str, str]]] = {}
         self._offered: tuple[str, str] | None = None
         self._total_cost = 0.0
         self._done = False
@@ -190,7 +191,7 @@ class SimEnv:
         if not node.can_fit(task):
             raise InvalidActionError(f"task {task_id!r} does not fit on node {node_id!r}")
 
-        self._queue.remove((run.ready_time[task_id], wf_id, task_id))
+        self._queue[task.cpu_req, task.mem_req].remove((run.ready_time[task_id], wf_id, task_id))
         reward = -self._place(run, task, node)
         obs = self._advance()
         return obs, reward, self._done
@@ -247,14 +248,14 @@ class SimEnv:
         run.timings[task.id] = timing
         run.node_of[task.id] = node.spec.id
         run.running.add(task.id)
-        node.running[(run.spec.id, task.id)] = RunningTask(
+        node.add(RunningTask(
             workflow_id=run.spec.id,
             task_id=task.id,
             cpu_req=task.cpu_req,
             mem_req=task.mem_req,
             compute=compute,
             exec_start=self.now,
-        )
+        ))
         self._total_cost += timing.cost
         self._push(timing.finish, FINISH, (node.spec.id, run.spec.id, task.id))
         return timing.cost
@@ -282,13 +283,20 @@ class SimEnv:
             self._process(*heapq.heappop(self._heap))
 
     def _next_offer(self) -> tuple[str, str] | None:
-        """First queued task, in (ready, workflow, task) order, that fits somewhere."""
+        """First queued task, in (ready, workflow, task) order, that fits somewhere.
+
+        Tasks of one shape fit the same nodes, so it is the earliest shape
+        head that fits: O(shapes x nodes), whatever the queue's length.
+        """
         nodes = self.nodes.values()
-        for _ready, wf_id, task_id in self._queue:
-            task = self.runs[wf_id].tasks[task_id]
-            if any(n.can_fit(task) for n in nodes):
-                return wf_id, task_id
-        return None
+        best = None
+        for entries in self._queue.values():
+            if entries and (best is None or entries[0] < best):
+                _ready, wf_id, task_id = entries[0]
+                task = self.runs[wf_id].tasks[task_id]
+                if any(n.can_fit(task) for n in nodes):
+                    best = entries[0]
+        return None if best is None else best[1:]
 
     def _observe(self, offer: tuple[str, str]) -> Observation:
         wf_id, task_id = offer
@@ -340,8 +348,7 @@ class SimEnv:
         run = self.runs[wf_id]
         if run.outcome is not None or task_id not in run.running:
             return  # stale event for a cancelled task
-        node = self.nodes[node_id]
-        del node.running[(wf_id, task_id)]
+        self.nodes[node_id].remove(wf_id, task_id)
         run.running.discard(task_id)
         run.completed.add(task_id)
         if len(run.completed) == len(run.tasks):
@@ -383,9 +390,10 @@ class SimEnv:
         """
         for task_id in sorted(run.running):
             node_id = run.node_of[task_id]
-            self.nodes[node_id].running.pop((run.spec.id, task_id), None)
+            self.nodes[node_id].remove(run.spec.id, task_id)
         run.running.clear()
-        self._queue = [e for e in self._queue if e[1] != run.spec.id]
+        for entries in self._queue.values():
+            entries[:] = [e for e in entries if e[1] != run.spec.id]
         self._resolve(run, outcome)
 
     def _resolve(self, run: _Run, outcome: Outcome) -> None:
@@ -395,7 +403,9 @@ class SimEnv:
     def _enqueue_ready(self, run: _Run) -> None:
         for task_id in run.newly_ready():
             run.ready_time[task_id] = self.now
-            bisect.insort(self._queue, (self.now, run.spec.id, task_id))
+            task = run.tasks[task_id]
+            entries = self._queue.setdefault((task.cpu_req, task.mem_req), [])
+            bisect.insort(entries, (self.now, run.spec.id, task_id))
 
 
 def run_episode(

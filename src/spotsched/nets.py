@@ -108,10 +108,10 @@ def masked_log_softmax(logits: np.ndarray, mask: np.ndarray | None = None) -> np
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Probability vector, exactly zero on masked-out entries."""
+    """Probabilities, exactly zero on masked-out entries; a batch per row."""
     logp = masked_log_softmax(logits, mask)
     p = np.exp(logp)
-    return p / p.sum()
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def forward(net: Mlp, x: np.ndarray, mask: np.ndarray | None = None):

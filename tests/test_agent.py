@@ -359,6 +359,27 @@ def test_checkpoint_missing_keys_are_config_errors(tmp_path, damage):
         load_checkpoint(path, small_cluster())
 
 
+@pytest.mark.parametrize("norm,value,message", [
+    ("cpu_norm", 0.0, "cpu_norm"),
+    ("wait_norm", "x", "wait_norm"),
+    ("mem_norm", -2.0, "mem_norm"),
+    # json writes NaN, which read_json refuses before the norms are checked
+    ("cost_norm", float("nan"), "NaN"),
+])
+def test_checkpoint_rejects_bad_scaling(tmp_path, norm, value, message):
+    """A norm that would divide by zero or poison encode fails at load."""
+    cluster = small_cluster()
+    path = tmp_path / "ck.json"
+    save_checkpoint(MultiActorAgent(cluster, seed=0), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["scaling"][norm] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError, match=message):
+        load_checkpoint(path, cluster)
+    with pytest.raises(ValueError, match=norm):
+        ScalingConstants(**doc["scaling"])
+
+
 def _damage_layer_count(nets):
     del nets["critic"]["weights"][-1]
     del nets["critic"]["biases"][-1]

@@ -63,18 +63,20 @@ def test_can_fit():
 
 def test_can_fit_tracks_running_tasks():
     state = NodeState(spec=node(cpu=2, mem=8))
-    state.running[("w", "a")] = RunningTask("w", "a", cpu_req=2, mem_req=4, compute=10, exec_start=0)
+    state.add(RunningTask("w", "a", cpu_req=2, mem_req=4, compute=10, exec_start=0))
     assert state.cpu_free == 0 and state.mem_free == 4
     assert not state.can_fit(task(cpu=1, mem=1))
-    del state.running[("w", "a")]
+    state.remove("w", "a")
     assert state.can_fit(task(cpu=2, mem=8))
+    state.remove("w", "a")  # already released: a no-op
+    assert (state.cpu_free, state.mem_free) == (2, 8)
 
 
 def test_estimated_wait():
     state = NodeState(spec=node(rate=2.0))
     assert state.estimated_wait(now=0.0) == 0.0
     # work 100 at rate 2 runs 50 s; halfway through, 25 s remain
-    state.running[("w", "a")] = RunningTask("w", "a", 1, 1, compute=50.0, exec_start=0.0)
+    state.add(RunningTask("w", "a", 1, 1, compute=50.0, exec_start=0.0))
     assert state.estimated_wait(now=25.0) == pytest.approx(25.0)
     assert state.estimated_wait(now=1000.0) == 0.0  # clamped, never negative
     state.alive = False
@@ -98,8 +100,8 @@ def test_sample_next_interruption_mean():
 
 def test_apply_interruption_kills_everything():
     state = NodeState(spec=node())
-    state.running[("w", "a")] = RunningTask("w", "a", 1, 1, 10, 0)
-    state.running[("w", "b")] = RunningTask("w", "b", 1, 1, 10, 0)
+    state.add(RunningTask("w", "a", 1, 1, 10, 0))
+    state.add(RunningTask("w", "b", 1, 1, 10, 0))
     killed = apply_interruption(state, now=100.0, downtime_s=600.0)
     assert sorted(killed) == [("w", "a"), ("w", "b")]
     assert not state.alive and state.down_until == 700.0

@@ -445,22 +445,39 @@ def small_episodes(draw):
 def test_random_episodes_keep_the_engine_invariants(episode, seed):
     cluster, workflows = episode
 
-    def capacity_holds(_record=None):
-        for node in env.nodes.values():
-            assert node.cpu_free >= -EPS and node.mem_free >= -EPS
+    def first_fit_in_whole_queue():
+        """The offer by a linear scan of the merged, sorted sub-queues."""
+        for _ready, wf_id, task_id in sorted(e for q in env._queue.values() for e in q):
+            task = env.runs[wf_id].tasks[task_id]
+            if any(n.can_fit(task) for n in env.nodes.values()):
+                return wf_id, task_id
+        return None
 
-    env = SimEnv(cluster, workflows, seed=[seed], on_event=capacity_holds)
+    def state_holds(_record=None):
+        for node in env.nodes.values():
+            # the cached free figures equal a fresh re-sum, bit for bit
+            assert node.cpu_free == node.spec.cpu - sum(t.cpu_req for t in node.running.values())
+            assert node.mem_free == node.spec.mem_gb - sum(t.mem_req for t in node.running.values())
+            assert node.cpu_free >= -EPS and node.mem_free >= -EPS
+        for (cpu, mem), queue in env._queue.items():
+            assert queue == sorted(queue)
+            assert all(env.runs[w].tasks[t].cpu_req == cpu and env.runs[w].tasks[t].mem_req == mem
+                       for _, w, t in queue)
+        assert env._next_offer() == first_fit_in_whole_queue()
+
+    env = SimEnv(cluster, workflows, seed=[seed], on_event=state_holds)
     policy = RandomPolicy(cluster, seed=[seed, 1])
     rewards = []
     obs = env.reset()
     while obs is not None:
+        assert (obs.workflow_id, obs.task.id) == first_fit_in_whole_queue()
         run = env.runs[obs.workflow_id]
         assert run.outcome is None
         assert obs.task.id not in run.timings
         assert all(e.src in run.completed for e in run.preds[obs.task.id])
         obs, reward, _ = env.step(policy(obs))
         rewards.append(reward)
-        capacity_holds()
+        state_holds()
     stats = env.episode_stats()
     assert env.now <= max(wf.arrival_time + wf.timeout for wf in workflows)
     assert len(rewards) <= sum(len(wf.tasks) for wf in workflows)

@@ -3,7 +3,8 @@
 Refactors must keep these outputs byte-identical for fixed seeds:
 `comparison.csv` and `summary.txt` of `compare --seeds 1,2,3,4,5`, and
 the `on_event` records and `EpisodeStats` of each baseline at three
-interruption rates, on the default workload and on a short backlog.
+interruption rates, on the default workload and on a 20- and a
+60-workflow backlog.
 
 A digest that stops matching means behaviour changed. Do not regenerate
 one to get a green run: a change that is meant to alter these outputs
@@ -32,6 +33,8 @@ WORKLOADS = {
     "default": WorkloadConfig(),
     # arrivals far faster than the cluster serves them: queues build up
     "backlog": WorkloadConfig(count=20, interarrival_range=(0.3, 0.6)),
+    # the queue grows to over a hundred tasks
+    "backlog-60": WorkloadConfig(count=60, interarrival_range=(0.3, 0.6)),
 }
 RATES = (0.5, 30.0, 60.0)  # interruptions per hour per spot node
 SEEDS = (1, 2, 3)
@@ -67,6 +70,18 @@ EPISODE_DIGESTS = {
         "5ce87f535b2be03f8b9873548c80804a01bbb7693faf3d16775785a651410df0",
         "4d1774be512d1a38d4e87f1566f8071736c68c5853b891893b49e02972c8779a",
     ),
+    ("random", "backlog-60", 0.5): (
+        "ad25b31fc1246ff289ce8136de694c345e07d6b968048f3332877f11d34317f7",
+        "1ce4e2cbae06c59b9a9cda8af761e74681e865949e9669950673635784d89ade",
+    ),
+    ("random", "backlog-60", 30.0): (
+        "b4a254bc9a215aa28e01dbbff785623aafae53198880a6eebc3f89750420e21a",
+        "d95a4f4bf02196d4890e12f9a60f9a553913ead97866c4c72628165081948c74",
+    ),
+    ("random", "backlog-60", 60.0): (
+        "f5a781aa18f92a74c01a459d2cec7977ef8a834701ab923c85cd1ad64df4e026",
+        "9b03923d5ae5303ad55d50fd95016598fa1a71148157395ffd928a8865d0c5dd",
+    ),
     ("k8-default", "default", 0.5): (
         "39bfb7adf3f574cb51b21e0b447cf1ecb30b66f8c75d9468fa970c2a5e160a97",
         "ce283801cfb4d3c637ff38f81b5e0a48a80ac4a0bc48318bc6f86b59e44c61cd",
@@ -90,6 +105,18 @@ EPISODE_DIGESTS = {
     ("k8-default", "backlog", 60.0): (
         "e9d34cc646d12545e3d493c9740d5b79126f326ee0d031c5c7ef9634581664db",
         "5fc5378234052fefd944388a8917a9c4de13e92cb2f038ccacd323f69b027922",
+    ),
+    ("k8-default", "backlog-60", 0.5): (
+        "7384a1dfabb6e6c34f9934bd23394d1a3543fb2657ea675c0bfef98c5b33a4d3",
+        "ad352a541854a397d42672d62fbdd8f71638b83fd6bfc62c8c016a4d8ad418e9",
+    ),
+    ("k8-default", "backlog-60", 30.0): (
+        "2802296d750b12d391d9af2353ccd749404aaaa92f43efd0d4d0dfdf56f388ec",
+        "de77e4a18df19d350f1df0cfa7cf9d5d93a62e1376dcff99d4f7e180b6dbbb0d",
+    ),
+    ("k8-default", "backlog-60", 60.0): (
+        "4af13630487d47bef09fdebf8946f6b5bbdb61988b534f94966045f9803f5cfc",
+        "29cfb9b3d491368538bea2e4c064fed56100df7e7a25f81282463d23555f2fec",
     ),
     # on-demand runs on the on-demand nodes alone, which are never
     # interrupted, so its digests do not depend on the rate
@@ -116,6 +143,18 @@ EPISODE_DIGESTS = {
     ("on-demand", "backlog", 60.0): (
         "e1a02302009a734efd3aa26ba9dd756fb1f366260546ad591071a911807d69b6",
         "26340982f15dc326b1443bedb442dbb631021922cbda528d8fdf865193d06243",
+    ),
+    ("on-demand", "backlog-60", 0.5): (
+        "d59875cc2c4a257727cd3c56d739afa08270863b25ee4986cce882642c122577",
+        "64e8eef8914a26d27d8382149ce75bdf4eb06b22ac3526c47d5066c52e32670a",
+    ),
+    ("on-demand", "backlog-60", 30.0): (
+        "d59875cc2c4a257727cd3c56d739afa08270863b25ee4986cce882642c122577",
+        "64e8eef8914a26d27d8382149ce75bdf4eb06b22ac3526c47d5066c52e32670a",
+    ),
+    ("on-demand", "backlog-60", 60.0): (
+        "d59875cc2c4a257727cd3c56d739afa08270863b25ee4986cce882642c122577",
+        "64e8eef8914a26d27d8382149ce75bdf4eb06b22ac3526c47d5066c52e32670a",
     ),
 }
 

@@ -73,6 +73,17 @@ def test_masked_log_softmax_batch_equals_rows():
         masked_log_softmax(logits, mask[:, :5])
 
 
+def test_masked_softmax_batch_equals_rows():
+    rng = np.random.default_rng(4)
+    logits = rng.normal(size=(40, 11)) * 5.0
+    mask = rng.random((40, 11)) < 0.5
+    mask[np.arange(40), rng.integers(11, size=40)] = True
+    batch = masked_softmax(logits, mask)
+    rows = np.array([masked_softmax(z, m) for z, m in zip(logits, mask)])
+    assert np.array_equal(batch, rows)
+    assert np.array_equal(masked_softmax(np.zeros((2, 3))), np.full((2, 3), 1 / 3))
+
+
 def test_mlp_orthogonal_init():
     net = Mlp([6, 8, 3], np.random.default_rng(0), policy_head=True)
     assert [w.shape for w in net.weights] == [(6, 8), (8, 3)]
