@@ -145,22 +145,34 @@ class SelectedAction:
     node: int
     logp_group: float
     logp_node: float
-    value: float
+    value: float | None
+
+
+def _pick(p: np.ndarray, rng: np.random.Generator | None) -> int:
+    """The argmax when rng is None, else the draw Generator.choice(p.size, p=p) makes."""
+    if rng is None:
+        return int(np.argmax(p))
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def select_action(policies: PolicySet, features: np.ndarray, group_mask, node_masks,
                   rng: np.random.Generator | None) -> SelectedAction:
-    """Sample the group, then a node within it; the argmax when rng is None."""
+    """Sample the group, then a node within it; the argmax when rng is None.
+
+    Only sampling (training) reads the critic's value; greedy acting leaves it None.
+    """
     p_group = forward(policies.group_actor, features, group_mask)
-    g = int(np.argmax(p_group)) if rng is None else int(rng.choice(p_group.size, p=p_group))
+    g = _pick(p_group, rng)
     p_node = forward(policies.node_actors[g], features, node_masks[g])
-    n = int(np.argmax(p_node)) if rng is None else int(rng.choice(p_node.size, p=p_node))
+    n = _pick(p_node, rng)
     return SelectedAction(
         group=g,
         node=n,
         logp_group=float(np.log(p_group[g])),
         logp_node=float(np.log(p_node[n])),
-        value=forward(policies.critic, features),
+        value=None if rng is None else forward(policies.critic, features),
     )
 
 
@@ -198,9 +210,9 @@ class MultiActorAgent:
     def _ensure_optimizers(self, config: TrainConfig) -> dict:
         if self._optimizers is None:
             self._optimizers = {
-                "group": Adam(self.policies.group_actor.params, config.group_lr),
-                "nodes": [Adam(net.params, config.node_lr) for net in self.policies.node_actors],
-                "critic": Adam(self.policies.critic.params, config.critic_lr),
+                "group": Adam(self.policies.group_actor.vector, config.group_lr),
+                "nodes": [Adam(net.vector, config.node_lr) for net in self.policies.node_actors],
+                "critic": Adam(self.policies.critic.vector, config.critic_lr),
             }
         return self._optimizers
 
@@ -335,8 +347,8 @@ def _load_net(doc: dict, net: Mlp, where: str) -> None:
         if got.shape != want.shape or not np.isfinite(got).all():
             raise ConfigError(f"{where}: parameter {i} must be finite with shape {want.shape}, "
                               f"got shape {got.shape}")
-    net.weights[:] = params[0::2]
-    net.biases[:] = params[1::2]
+    for have, got in zip(net.params, params):
+        have[...] = got  # into the views of net.vector, which the optimizers update
 
 
 def save_checkpoint(agent: MultiActorAgent, path: str | Path) -> None:

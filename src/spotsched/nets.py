@@ -24,7 +24,12 @@ def _orthogonal(rng: np.random.Generator, rows: int, cols: int, gain: float) -> 
 
 
 class Mlp:
-    """Dense tanh network; weights W[i] map layer i to i+1 as x @ W + b."""
+    """Dense tanh network; weights W[i] map layer i to i+1 as x @ W + b.
+
+    All parameters live in one float64 `vector`; `weights`, `biases` and
+    `params` ([W0, b0, W1, b1, ...]) are views into it, so write through
+    them (`p[...] = x`) and never rebind them.
+    """
 
     def __init__(self, sizes, rng: np.random.Generator, *, policy_head: bool = False):
         sizes = [int(s) for s in sizes]
@@ -32,26 +37,17 @@ class Mlp:
             raise ValueError(f"need >= 2 positive layer sizes, got {sizes}")
         self.sizes = sizes
         self.policy_head = policy_head
-        self.weights = []
-        self.biases = []
-        last = len(sizes) - 2
+        self.vector = np.zeros(sum((n_in + 1) * n_out for n_in, n_out in zip(sizes, sizes[1:])))
+        self.params = []
+        last, at = len(sizes) - 2, 0
         for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+            w = self.vector[at:at + n_in * n_out].reshape(n_in, n_out)
+            b = self.vector[at + n_in * n_out:at + (n_in + 1) * n_out]
+            at += (n_in + 1) * n_out
             gain = (_POLICY_HEAD_GAIN if policy_head else 1.0) if i == last else _HIDDEN_GAIN
-            self.weights.append(_orthogonal(rng, n_in, n_out, gain))
-            self.biases.append(np.zeros(n_out))
-
-    @property
-    def params(self) -> list[np.ndarray]:
-        """Flat parameter list [W0, b0, W1, b1, ...]; arrays are live views."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
-    def logits(self, x: np.ndarray) -> np.ndarray:
-        """Batched forward pass; x is (batch, in) and the result (batch, out)."""
-        return self.forward_cache(x)[0]
+            w[...] = _orthogonal(rng, n_in, n_out, gain)
+            self.params += [w, b]
+        self.weights, self.biases = self.params[0::2], self.params[1::2]
 
     def forward_cache(self, x: np.ndarray):
         """Forward pass keeping post-activation values for backward()."""
@@ -115,8 +111,10 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray | None = None) -> np.nda
 
 
 def forward(net: Mlp, x: np.ndarray, mask: np.ndarray | None = None):
-    """Single-input inference: masked probabilities or a float value."""
-    out = net.logits(x)[0]
+    """Single-row inference on a feature row (in,): masked probabilities or a float value."""
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        x = np.tanh(x @ w + b)
+    out = x @ net.weights[-1] + net.biases[-1]
     if net.policy_head:
         return masked_softmax(out, mask)
     if not np.all(np.isfinite(out)):
@@ -135,25 +133,25 @@ def clip_grad_norm(grads: list[np.ndarray], max_norm: float) -> float:
 
 
 class Adam:
-    """Adaptive-moment optimizer over a fixed parameter list."""
+    """Adaptive-moment optimizer over one parameter vector, element-wise."""
 
-    def __init__(self, params: list[np.ndarray], lr: float,
+    def __init__(self, params: np.ndarray, lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        """Update `params` in place from `grad`, a vector of the same shape."""
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * grad * grad
+        params -= self.lr * (self.m / b1t) / (np.sqrt(self.v / b2t) + self.eps)

@@ -171,12 +171,12 @@ def actor_step(net: Mlp, opt: Adam, states, actions, old_logps, advs, masks,
         config.clip_epsilon, config.entropy_weight,
     )
     clip_grad_norm(grads, config.grad_clip_norm)
-    opt.step(net.params, grads)
+    opt.step(net.vector, np.concatenate([g.ravel() for g in grads]))
     return {"loss": loss, "clip_fraction": clip_frac}
 
 
 def critic_step(net: Mlp, opt: Adam, states, returns, config: TrainConfig) -> dict:
     loss, grads = critic_loss_and_grads(net, states, returns)
     clip_grad_norm(grads, config.grad_clip_norm)
-    opt.step(net.params, grads)
+    opt.step(net.vector, np.concatenate([g.ravel() for g in grads]))
     return {"loss": loss}

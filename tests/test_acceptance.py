@@ -185,7 +185,7 @@ def test_criterion_3_policy_numerics(builtin_cluster):
     masks = np.ones((4, 3), dtype=bool)
     masks[1, 0] = False
     masks[3, 2] = False
-    out = actor.logits(states)
+    out = actor.forward_cache(states)[0]
     live = np.array([
         masked_log_softmax(out[b], masks[b])[actions[b]] for b in range(4)
     ])

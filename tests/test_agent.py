@@ -9,6 +9,7 @@ from spotsched.agent import (
     ActionSpaceLayout,
     MultiActorAgent,
     ScalingConstants,
+    _pick,
     encode,
     feasibility_masks,
     load_checkpoint,
@@ -22,6 +23,7 @@ from spotsched.cluster import ON_DEMAND, SPOT, ClusterSpec, NodeSpec, default_cl
 from spotsched.engine import Observation, SimEnv, run_episode
 from spotsched.errors import ConfigError, LayoutMismatchError
 from spotsched.harness import train_run
+from spotsched.nets import forward, masked_softmax
 from spotsched.ppo import RolloutBuffer, TrainConfig
 from spotsched.workflow import TaskSpec, WorkflowSpec
 from spotsched.workload import WorkloadConfig, generate
@@ -176,6 +178,31 @@ def test_single_feasible_node_is_forced():
     assert agent.act(obs)[0] == "o0"  # no rng: the greedy pick
 
 
+def test_pick_draws_what_generator_choice_draws():
+    dists = np.random.default_rng(8)
+    mine, theirs = np.random.default_rng(21), np.random.default_rng(21)
+    for trial in range(3000):
+        n = int(dists.integers(1, 12))
+        logits = dists.normal(size=n) * (40.0 if trial % 3 == 0 else 3.0)  # near-zero probabilities
+        mask = dists.random(n) < (0.0 if trial % 5 == 0 else 0.6)  # one live action every 5th
+        mask[dists.integers(n)] = True
+        p = masked_softmax(logits, mask)
+        assert _pick(p, mine) == int(theirs.choice(n, p=p))
+        assert _pick(p, None) == int(np.argmax(p))
+    assert mine.random() == theirs.random()  # both streams end at the same place
+
+
+def test_greedy_act_skips_the_critic():
+    cluster = default_cluster()
+    obs = offer(cluster, [single()])
+    agent = MultiActorAgent(cluster, seed=0)
+    agent.policies.critic.vector[:] = np.nan
+    node_id, choice, _ = agent.act(obs)
+    assert node_id in obs.node_ids and choice.value is None
+    with pytest.raises(FloatingPointError):
+        agent.act(obs, np.random.default_rng(0))
+
+
 def test_untrained_group_choice_is_near_even():
     cluster = default_cluster()
     obs = offer(cluster, [single()])
@@ -307,6 +334,27 @@ def test_checkpoint_round_trip(tmp_path):
             assert np.array_equal(a, b)
     assert clone.scaling == agent.scaling
     assert clone.layout == agent.layout
+
+
+def test_loaded_parameters_stay_views_the_optimizers_train(tmp_path):
+    cluster = small_cluster()
+    agent = MultiActorAgent(cluster, seed=0)
+    path = tmp_path / "ck.json"
+    save_checkpoint(agent, path)
+    clone = load_checkpoint(path, cluster)
+    for policies in (agent.policies, clone.policies):
+        for net in [policies.group_actor, *policies.node_actors, policies.critic]:
+            assert all(np.shares_memory(p, net.vector) for p in net.params)
+    feats = np.full(state_dim(2), 0.5)
+    group_mask = np.ones(2, dtype=bool)
+    before = forward(clone.policies.group_actor, feats, group_mask)
+    value_before = forward(clone.policies.critic, feats)
+    buffer = _collect_buffer(clone, cluster, generate(WorkloadConfig(count=3, seed=4)), seed=[1])
+    cfg = TrainConfig(epochs=1, minibatch_size=len(buffer))
+    buffer.compute(cfg.discount)
+    clone.update(buffer, cfg, np.random.default_rng(0))
+    assert not np.array_equal(forward(clone.policies.group_actor, feats, group_mask), before)
+    assert forward(clone.policies.critic, feats) != value_before
 
 
 def test_checkpoint_layout_mismatch(tmp_path):

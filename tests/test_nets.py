@@ -113,9 +113,9 @@ def test_mlp_rejects_bad_sizes():
 def test_logits_batching():
     net = Mlp([3, 4, 2], np.random.default_rng(1))
     x = np.random.default_rng(2).normal(size=(5, 3))
-    batched = net.logits(x)
+    batched = net.forward_cache(x)[0]
     assert batched.shape == (5, 2)
-    single = net.logits(x[0])
+    single = net.forward_cache(x[0])[0]
     assert np.allclose(single[0], batched[0])
 
 
@@ -125,7 +125,7 @@ def test_backward_matches_finite_differences():
     x = rng.normal(size=(3, 4))
 
     def loss():
-        out = net.logits(x)
+        out = net.forward_cache(x)[0]
         return 0.5 * float((out ** 2).sum())
 
     out, acts = net.forward_cache(x)
@@ -157,6 +157,41 @@ def test_forward_policy_and_value():
     assert isinstance(v, float)
 
 
+def test_params_are_views_of_one_vector():
+    net = Mlp([4, 5, 3], np.random.default_rng(0), policy_head=True)
+    assert all(p is w for p, w in zip(net.params[0::2], net.weights))
+    assert all(p is b for p, b in zip(net.params[1::2], net.biases))
+    assert all(np.shares_memory(p, net.vector) for p in net.params)
+    assert sum(p.size for p in net.params) == net.vector.size
+    net.vector[:] = np.arange(net.vector.size)
+    assert net.params[0][0, 1] == 1.0 and net.params[1][0] == 20.0
+
+
+@pytest.mark.parametrize("policy_head,sizes", [(True, [58, 64, 64, 6]), (False, [58, 64, 64, 1]),
+                                                (True, [3, 4])])
+def test_single_row_forward_equals_forward_cache_row(policy_head, sizes):
+    rng = np.random.default_rng(5)
+    net = Mlp(sizes, rng, policy_head=policy_head)
+    net.vector[:] = rng.normal(scale=0.3, size=net.vector.size)  # nonzero biases too
+    for x in rng.random((200, sizes[0])):
+        out = net.forward_cache(x)[0][0]
+        mask = rng.random(sizes[-1]) < 0.7
+        mask[rng.integers(sizes[-1])] = True
+        if policy_head:
+            assert np.array_equal(forward(net, x, mask), masked_softmax(out, mask))
+        else:
+            assert forward(net, x) == float(out[0])
+
+
+def test_single_row_forward_errors():
+    net = Mlp([3, 4, 2], np.random.default_rng(0), policy_head=True)
+    with pytest.raises(NoFeasibleActionError):
+        forward(net, np.ones(3), np.zeros(2, dtype=bool))
+    net.weights[1][0, 0] = np.nan
+    with pytest.raises(FloatingPointError):
+        forward(net, np.ones(3), np.ones(2, dtype=bool))
+
+
 def test_forward_rejects_poisoned_value():
     net = Mlp([2, 1], np.random.default_rng(0))
     net.weights[0][0, 0] = np.inf
@@ -185,16 +220,37 @@ def test_clip_grad_norm_zero_disables():
 
 
 def test_adam_first_step():
-    params = [np.array([1.0, -2.0])]
+    params = np.array([1.0, -2.0])
     opt = Adam(params, lr=0.1)
-    opt.step(params, [np.array([0.5, -0.25])])
+    opt.step(params, np.array([0.5, -0.25]))
     # bias correction makes the first update lr * sign(g) (up to eps)
-    assert params[0] == pytest.approx([0.9, -1.9], abs=1e-6)
+    assert params == pytest.approx([0.9, -1.9], abs=1e-6)
     assert opt.t == 1
 
 
 def test_adam_moment_shapes():
-    params = [np.zeros(2), np.zeros((3, 4))]
-    opt = Adam(params, lr=0.01)
-    assert [m.shape for m in opt.m] == [(2,), (3, 4)]
-    assert [v.shape for v in opt.v] == [(2,), (3, 4)]
+    net = Mlp([3, 4, 2], np.random.default_rng(0))
+    opt = Adam(net.vector, lr=0.01)
+    assert opt.m.shape == opt.v.shape == net.vector.shape == (sum(p.size for p in net.params),)
+
+
+def test_flat_adam_step_equals_per_array_steps():
+    # Adam's moments are per element, so one step over the whole vector is
+    # the per-array step bit for bit
+    rng = np.random.default_rng(11)
+    net = Mlp([5, 7, 3], rng)
+    opt = Adam(net.vector, lr=3e-3)
+    ref = [p.copy() for p in net.params]
+    m = [np.zeros_like(p) for p in ref]
+    v = [np.zeros_like(p) for p in ref]
+    b1, b2 = opt.beta1, opt.beta2
+    for t in range(1, 6):
+        grads = [rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 3) for p in ref]
+        opt.step(net.vector, np.concatenate([g.ravel() for g in grads]))
+        for p, g, mt, vt in zip(ref, grads, m, v):
+            mt *= b1
+            mt += (1.0 - b1) * g
+            vt *= b2
+            vt += (1.0 - b2) * g * g
+            p -= opt.lr * (mt / (1.0 - b1 ** t)) / (np.sqrt(vt / (1.0 - b2 ** t)) + opt.eps)
+        assert all(np.array_equal(a, b) for a, b in zip(net.params, ref))

@@ -122,7 +122,7 @@ def _toy_batch(seed=0, n=6, dim=5, actions=4):
 
 
 def _live_logps(net, states, actions, masks):
-    out = net.logits(states)
+    out = net.forward_cache(states)[0]
     return np.array([
         masked_log_softmax(out[b], masks[b])[actions[b]] for b in range(len(actions))
     ])
@@ -219,7 +219,7 @@ def test_actor_loss_matches_grad_variant():
     loss = actor_loss_and_grads(net, states, actions, old, advs, masks, 0.2, 0.01)[0]
     ratio = np.exp(_live_logps(net, states, actions, masks) - old)
     surrogate = np.minimum(ratio * advs, np.clip(ratio, 0.8, 1.2) * advs)
-    logp = masked_log_softmax(net.logits(states), masks)
+    logp = masked_log_softmax(net.forward_cache(states)[0], masks)
     entropy = np.array([-(np.exp(row[m]) * row[m]).sum() for row, m in zip(logp, masks)])
     assert loss == pytest.approx(np.mean(-surrogate - 0.01 * entropy), rel=1e-12)
 
@@ -229,7 +229,7 @@ def test_critic_loss_is_mse():
     net = Mlp([4, 6, 1], rng)
     states = rng.normal(size=(7, 4))
     returns = rng.normal(size=7)
-    v = net.logits(states)[:, 0]
+    v = net.forward_cache(states)[0][:, 0]
     loss, grads = critic_loss_and_grads(net, states, returns)
     assert loss == pytest.approx(float(np.mean((v - returns) ** 2)))
     assert len(grads) == len(net.params)
@@ -238,7 +238,7 @@ def test_critic_loss_is_mse():
 def test_critic_step_reduces_loss():
     rng = np.random.default_rng(6)
     net = Mlp([4, 8, 1], rng)
-    opt = Adam(net.params, lr=1e-2)
+    opt = Adam(net.vector, lr=1e-2)
     states = rng.normal(size=(16, 4))
     returns = rng.normal(size=16)
     cfg = TrainConfig()
@@ -253,7 +253,7 @@ def test_critic_step_reduces_loss():
 def test_actor_step_raises_probability_of_good_action():
     rng = np.random.default_rng(7)
     net = Mlp([3, 8, 3], rng, policy_head=True)
-    opt = Adam(net.params, lr=1e-2)
+    opt = Adam(net.vector, lr=1e-2)
     state = np.zeros((1, 3))
     mask = np.ones((1, 3), dtype=bool)
     cfg = TrainConfig()
