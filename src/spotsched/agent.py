@@ -19,7 +19,8 @@ from .cluster import ON_DEMAND, SPOT, ClusterSpec
 from .engine import Observation, SimEnv
 from .errors import ConfigError, LayoutMismatchError
 from .nets import Adam, Mlp, forward
-from .ppo import RolloutBuffer, TrainConfig, actor_step, critic_step
+from .ppo import (EPOCHS, LEARNING_RATE, MINIBATCH_SIZE, RolloutBuffer, TrainConfig, actor_step,
+                  critic_step)
 from .workflow import WorkflowSpec, check_fields, read_json, seed_list
 
 GROUP_ORDER = (ON_DEMAND, SPOT)
@@ -189,7 +190,11 @@ class MultiActorAgent:
         self.policies = policies or PolicySet.build(
             state_dim(len(cluster.nodes)), self.layout, init_rng
         )
-        self._optimizers: dict | None = None
+        self._optimizers = {
+            "group": Adam(self.policies.group_actor.vector, LEARNING_RATE),
+            "nodes": [Adam(net.vector, LEARNING_RATE) for net in self.policies.node_actors],
+            "critic": Adam(self.policies.critic.vector, LEARNING_RATE),
+        }
 
     # -- acting ------------------------------------------------------------
 
@@ -207,18 +212,9 @@ class MultiActorAgent:
 
     # -- learning ----------------------------------------------------------
 
-    def _ensure_optimizers(self, config: TrainConfig) -> dict:
-        if self._optimizers is None:
-            self._optimizers = {
-                "group": Adam(self.policies.group_actor.vector, config.group_lr),
-                "nodes": [Adam(net.vector, config.node_lr) for net in self.policies.node_actors],
-                "critic": Adam(self.policies.critic.vector, config.critic_lr),
-            }
-        return self._optimizers
-
     def update(self, buffer: RolloutBuffer, config: TrainConfig,
                rng: np.random.Generator) -> dict:
-        """One PPO round: K epochs of one size-S minibatch each.
+        """One PPO round: EPOCHS epochs of one minibatch of up to MINIBATCH_SIZE samples.
 
         The critic and group actor train on the whole minibatch; each node
         actor sees only the samples whose chosen group was its own.
@@ -227,11 +223,11 @@ class MultiActorAgent:
             raise ValueError("cannot update from an empty buffer")
         if buffer.returns is None or buffer.advantages is None:
             raise ValueError("buffer returns/advantages not computed")
-        opts = self._ensure_optimizers(config)
+        opts = self._optimizers
         n = len(buffer)
         report = {"critic_loss": [], "group_loss": [], "node_loss": [], "clip_fraction": []}
-        for _ in range(config.epochs):
-            idx = rng.choice(n, size=min(config.minibatch_size, n), replace=False)
+        for _ in range(EPOCHS):
+            idx = rng.choice(n, size=min(MINIBATCH_SIZE, n), replace=False)
             states = buffer.features[idx]
             groups = buffer.groups[idx]
             nodes = buffer.nodes[idx]
@@ -240,7 +236,7 @@ class MultiActorAgent:
             group_mask, node_masks = feasibility_masks(buffer.fits[idx], self.layout)
             report["critic_loss"].append(
                 critic_step(self.policies.critic, opts["critic"], states,
-                            buffer.returns[idx], config)["loss"]
+                            buffer.returns[idx])["loss"]
             )
             stats = actor_step(self.policies.group_actor, opts["group"], states, groups,
                                buffer.logp_groups[idx], advs, group_mask, config)
@@ -296,7 +292,7 @@ def train(agent: MultiActorAgent,
             buffer.add(features, fit, choice.group, choice.node, choice.logp_group,
                        choice.logp_node, reward, choice.value)
         if len(buffer):
-            buffer.compute(config.discount)
+            buffer.compute()
             agent.update(buffer, config, update_rng)
             buffer.clear()
         stats = env.episode_stats()

@@ -267,26 +267,25 @@ _NODE_FIELDS = {"id", "flavor", "cpu", "mem_gb", "rate", "class", "price_per_hou
 
 def cluster_from_dict(doc: Mapping) -> ClusterSpec:
     check_fields(doc, _CLUSTER_FIELDS, "cluster")
-    nodes = []
-    for i, n in enumerate(doc["nodes"]):
-        check_fields(n, _NODE_FIELDS, f"cluster node[{i}]")
-        try:
+    nodes, where = [], "cluster"
+    try:
+        for i, n in enumerate(doc["nodes"]):
+            where = f"cluster node[{i}]"
+            check_fields(n, _NODE_FIELDS, where)
             nodes.append(NodeSpec(
                 id=str(n["id"]), flavor=str(n["flavor"]), cpu=float(n["cpu"]),
                 mem_gb=float(n["mem_gb"]), rate=float(n["rate"]),
                 pricing_class=str(n["class"]), price_per_hour=float(n["price_per_hour"]),
             ))
-        except ValueError as exc:
-            raise ConfigError(f"cluster node[{i}]: {exc}") from exc
-    try:
+        where = "cluster"
         return ClusterSpec(
             nodes=tuple(nodes),
             bandwidth_mbps=float(doc["bandwidth_mbps"]),
             interruption_rate_per_hour=float(doc["interruption_rate_per_hour"]),
             interruption_downtime_s=float(doc["interruption_downtime_s"]),
         )
-    except ValueError as exc:
-        raise ConfigError(f"cluster: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def cluster_to_dict(cluster: ClusterSpec) -> dict:

@@ -94,22 +94,16 @@ class _Run:
         self.spec = spec
         self.tasks = spec.task_map()
         self.preds = spec.predecessors()
+        # Per task: unfinished predecessors and successors, one per edge.
+        self.waiting = {tid: len(edges) for tid, edges in self.preds.items()}
+        self.successors: dict[str, list[str]] = {tid: [] for tid in self.tasks}
+        for e in spec.edges:
+            self.successors[e.src].append(e.dst)
         self.completed: set[str] = set()
-        self.running: set[str] = set()
-        # Set when a task is queued and never cleared, so a task in it is
-        # queued, running or completed.
         self.ready_time: dict[str, float] = {}
         self.node_of: dict[str, str] = {}
         self.timings: dict = {}
         self.outcome: Outcome | None = None
-
-    def newly_ready(self) -> list[str]:
-        return sorted(
-            tid
-            for tid in self.tasks
-            if tid not in self.ready_time
-            and all(e.src in self.completed for e in self.preds[tid])
-        )
 
 
 class SimEnv:
@@ -144,7 +138,7 @@ class SimEnv:
         self.seed = seed_list(seed)
         self.on_event = on_event
         self._done = False
-        self._started = False
+        self._offered: tuple[str, str] | None = None
 
     # -- episode lifecycle -------------------------------------------------
 
@@ -158,7 +152,6 @@ class SimEnv:
         self._offered: tuple[str, str] | None = None
         self._total_cost = 0.0
         self._done = False
-        self._started = True
         self.nodes = {n.id: NodeState(spec=n) for n in self.cluster.nodes}
         self.runs = {wf.id: _Run(wf) for wf in self.workload}
         self._unresolved = len(self.runs)
@@ -178,7 +171,7 @@ class SimEnv:
         return self._advance()
 
     def step(self, node_id: str) -> tuple[Observation | None, float, bool]:
-        if not self._started or self._offered is None:
+        if self._offered is None:
             raise InvalidActionError("no pending task to place")
         wf_id, task_id = self._offered
         run = self.runs[wf_id]
@@ -247,7 +240,6 @@ class SimEnv:
         )
         run.timings[task.id] = timing
         run.node_of[task.id] = node.spec.id
-        run.running.add(task.id)
         node.add(RunningTask(
             workflow_id=run.spec.id,
             task_id=task.id,
@@ -342,19 +334,23 @@ class SimEnv:
         if not run.tasks:
             self._resolve(run, Outcome.COMPLETED)
             return
-        self._enqueue_ready(run)
+        for task_id, waiting in run.waiting.items():
+            if not waiting:
+                self._enqueue(run, task_id)
 
     def _on_finish(self, node_id: str, wf_id: str, task_id: str) -> None:
         run = self.runs[wf_id]
-        if run.outcome is not None or task_id not in run.running:
-            return  # stale event for a cancelled task
+        if run.outcome is not None:
+            return  # the workflow failed, which cancelled the task
         self.nodes[node_id].remove(wf_id, task_id)
-        run.running.discard(task_id)
         run.completed.add(task_id)
         if len(run.completed) == len(run.tasks):
             self._resolve(run, Outcome.COMPLETED)
-        else:
-            self._enqueue_ready(run)
+            return
+        for succ in run.successors[task_id]:
+            run.waiting[succ] -= 1
+            if not run.waiting[succ]:
+                self._enqueue(run, succ)
 
     def _on_interrupt(self, node_id: str) -> None:
         node = self.nodes[node_id]
@@ -366,9 +362,8 @@ class SimEnv:
         )
         if math.isfinite(gap):
             self._push(revive_at + gap, INTERRUPT, (node_id,))
-        for wf_id, task_id in killed:
+        for wf_id, _task_id in killed:
             run = self.runs[wf_id]
-            run.running.discard(task_id)
             if run.outcome is None:
                 self._fail(run, Outcome.FAILED_INTERRUPTED)
 
@@ -386,12 +381,12 @@ class SimEnv:
         """Mark failed, cancel whatever is still running and unqueue the rest.
 
         Started tasks keep their timing records: consumed compute is billed
-        whether or not the workflow survives.
+        whether or not the workflow survives. Every kill fails its workflow,
+        so each started, unfinished task is running or already killed.
         """
-        for task_id in sorted(run.running):
-            node_id = run.node_of[task_id]
-            self.nodes[node_id].remove(run.spec.id, task_id)
-        run.running.clear()
+        for task_id, node_id in run.node_of.items():
+            if task_id not in run.completed:
+                self.nodes[node_id].remove(run.spec.id, task_id)
         for entries in self._queue.values():
             entries[:] = [e for e in entries if e[1] != run.spec.id]
         self._resolve(run, outcome)
@@ -400,12 +395,12 @@ class SimEnv:
         run.outcome = outcome
         self._unresolved -= 1
 
-    def _enqueue_ready(self, run: _Run) -> None:
-        for task_id in run.newly_ready():
-            run.ready_time[task_id] = self.now
-            task = run.tasks[task_id]
-            entries = self._queue.setdefault((task.cpu_req, task.mem_req), [])
-            bisect.insort(entries, (self.now, run.spec.id, task_id))
+    def _enqueue(self, run: _Run, task_id: str) -> None:
+        """Queue a task whose predecessors all completed; insort keeps FIFO order."""
+        run.ready_time[task_id] = self.now
+        task = run.tasks[task_id]
+        entries = self._queue.setdefault((task.cpu_req, task.mem_req), [])
+        bisect.insort(entries, (self.now, run.spec.id, task_id))
 
 
 def run_episode(

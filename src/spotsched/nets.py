@@ -135,12 +135,12 @@ def clip_grad_norm(grads: list[np.ndarray], max_norm: float) -> float:
 class Adam:
     """Adaptive-moment optimizer over one parameter vector, element-wise."""
 
-    def __init__(self, params: np.ndarray, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: np.ndarray, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)

@@ -15,35 +15,27 @@ from .nets import Adam, Mlp, clip_grad_norm, masked_log_softmax
 
 _NORM_EPS = 1e-8
 
+# Rewards here are immediate per-placement costs, so a short discount
+# horizon keeps the per-action signal out of the trajectory noise.
+DISCOUNT = 0.9
+CLIP_EPSILON = 0.2
+LEARNING_RATE = 3e-4  # every network's Adam
+EPOCHS = 4
+MINIBATCH_SIZE = 64
+GRAD_CLIP_NORM = 0.5
+
 
 @dataclass(frozen=True)
 class TrainConfig:
-    # Rewards here are immediate per-placement costs, so a short discount
-    # horizon keeps the per-action signal out of the trajectory noise.
-    discount: float = 0.9
-    clip_epsilon: float = 0.2
-    group_lr: float = 3e-4
-    node_lr: float = 3e-4
-    critic_lr: float = 3e-4
-    epochs: int = 4
-    minibatch_size: int = 64
+    """What a training run chooses; the PPO hyperparameters are the constants above."""
+
     episodes: int = 300
     entropy_weight: float = 0.01
-    grad_clip_norm: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.discount < 1:
-            raise ValueError(f"discount must be in (0, 1), got {self.discount}")
-        if self.clip_epsilon <= 0:
-            raise ValueError(f"clip_epsilon must be > 0, got {self.clip_epsilon}")
-        if self.epochs < 1 or self.minibatch_size < 1 or self.episodes < 1:
-            raise ValueError("epochs, minibatch_size and episodes must be >= 1")
-        for name in ("group_lr", "node_lr", "critic_lr"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.entropy_weight < 0 or self.grad_clip_norm < 0:
-            raise ValueError("entropy_weight and grad_clip_norm must be >= 0")
+        if self.episodes < 1 or self.entropy_weight < 0:
+            raise ValueError("episodes must be >= 1 and entropy_weight >= 0")
 
 
 class RolloutBuffer:
@@ -66,10 +58,10 @@ class RolloutBuffer:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def compute(self, discount: float) -> None:
+    def compute(self) -> None:
         (self.features, self.fits, self.groups, self.nodes, self.logp_groups,
          self.logp_nodes, rewards, values) = map(np.array, zip(*self.rows))
-        self.returns = discounted_returns(rewards, discount)
+        self.returns = discounted_returns(rewards, DISCOUNT)
         self.advantages = advantages(self.returns, values)
 
     def clear(self) -> None:
@@ -167,16 +159,14 @@ def actor_step(net: Mlp, opt: Adam, states, actions, old_logps, advs, masks,
                config: TrainConfig) -> dict:
     """One clipped-surrogate ascent step; returns loss and clip fraction."""
     loss, grads, clip_frac = actor_loss_and_grads(
-        net, states, actions, old_logps, advs, masks,
-        config.clip_epsilon, config.entropy_weight,
-    )
-    clip_grad_norm(grads, config.grad_clip_norm)
+        net, states, actions, old_logps, advs, masks, CLIP_EPSILON, config.entropy_weight)
+    clip_grad_norm(grads, GRAD_CLIP_NORM)
     opt.step(net.vector, np.concatenate([g.ravel() for g in grads]))
     return {"loss": loss, "clip_fraction": clip_frac}
 
 
-def critic_step(net: Mlp, opt: Adam, states, returns, config: TrainConfig) -> dict:
+def critic_step(net: Mlp, opt: Adam, states, returns) -> dict:
     loss, grads = critic_loss_and_grads(net, states, returns)
-    clip_grad_norm(grads, config.grad_clip_norm)
+    clip_grad_norm(grads, GRAD_CLIP_NORM)
     opt.step(net.vector, np.concatenate([g.ravel() for g in grads]))
     return {"loss": loss}

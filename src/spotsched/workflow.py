@@ -267,22 +267,25 @@ _EDGE_FIELDS = {"src", "dst", "data_mb"}
 
 def workflow_from_dict(doc: Mapping) -> WorkflowSpec:
     check_fields(doc, _WF_FIELDS, "workflow")
-    tasks = []
-    for i, t in enumerate(doc["tasks"]):
-        check_fields(t, _TASK_FIELDS, f"workflow task[{i}]")
-        tasks.append(TaskSpec(id=str(t["id"]), cpu_req=float(t["cpu"]),
-                              mem_req=float(t["mem_gb"]), work=float(t["work"])))
-    edges = []
-    for i, e in enumerate(doc["edges"]):
-        check_fields(e, _EDGE_FIELDS, f"workflow edge[{i}]")
-        edges.append(EdgeSpec(src=str(e["src"]), dst=str(e["dst"]), data_mb=float(e["data_mb"])))
-    wf = WorkflowSpec(
-        id=str(doc["id"]),
-        tasks=tuple(tasks),
-        edges=tuple(edges),
-        arrival_time=float(doc["arrival_time"]),
-        timeout=float(doc["timeout"]),
-    )
+    tasks, edges = [], []
+    try:
+        for i, t in enumerate(doc["tasks"]):
+            check_fields(t, _TASK_FIELDS, f"workflow task[{i}]")
+            tasks.append(TaskSpec(id=str(t["id"]), cpu_req=float(t["cpu"]),
+                                  mem_req=float(t["mem_gb"]), work=float(t["work"])))
+        for i, e in enumerate(doc["edges"]):
+            check_fields(e, _EDGE_FIELDS, f"workflow edge[{i}]")
+            edges.append(EdgeSpec(src=str(e["src"]), dst=str(e["dst"]),
+                                  data_mb=float(e["data_mb"])))
+        wf = WorkflowSpec(
+            id=str(doc["id"]),
+            tasks=tuple(tasks),
+            edges=tuple(edges),
+            arrival_time=float(doc["arrival_time"]),
+            timeout=float(doc["timeout"]),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"workflow {doc['id']!r}: {exc}") from exc
     validate_dag(wf)
     return wf
 

@@ -123,7 +123,10 @@ def config_from_dict(doc: Mapping) -> WorkloadConfig:
             if isinstance(value, list):
                 value = tuple(value)
             kwargs[attr] = value
-    return WorkloadConfig(**kwargs)
+    try:
+        return WorkloadConfig(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"workload config: {exc}") from exc
 
 
 def load_config(path: str | Path) -> WorkloadConfig:

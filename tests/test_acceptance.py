@@ -233,7 +233,7 @@ def test_criterion_3_policy_numerics(builtin_cluster):
         buffer.add(state, fit, g, 0, float(np.log(p_group[g])), float(np.log(p_node[0])),
                    0.0, 0.0)
     config = TrainConfig(entropy_weight=0.0)
-    buffer.compute(config.discount)
+    buffer.compute()
     assert np.all(buffer.advantages == 0.0)
     actors = [agent.policies.group_actor, *agent.policies.node_actors]
     before = [p.copy() for net in actors for p in net.params]

@@ -24,7 +24,7 @@ from spotsched.engine import Observation, SimEnv, run_episode
 from spotsched.errors import ConfigError, LayoutMismatchError
 from spotsched.harness import train_run
 from spotsched.nets import forward, masked_softmax
-from spotsched.ppo import RolloutBuffer, TrainConfig
+from spotsched.ppo import EPOCHS, LEARNING_RATE, RolloutBuffer, TrainConfig
 from spotsched.workflow import TaskSpec, WorkflowSpec
 from spotsched.workload import WorkloadConfig, generate
 
@@ -266,12 +266,13 @@ def test_update_reports_and_steps_optimizers():
     wfs = generate(WorkloadConfig(count=3, seed=4))
     agent = MultiActorAgent(cluster, seed=0)
     buffer = _collect_buffer(agent, cluster, wfs, seed=[1])
-    cfg = TrainConfig(epochs=1, minibatch_size=len(buffer))
-    buffer.compute(cfg.discount)
-    report = agent.update(buffer, cfg, np.random.default_rng(0))
+    buffer.compute()
+    report = agent.update(buffer, TrainConfig(), np.random.default_rng(0))
     opts = agent._optimizers
-    assert opts["critic"].t == 1 and opts["group"].t == 1
-    assert all(o.t <= 1 for o in opts["nodes"])
+    assert opts["critic"].t == EPOCHS and opts["group"].t == EPOCHS
+    # every sample chose a group, so some node actor steps in each epoch
+    assert all(o.t <= EPOCHS for o in opts["nodes"])
+    assert sum(o.t for o in opts["nodes"]) >= EPOCHS
     assert set(report) == {"critic_loss", "group_loss", "node_loss", "clip_fraction"}
     assert all(np.isfinite(v) for v in report.values())
 
@@ -350,11 +351,26 @@ def test_loaded_parameters_stay_views_the_optimizers_train(tmp_path):
     before = forward(clone.policies.group_actor, feats, group_mask)
     value_before = forward(clone.policies.critic, feats)
     buffer = _collect_buffer(clone, cluster, generate(WorkloadConfig(count=3, seed=4)), seed=[1])
-    cfg = TrainConfig(epochs=1, minibatch_size=len(buffer))
-    buffer.compute(cfg.discount)
-    clone.update(buffer, cfg, np.random.default_rng(0))
+    buffer.compute()
+    clone.update(buffer, TrainConfig(), np.random.default_rng(0))
     assert not np.array_equal(forward(clone.policies.group_actor, feats, group_mask), before)
     assert forward(clone.policies.critic, feats) != value_before
+
+
+def test_optimizers_are_built_with_the_agent(tmp_path):
+    cluster = small_cluster()
+    agent = MultiActorAgent(cluster, seed=0)
+    path = tmp_path / "ck.json"
+    save_checkpoint(agent, path)
+    for built in (agent, load_checkpoint(path, cluster)):
+        p, opts = built.policies, built._optimizers
+        nets = [p.group_actor, *p.node_actors, p.critic]
+        optimizers = [opts["group"], *opts["nodes"], opts["critic"]]
+        assert len(optimizers) == len(nets) == 4
+        for net, opt in zip(nets, optimizers):
+            assert opt.lr == LEARNING_RATE and opt.t == 0
+            assert opt.m.shape == opt.v.shape == net.vector.shape
+            assert not opt.m.any() and not opt.v.any()
 
 
 def test_checkpoint_layout_mismatch(tmp_path):

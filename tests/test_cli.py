@@ -58,6 +58,21 @@ def test_generate_rejects_bad_config(tmp_path):
     assert "unknown fields" in result.output
 
 
+def test_bad_workflow_file_is_an_error_not_a_traceback(tmp_path):
+    wl = tmp_path / "wl"
+    result = invoke(["generate", "--count", "1", "--out", str(wl)])
+    assert result.exit_code == 0, result.output
+    path = wl / "wf-000.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["tasks"][0]["cpu"] = None
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = invoke(["compare", "--workload", str(wl), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not an escaped TypeError
+    assert result.output.startswith("Error: workflow 'wf-000': ")
+    assert "Traceback" not in result.output
+
+
 def test_train_then_compare_pipeline(tmp_path):
     train_out = tmp_path / "run"
     result = invoke(["train", "--episodes", "2", "--seed", "3", "--out", str(train_out)])

@@ -237,6 +237,19 @@ def test_cluster_dict_rejects_bad_fields():
         cluster_from_dict(bad_node)
 
 
+@pytest.mark.parametrize("edit, where", [
+    (lambda d: d["nodes"][1].update(cpu=None), r"cluster node\[1\]: "),
+    (lambda d: d["nodes"][0].update(rate="fast"), r"cluster node\[0\]: "),
+    (lambda d: d.update(nodes=5), "cluster: "),
+    (lambda d: d.update(bandwidth_mbps=None), "cluster: "),
+], ids=["cpu-null", "rate-str", "nodes-int", "bandwidth-null"])
+def test_cluster_dict_bad_values_are_config_errors(edit, where):
+    doc = cluster_to_dict(default_cluster())
+    edit(doc)
+    with pytest.raises(ConfigError, match="^" + where):
+        cluster_from_dict(doc)
+
+
 def test_load_cluster_bad_json(tmp_path):
     path = tmp_path / "c.json"
     path.write_text("[", encoding="utf-8")

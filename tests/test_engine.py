@@ -138,6 +138,19 @@ def test_fifo_order_among_ready_tasks():
     assert obs.workflow_id == "a"
 
 
+def test_repeated_edge_releases_its_successor_once():
+    # validate_dag accepts a repeated edge; readiness counts edges, so b is
+    # queued once, when a finishes
+    twice = WorkflowSpec(id="w", tasks=chain().tasks, edges=chain().edges * 2)
+    env = SimEnv(two_nodes(), [twice], seed=0)
+    obs, offered = env.reset(), []
+    while obs is not None:
+        offered.append(obs.task.id)
+        obs, _, _ = env.step("s0")
+    assert offered == ["a", "b"]
+    assert env.episode_stats().completed == 1
+
+
 def test_identical_runs_are_bit_identical():
     cluster = default_cluster()
     wfs = generate(WorkloadConfig(count=5, seed=3))
@@ -464,6 +477,15 @@ def test_random_episodes_keep_the_engine_invariants(episode, seed):
             assert all(env.runs[w].tasks[t].cpu_req == cpu and env.runs[w].tasks[t].mem_req == mem
                        for _, w, t in queue)
         assert env._next_offer() == first_fit_in_whole_queue()
+        for run in env.runs.values():
+            if run.outcome is not None:
+                continue
+            # the readiness counters equal a recount, and a run that has
+            # arrived has queued exactly the tasks they release
+            assert run.waiting == {t: sum(e.src not in run.completed for e in run.preds[t])
+                                   for t in run.tasks}
+            if run.ready_time:
+                assert set(run.ready_time) == {t for t, n in run.waiting.items() if not n}
 
     env = SimEnv(cluster, workflows, seed=[seed], on_event=state_holds)
     policy = RandomPolicy(cluster, seed=[seed, 1])

@@ -1,10 +1,18 @@
 """Returns, advantages, and the clipped-surrogate update."""
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from spotsched.nets import Adam, Mlp, forward, masked_log_softmax
 from spotsched.ppo import (
+    CLIP_EPSILON,
+    DISCOUNT,
+    EPOCHS,
+    GRAD_CLIP_NORM,
+    LEARNING_RATE,
+    MINIBATCH_SIZE,
     TrainConfig,
     actor_loss_and_grads,
     actor_step,
@@ -16,25 +24,15 @@ from spotsched.ppo import (
 
 
 def test_train_config_defaults():
+    assert [f.name for f in fields(TrainConfig)] == ["episodes", "entropy_weight", "seed"]
     cfg = TrainConfig()
-    assert cfg.episodes == 300
-    assert cfg.epochs == 4 and cfg.minibatch_size == 64
-    assert cfg.clip_epsilon == 0.2
-    assert 0 < cfg.discount < 1
+    assert (cfg.episodes, cfg.entropy_weight, cfg.seed) == (300, 0.01, 0)
+    assert DISCOUNT == 0.9 and CLIP_EPSILON == 0.2 and LEARNING_RATE == 3e-4
+    assert EPOCHS == 4 and MINIBATCH_SIZE == 64 and GRAD_CLIP_NORM == 0.5
 
 
 def test_train_config_validation():
-    for bad in (
-        dict(discount=0),
-        dict(discount=1),
-        dict(clip_epsilon=0),
-        dict(epochs=0),
-        dict(minibatch_size=0),
-        dict(episodes=0),
-        dict(group_lr=0),
-        dict(entropy_weight=-1),
-        dict(grad_clip_norm=-1),
-    ):
+    for bad in (dict(episodes=0), dict(entropy_weight=-1)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
 
@@ -241,10 +239,9 @@ def test_critic_step_reduces_loss():
     opt = Adam(net.vector, lr=1e-2)
     states = rng.normal(size=(16, 4))
     returns = rng.normal(size=16)
-    cfg = TrainConfig()
     start = critic_loss_and_grads(net, states, returns)[0]
     for _ in range(60):
-        report = critic_step(net, opt, states, returns, cfg)
+        report = critic_step(net, opt, states, returns)
     assert critic_loss_and_grads(net, states, returns)[0] < start
     assert set(report) == {"loss"}
     assert opt.t == 60

@@ -208,6 +208,19 @@ def test_workflow_dict_rejects_unknown_and_missing():
         workflow_from_dict(bad_task)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda d: d["tasks"][0].update(cpu=0),      # ValueError from TaskSpec
+    lambda d: d["tasks"][0].update(cpu=None),   # TypeError from float()
+    lambda d: d.update(tasks=5),                # TypeError from iteration
+    lambda d: d["edges"][0].update(data_mb="x"),
+], ids=["cpu-zero", "cpu-null", "tasks-int", "data-mb-str"])
+def test_workflow_dict_bad_values_are_config_errors(edit):
+    doc = workflow_to_dict(diamond())
+    edit(doc)
+    with pytest.raises(ConfigError, match="^workflow 'wf': "):
+        workflow_from_dict(doc)
+
+
 def test_workflow_dict_validates_dag():
     tasks = tuple(TaskSpec(id=t, cpu_req=1, mem_req=1, work=1) for t in "ab")
     cyclic = WorkflowSpec(id="w", tasks=tasks, edges=(EdgeSpec("a", "b"), EdgeSpec("b", "a")))

@@ -114,6 +114,14 @@ def test_config_file_round_trip(tmp_path):
     assert cfg.work_range == (50.0, 200.0)  # defaults fill the rest
 
 
+@pytest.mark.parametrize("doc", [
+    {"count": "x"}, {"parallelism": ["a"]}, {"work_range": [1.0]}, {"timeout": None},
+], ids=["count-str", "parallelism-str", "work-range-short", "timeout-null"])
+def test_config_dict_bad_values_are_config_errors(doc):
+    with pytest.raises(ConfigError, match="^workload config: "):
+        config_from_dict(doc)
+
+
 def test_config_file_rejects_unknown_and_bad_json(tmp_path):
     with pytest.raises(ConfigError):
         config_from_dict({"workflows": 3})
