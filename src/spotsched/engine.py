@@ -11,6 +11,7 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,6 +58,8 @@ class Observation:
     Per-node arrays follow cluster config order, always all nodes: `fit` is
     NodeState.can_fit for the task, `wait` is estimated_wait. `node_ids` and
     the read-only `unit_cost` are shared by all of an environment's offers.
+    Only the agent reads `wait`, so `compute_wait` builds it on first read;
+    SimEnv's raises if that read comes after the environment moved on.
     """
 
     time: float
@@ -66,9 +69,13 @@ class Observation:
     unit_cost: np.ndarray
     cpu_free: np.ndarray
     mem_free: np.ndarray
-    wait: np.ndarray
+    compute_wait: Callable[[], np.ndarray]
     alive: np.ndarray
     fit: np.ndarray
+
+    @cached_property
+    def wait(self) -> np.ndarray:
+        return self.compute_wait()
 
 
 @dataclass(frozen=True)
@@ -184,6 +191,7 @@ class SimEnv:
         if not node.can_fit(task):
             raise InvalidActionError(f"task {task_id!r} does not fit on node {node_id!r}")
 
+        self._offered = None  # the state changes from here on
         self._queue[task.cpu_req, task.mem_req].remove((run.ready_time[task_id], wf_id, task_id))
         reward = -self._place(run, task, node)
         obs = self._advance()
@@ -294,6 +302,13 @@ class SimEnv:
         wf_id, task_id = offer
         task = self.runs[wf_id].tasks[task_id]
         nodes = self.nodes.values()
+
+        def compute_wait() -> np.ndarray:
+            # `_next_offer` makes a new tuple per offer, so identity marks this one.
+            if self._offered is not offer:
+                raise RuntimeError("observation's wait read after the environment moved on")
+            return np.array([n.estimated_wait(self.now) for n in nodes])
+
         return Observation(
             time=self.now,
             workflow_id=wf_id,
@@ -302,7 +317,7 @@ class SimEnv:
             unit_cost=self._unit_cost,
             cpu_free=np.array([n.cpu_free for n in nodes]),
             mem_free=np.array([n.mem_free for n in nodes]),
-            wait=np.array([n.estimated_wait(self.now) for n in nodes]),
+            compute_wait=compute_wait,
             alive=np.array([n.alive for n in nodes]),
             fit=np.array([n.can_fit(task) for n in nodes]),
         )

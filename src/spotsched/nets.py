@@ -88,7 +88,7 @@ def masked_log_softmax(logits: np.ndarray, mask: np.ndarray | None = None) -> np
     so a batch gives exactly the row-by-row results.
     """
     z = np.asarray(logits, dtype=float)
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise FloatingPointError("non-finite policy logits")
     if mask is None:
         mask = np.ones(z.shape, dtype=bool)
@@ -99,15 +99,16 @@ def masked_log_softmax(logits: np.ndarray, mask: np.ndarray | None = None) -> np
     if not mask.any(axis=-1).all():
         raise NoFeasibleActionError("all actions masked out")
     z = np.where(mask, z, -np.inf)
-    m = z.max(axis=-1, keepdims=True)
-    return z - (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))
+    # Ufunc reductions: the method forms pass through numpy's Python wrappers.
+    m = np.maximum.reduce(z, axis=-1, keepdims=True)
+    return z - (m + np.log(np.add.reduce(np.exp(z - m), axis=-1, keepdims=True)))
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     """Probabilities, exactly zero on masked-out entries; a batch per row."""
     logp = masked_log_softmax(logits, mask)
     p = np.exp(logp)
-    return p / p.sum(axis=-1, keepdims=True)
+    return p / np.add.reduce(p, axis=-1, keepdims=True)
 
 
 def forward(net: Mlp, x: np.ndarray, mask: np.ndarray | None = None):
@@ -117,7 +118,7 @@ def forward(net: Mlp, x: np.ndarray, mask: np.ndarray | None = None):
     out = x @ net.weights[-1] + net.biases[-1]
     if net.policy_head:
         return masked_softmax(out, mask)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise FloatingPointError("non-finite value output")
     return float(out[0]) if out.size == 1 else out
 

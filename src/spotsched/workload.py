@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -21,6 +21,10 @@ from .workflow import EdgeSpec, TaskSpec, WorkflowSpec, read_json, seed_list
 ANCHOR_WORK = 0.1
 ANCHOR_CPU = 0.1
 ANCHOR_MEM = 0.1
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -42,8 +46,11 @@ class WorkloadConfig:
             object.__setattr__(self, "parallelism", tuple(int(p) for p in self.parallelism))
         object.__setattr__(self, "work_range", tuple(float(x) for x in self.work_range))
         object.__setattr__(self, "interarrival_range", tuple(float(x) for x in self.interarrival_range))
-        if self.count < 1:
-            raise ConfigError("count must be >= 1")
+        if not _is_int(self.count) or self.count < 1:
+            raise ConfigError(f"count must be an integer >= 1, got {self.count!r}")
+        seeds = (self.seed,) if _is_int(self.seed) else self.seed
+        if isinstance(seeds, str) or not isinstance(seeds, Sequence) or not all(map(_is_int, seeds)):
+            raise ConfigError(f"seed must be an integer or a sequence of integers, got {self.seed!r}")
         if not self.parallelism or any(p < 1 for p in self.parallelism):
             raise ConfigError("parallelism must be positive")
         for name, (lo, hi) in (("work_range", self.work_range),
@@ -125,7 +132,7 @@ def config_from_dict(doc: Mapping) -> WorkloadConfig:
             kwargs[attr] = value
     try:
         return WorkloadConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except (ConfigError, TypeError, ValueError) as exc:
         raise ConfigError(f"workload config: {exc}") from exc
 
 

@@ -93,7 +93,7 @@ def test_encode_dead_node_saturates():
         time=0.0, workflow_id="w", task=TaskSpec(id="t", cpu_req=1, mem_req=1, work=1),
         node_ids=("x", "y"), unit_cost=np.array([1e-5, 2e-5]),
         cpu_free=np.array([2.0, 1.0]), mem_free=np.array([8.0, 4.0]),
-        wait=np.array([1e9, 250.0]), alive=np.array([False, True]),
+        compute_wait=lambda: np.array([1e9, 250.0]), alive=np.array([False, True]),
         fit=np.array([False, True]),
     )
     feats = encode(obs, ScalingConstants(cpu_norm=8.0, mem_norm=32.0, cost_norm=1e-4,

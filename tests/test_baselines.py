@@ -39,7 +39,7 @@ def manual_obs(nodes, cpu=1.0, mem=1.0):
     return Observation(
         time=0.0, workflow_id="w", task=task, node_ids=ids,
         unit_cost=np.full(len(ids), 1e-5), cpu_free=cpu_free, mem_free=mem_free,
-        wait=np.zeros(len(ids)), alive=alive,
+        compute_wait=lambda: np.zeros(len(ids)), alive=alive,
         fit=alive & (cpu <= cpu_free) & (mem <= mem_free),
     )
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spotsched.baselines import RandomPolicy, baseline_cluster
+from spotsched.baselines import BASELINE_NAMES, RandomPolicy, baseline_cluster, make_baseline
 from spotsched.cluster import (
     DEAD_NODE_WAIT,
     EPS,
@@ -13,6 +13,7 @@ from spotsched.cluster import (
     SPOT,
     ClusterSpec,
     NodeSpec,
+    NodeState,
     default_cluster,
     sample_next_interruption,
 )
@@ -181,6 +182,44 @@ def test_identical_observation_sequences():
         return seen
 
     assert collect() == collect()
+
+
+@pytest.mark.parametrize("name", BASELINE_NAMES)
+def test_baseline_episodes_estimate_no_waits(name, monkeypatch):
+    # only the agent reads an observation's wait, so a baseline run builds none
+    calls = []
+    estimated_wait = NodeState.estimated_wait
+    monkeypatch.setattr(NodeState, "estimated_wait",
+                        lambda node, now: calls.append(now) or estimated_wait(node, now))
+    cluster = baseline_cluster(default_cluster(interruption_rate_per_hour=30.0), name)
+    stats = run_episode(make_baseline(name, cluster, seed=[1]), cluster,
+                        generate(WorkloadConfig(count=3, seed=1)), seed=[2])
+    assert stats.submitted == 3 and calls == []
+
+
+def test_wait_read_after_the_offer_raises():
+    env = SimEnv(two_nodes(), [chain()], seed=0)
+    first = env.reset()
+    assert first.wait.tolist() == [0.0, 0.0]
+    second, _, _ = env.step("s0")
+    assert first.wait.tolist() == [0.0, 0.0]  # read before the step, kept
+    unread, _, done = env.step("s0")
+    assert unread is None and done
+    with pytest.raises(RuntimeError, match="moved on"):
+        second.wait  # read only after the last step
+    again = env.reset()
+    env.step("o0")
+    with pytest.raises(RuntimeError, match="moved on"):
+        again.wait  # read only after a later step
+
+
+def test_wait_read_from_inside_the_next_step_raises():
+    held = []
+    env = SimEnv(two_nodes(), [chain()], seed=0, on_event=lambda _record: [o.wait for o in held])
+    held.append(env.reset())
+    # the finish event fires after the placement has changed the nodes
+    with pytest.raises(RuntimeError, match="moved on"):
+        env.step("s0")
 
 
 def test_invalid_actions_leave_state_unchanged():
@@ -493,6 +532,9 @@ def test_random_episodes_keep_the_engine_invariants(episode, seed):
     obs = env.reset()
     while obs is not None:
         assert (obs.workflow_id, obs.task.id) == first_fit_in_whole_queue()
+        # the wait, built on first read, is the cluster's at the offer, bit for bit
+        wait = np.array([n.estimated_wait(env.now) for n in env.nodes.values()])
+        assert obs.wait.tobytes() == wait.tobytes()
         run = env.runs[obs.workflow_id]
         assert run.outcome is None
         assert obs.task.id not in run.timings

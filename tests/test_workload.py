@@ -116,10 +116,16 @@ def test_config_file_round_trip(tmp_path):
 
 @pytest.mark.parametrize("doc", [
     {"count": "x"}, {"parallelism": ["a"]}, {"work_range": [1.0]}, {"timeout": None},
-], ids=["count-str", "parallelism-str", "work-range-short", "timeout-null"])
+    {"count": 2.5}, {"count": True}, {"seed": "x"}, {"seed": 1.5}, {"seed": [1, "x"]},
+    {"seed": [True]}, {"seed": None},
+], ids=["count-str", "parallelism-str", "work-range-short", "timeout-null",
+        "count-float", "count-bool", "seed-str", "seed-float", "seed-list-str",
+        "seed-list-bool", "seed-null"])
 def test_config_dict_bad_values_are_config_errors(doc):
-    with pytest.raises(ConfigError, match="^workload config: "):
+    with pytest.raises(ConfigError, match="^workload config: ") as info:
         config_from_dict(doc)
+    if "count" in doc or "seed" in doc:
+        assert next(iter(doc)) in str(info.value)
 
 
 def test_config_file_rejects_unknown_and_bad_json(tmp_path):
