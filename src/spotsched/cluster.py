@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError
-from .workflow import TaskSpec, check_fields, computation_time, duplicates, read_json
+from .workflow import TaskSpec, check_fields, duplicates, read_json
 
 SPOT = "spot"
 ON_DEMAND = "on_demand"
@@ -174,15 +174,8 @@ class NodeState:
         return backlog / rate
 
 
-def compute_time_on(node: NodeSpec, task: TaskSpec) -> float:
-    """Computation time of `task` on `node` (work over node rate)."""
-    return computation_time(task.work, node.rate)
-
-
 def sample_next_interruption(rate_per_hour: float, rng: np.random.Generator) -> float:
     """Exponential gap (seconds) to the next spot interruption; inf at rate 0."""
-    if rate_per_hour < 0:
-        raise ValueError(f"rate_per_hour must be >= 0, got {rate_per_hour}")
     if rate_per_hour == 0:
         return math.inf
     return float(rng.exponential(3600.0 / rate_per_hour))

@@ -22,20 +22,17 @@ from .cluster import (
     NodeState,
     RunningTask,
     apply_interruption,
-    compute_time_on,
     sample_next_interruption,
 )
 from .errors import ConfigError, InvalidActionError
 from .workflow import (
     Outcome,
     TaskSpec,
+    TaskTiming,
     WorkflowSpec,
     WorkflowStats,
     duplicates,
     seed_list,
-    task_cost,
-    task_timing,
-    transmission_time,
     validate_dag,
     workflow_stats,
 )
@@ -229,25 +226,23 @@ class SimEnv:
         self._seq += 1
 
     def _place(self, run: _Run, task: TaskSpec, node: NodeState) -> float:
-        """Start the task on the node now; returns its cost."""
-        compute = compute_time_on(node.spec, task)
-        transfers = [
-            transmission_time(
-                e.data_mb,
-                self.cluster.bandwidth_mbps,
-                same_node=run.node_of[e.src] == node.spec.id,
-            )
-            for e in run.preds[task.id]
-        ]
-        timing = task_timing(
-            start=run.ready_time[task.id],
-            compute=compute,
-            wait=self.now - run.ready_time[task.id],
-            pred_transfers=transfers,
-            cost=task_cost(compute, node.spec.unit_cost),
-        )
+        """Start the task on the node now; returns its cost.
+
+        The spec constructors reject negative and non-finite work, rates,
+        prices, data sizes and bandwidth, so nothing here re-checks them.
+        """
+        spec = node.spec
+        bandwidth = self.cluster.bandwidth_mbps
+        compute = task.work / spec.rate
+        max_transfer = max((0.0 if run.node_of[e.src] == spec.id else e.data_mb / bandwidth
+                            for e in run.preds[task.id]), default=0.0)
+        start = run.ready_time[task.id]
+        wait = self.now - start
+        delay = compute + wait + max_transfer
+        timing = TaskTiming(start=start, compute=compute, wait=wait, max_transfer=max_transfer,
+                            delay=delay, finish=start + delay, cost=compute * spec.unit_cost)
         run.timings[task.id] = timing
-        run.node_of[task.id] = node.spec.id
+        run.node_of[task.id] = spec.id
         node.add(RunningTask(
             workflow_id=run.spec.id,
             task_id=task.id,
@@ -257,7 +252,7 @@ class SimEnv:
             exec_start=self.now,
         ))
         self._total_cost += timing.cost
-        self._push(timing.finish, FINISH, (node.spec.id, run.spec.id, task.id))
+        self._push(timing.finish, FINISH, (spec.id, run.spec.id, task.id))
         return timing.cost
 
     def _advance(self) -> Observation | None:

@@ -72,8 +72,6 @@ class RolloutBuffer:
 
 def discounted_returns(rewards, discount: float) -> np.ndarray:
     """G_t = r_t + discount * G_{t+1}, with G after the last reward = 0."""
-    if not 0 < discount < 1:
-        raise ValueError(f"discount must be in (0, 1), got {discount}")
     out = np.zeros(len(rewards))
     acc = 0.0
     for i in range(len(rewards) - 1, -1, -1):
@@ -82,17 +80,13 @@ def discounted_returns(rewards, discount: float) -> np.ndarray:
     return out
 
 
-def advantages(returns, values) -> np.ndarray:
+def advantages(returns: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Return-minus-baseline advantages, normalized over the batch.
 
     Normalization is skipped for a single sample or a (near-)zero spread,
     so degenerate buffers pass through unscaled.
     """
-    g = np.asarray(returns, dtype=float)
-    v = np.asarray(values, dtype=float)
-    if g.shape != v.shape:
-        raise ValueError(f"length mismatch: {g.shape} returns vs {v.shape} values")
-    adv = g - v
+    adv = returns - values
     if adv.size < 2:
         return adv
     std = adv.std()
@@ -107,17 +101,14 @@ def advantages(returns, values) -> np.ndarray:
 def actor_loss_and_grads(net: Mlp, states, actions, old_logps, advs, masks,
                          epsilon: float, entropy_weight: float):
     """Negated mean clipped surrogate minus entropy bonus (to minimize),
-    its parameter gradients, and the fraction of clipped ratios."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    x = np.asarray(states, dtype=float)
-    actions = np.asarray(actions, dtype=int)
-    old_logps = np.asarray(old_logps, dtype=float)
-    advs = np.asarray(advs, dtype=float)
-    masks = np.asarray(masks, dtype=bool)
-    n = x.shape[0]
+    its parameter gradients, and the fraction of clipped ratios.
+
+    Takes the numpy arrays the update slices from one RolloutBuffer, and
+    neither converts nor re-checks them.
+    """
+    n = states.shape[0]
     rows = np.arange(n)
-    out, acts = net.forward_cache(x)
+    out, acts = net.forward_cache(states)
     logp = masked_log_softmax(out, masks)
     p = np.exp(logp)
     ratio = np.exp(logp[rows, actions] - old_logps)
@@ -144,11 +135,8 @@ def actor_loss_and_grads(net: Mlp, states, actions, old_logps, advs, masks,
 
 def critic_loss_and_grads(net: Mlp, states, returns):
     """Mean squared error of the value head against the returns, and its gradients."""
-    x = np.asarray(states, dtype=float)
-    g = np.asarray(returns, dtype=float)
-    out, acts = net.forward_cache(x)
-    v = out[:, 0]
-    err = v - g
+    out, acts = net.forward_cache(states)
+    err = out[:, 0] - returns
     loss = float(np.mean(err ** 2))
     dout = np.zeros_like(out)
     dout[:, 0] = 2.0 * err / err.size

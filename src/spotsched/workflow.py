@@ -1,8 +1,9 @@
-"""Workflow DAGs and the per-task timing/cost arithmetic.
+"""Workflow DAGs, the per-task timing record and per-workflow stats.
 
-Everything here is a pure function over immutable values; the simulator
-owns all mutable state. The module also holds the few helpers every other
-module shares: seed lists, duplicate ids, field checks and JSON input files.
+The specs here are immutable and reject bad values on construction; the
+simulator owns all mutable state and builds the timing records. The module
+also holds the few helpers every other module shares: seed lists,
+duplicate ids, field checks and JSON input files.
 """
 from __future__ import annotations
 
@@ -98,7 +99,7 @@ class TaskTiming:
     """Realized timing and cost record of one executed task.
 
     delay = compute + wait + max_transfer and finish = start + delay hold
-    by construction; build instances through task_timing().
+    by construction; `SimEnv._place` builds every instance.
     """
 
     start: float
@@ -117,65 +118,10 @@ class WorkflowStats:
     outcome: Outcome
 
 
-def computation_time(work: float, rate: float) -> float:
-    """Seconds to process `work` work-units at `rate` work-units/second."""
-    if rate <= 0:
-        raise ValueError(f"processing rate must be > 0, got {rate}")
-    if work < 0:
-        raise ValueError(f"work must be >= 0, got {work}")
-    return work / rate
-
-
-def transmission_time(data_mb: float, bandwidth_mbps: float, *, same_node: bool = False) -> float:
-    """Seconds to move data_mb between two nodes; exactly 0 on the same node."""
-    if data_mb < 0:
-        raise ValueError(f"data_mb must be >= 0, got {data_mb}")
-    if same_node:
-        return 0.0
-    if bandwidth_mbps <= 0:
-        raise ValueError(f"bandwidth must be > 0 between distinct nodes, got {bandwidth_mbps}")
-    return data_mb / bandwidth_mbps
-
-
-def task_timing(
-    start: float,
-    compute: float,
-    wait: float,
-    pred_transfers: Iterable[float] = (),
-    *,
-    cost: float = 0.0,
-) -> TaskTiming:
-    """Assemble a TaskTiming; delay = compute + wait + max predecessor transfer."""
-    transfers = list(pred_transfers)
-    if start < 0 or compute < 0 or wait < 0 or any(t < 0 for t in transfers):
-        raise ValueError("timing components must be >= 0")
-    max_transfer = max(transfers, default=0.0)
-    delay = compute + wait + max_transfer
-    return TaskTiming(
-        start=start,
-        compute=compute,
-        wait=wait,
-        max_transfer=max_transfer,
-        delay=delay,
-        finish=start + delay,
-        cost=cost,
-    )
-
-
-def task_cost(compute: float, unit_cost: float) -> float:
-    """Dollars consumed by `compute` seconds at `unit_cost` dollars/second."""
-    if compute < 0:
-        raise ValueError(f"compute must be >= 0, got {compute}")
-    if unit_cost < 0:
-        raise ValueError(f"unit_cost must be >= 0, got {unit_cost}")
-    return compute * unit_cost
-
-
-def workflow_stats(timings: Mapping[str, TaskTiming] | Iterable[TaskTiming], outcome: Outcome) -> WorkflowStats:
+def workflow_stats(timings: Mapping[str, TaskTiming], outcome: Outcome) -> WorkflowStats:
     """Aggregate task records: makespan = max finish, cost = sum of costs."""
-    records = list(timings.values()) if isinstance(timings, Mapping) else list(timings)
-    makespan = max((t.finish for t in records), default=0.0)
-    cost = sum(t.cost for t in records)
+    makespan = max((t.finish for t in timings.values()), default=0.0)
+    cost = sum(t.cost for t in timings.values())
     return WorkflowStats(makespan=makespan, cost=cost, outcome=outcome)
 
 

@@ -47,7 +47,7 @@ from spotsched.engine import SimEnv, run_episode
 from spotsched.harness import workload_for_seed
 from spotsched.nets import Mlp, forward, masked_log_softmax, masked_softmax
 from spotsched.ppo import RolloutBuffer, TrainConfig, actor_loss_and_grads, critic_loss_and_grads
-from spotsched.workflow import EdgeSpec, TaskSpec, WorkflowSpec, computation_time, task_cost
+from spotsched.workflow import EdgeSpec, TaskSpec, WorkflowSpec
 from spotsched.workload import WorkloadConfig
 
 
@@ -123,15 +123,14 @@ def test_criterion_2_brute_force_minimum():
     )
 
     oracle = min(
-        sum(task_cost(computation_time(w, n.rate), n.unit_cost)
-            for w, n in zip(works, assignment))
+        sum(w / n.rate * n.unit_cost for w, n in zip(works, assignment))
         for assignment in itertools.product(nodes, repeat=len(works))
     )
 
     def greedy(obs):
         best, best_cost = None, float("inf")
         for i in np.flatnonzero(obs.fit):
-            c = task_cost(computation_time(obs.task.work, nodes[i].rate), obs.unit_cost[i])
+            c = obs.task.work / nodes[i].rate * obs.unit_cost[i]
             if c < best_cost:
                 best, best_cost = obs.node_ids[i], c
         return best
@@ -213,8 +212,9 @@ def test_criterion_3_policy_numerics(builtin_cluster):
     # log-probability -log(ratio) sets the ratio
     one_live = Mlp([1, 2], np.random.default_rng(0), policy_head=True)
     for ratio, adv, want in ((1.5, 1.0, 1.2), (0.5, -1.0, -0.8), (1.0, 0.7, 0.7)):
-        loss, _, _ = actor_loss_and_grads(one_live, np.zeros((1, 1)), [0], [-np.log(ratio)],
-                                          [adv], [[True, False]], 0.2, 0.0)
+        loss, _, _ = actor_loss_and_grads(one_live, np.zeros((1, 1)), np.array([0]),
+                                          np.array([-np.log(ratio)]), np.array([adv]),
+                                          np.array([[True, False]]), 0.2, 0.0)
         assert abs(-loss - want) <= 1e-12
 
     # (d) zero advantages + zero entropy weight leave the actors untouched

@@ -15,7 +15,6 @@ from spotsched.cluster import (
     apply_interruption,
     cluster_from_dict,
     cluster_to_dict,
-    compute_time_on,
     default_cluster,
     load_cluster,
     sample_next_interruption,
@@ -45,10 +44,6 @@ def test_unit_cost_from_hourly_price():
     assert node(price=0.033).unit_cost == pytest.approx(9.1667e-6, abs=1e-10)
     assert node(cls=ON_DEMAND, price=0.1344).unit_cost == pytest.approx(3.7333e-5, rel=1e-4)
     assert node(price=0.0).unit_cost == 0.0
-
-
-def test_compute_time_on():
-    assert compute_time_on(node(rate=2.0), task(work=100)) == 50.0
 
 
 def test_can_fit():
@@ -85,8 +80,6 @@ def test_estimated_wait():
 
 def test_sample_next_interruption_edge_rates():
     assert sample_next_interruption(0.0, np.random.default_rng(0)) == math.inf
-    with pytest.raises(ValueError):
-        sample_next_interruption(-1.0, np.random.default_rng(0))
 
 
 def test_sample_next_interruption_mean():

@@ -19,7 +19,7 @@ from spotsched.cluster import (
 )
 from spotsched.engine import SimEnv, run_episode
 from spotsched.errors import ConfigError, InvalidActionError
-from spotsched.workflow import EdgeSpec, Outcome, TaskSpec, WorkflowSpec, transmission_time
+from spotsched.workflow import EdgeSpec, Outcome, TaskSpec, WorkflowSpec
 from spotsched.workload import WorkloadConfig, generate
 
 
@@ -450,11 +450,8 @@ def test_precedence_is_never_violated():
             exec_start = timing.finish - timing.compute
             for edge in preds[task_id]:
                 upstream = run.timings[edge.src]
-                tt = transmission_time(
-                    edge.data_mb,
-                    cluster.bandwidth_mbps,
-                    same_node=run.node_of[edge.src] == run.node_of[task_id],
-                )
+                same_node = run.node_of[edge.src] == run.node_of[task_id]
+                tt = 0.0 if same_node else edge.data_mb / cluster.bandwidth_mbps
                 assert exec_start + 1e-9 >= upstream.finish + tt
 
 
@@ -463,11 +460,12 @@ def small_episodes(draw):
     """A 1-4 node cluster of both pricing classes, interrupted at 0-60/h, and
     2-4 overlapping random DAGs of 1-5 tasks with short timeouts; a task
     asking for 8 cores fits no node. Workflows often fail with tasks still
-    queued while others run on."""
+    queued while others run on. Rate 3 makes times inexact binary
+    fractions, so a reordered timing sum changes the last bit."""
     pick = lambda *values: draw(st.sampled_from(values))
     nodes = tuple(
         NodeSpec(id=f"n{i}", flavor="f", cpu=pick(1.0, 2.0, 4.0), mem_gb=pick(2.0, 4.0, 8.0),
-                 rate=pick(1.0, 2.0, 4.0), pricing_class=pick(SPOT, ON_DEMAND),
+                 rate=pick(1.0, 2.0, 3.0, 4.0), pricing_class=pick(SPOT, ON_DEMAND),
                  price_per_hour=pick(0.03, 0.1, 0.4))
         for i in range(draw(st.integers(1, 4)))
     )
@@ -539,9 +537,28 @@ def test_random_episodes_keep_the_engine_invariants(episode, seed):
         assert run.outcome is None
         assert obs.task.id not in run.timings
         assert all(e.src in run.completed for e in run.preds[obs.task.id])
-        obs, reward, _ = env.step(policy(obs))
+        task, now = obs.task, env.now
+        node_id = policy(obs)
+        obs, reward, _ = env.step(node_id)
         rewards.append(reward)
         state_holds()
+        # the placement's record, recomputed from the spec fields, bit for bit
+        spec = env.nodes[node_id].spec
+        compute = task.work / spec.rate
+        max_transfer = max(
+            (0.0 if run.node_of[e.src] == node_id else e.data_mb / cluster.bandwidth_mbps
+             for e in run.preds[task.id]),
+            default=0.0,
+        )
+        start = run.ready_time[task.id]
+        wait = now - start
+        delay = compute + wait + max_transfer
+        timing = run.timings[task.id]
+        assert (timing.start, timing.compute, timing.wait, timing.max_transfer) == (
+            start, compute, wait, max_transfer)
+        assert (timing.delay, timing.finish) == (delay, start + delay)
+        assert timing.cost == compute * spec.unit_cost == -reward
+        assert min(start, compute, wait, max_transfer, timing.cost) >= 0
     stats = env.episode_stats()
     assert env.now <= max(wf.arrival_time + wf.timeout for wf in workflows)
     assert len(rewards) <= sum(len(wf.tasks) for wf in workflows)

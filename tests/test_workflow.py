@@ -1,22 +1,18 @@
-"""Timing/cost arithmetic and DAG plumbing."""
+"""Spec validation, DAG checks, per-workflow stats and the workflow file format."""
 import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 from spotsched.errors import ConfigError, DagCycleError, DagReferenceError
 from spotsched.workflow import (
     EdgeSpec,
     Outcome,
     TaskSpec,
+    TaskTiming,
     WorkflowSpec,
-    computation_time,
     load_workflow,
     save_workflow,
-    task_cost,
-    task_timing,
-    transmission_time,
     validate_dag,
     workflow_from_dict,
     workflow_stats,
@@ -35,79 +31,15 @@ def diamond():
     return WorkflowSpec(id="wf", tasks=tasks, edges=edges)
 
 
-def test_computation_time():
-    assert computation_time(100, 2) == 50.0
-    assert computation_time(0, 5) == 0.0
-    with pytest.raises(ValueError):
-        computation_time(100, 0)
-    with pytest.raises(ValueError):
-        computation_time(-1, 2)
-
-
-def test_transmission_time():
-    assert transmission_time(200, 100) == 2.0
-    assert transmission_time(200, 100, same_node=True) == 0.0
-    with pytest.raises(ValueError):
-        transmission_time(200, 0)
-    with pytest.raises(ValueError):
-        transmission_time(-1, 100)
-
-
-def test_task_timing_components():
-    t = task_timing(start=3.0, compute=4.0, wait=2.0, pred_transfers=[0.5, 2.0, 1.0], cost=9.0)
-    assert t.max_transfer == 2.0
-    assert t.delay == 8.0
-    assert t.finish == 11.0
-    assert t.cost == 9.0
-
-
-def test_task_timing_no_predecessors():
-    t = task_timing(start=0.0, compute=1.0, wait=0.0)
-    assert t.max_transfer == 0.0
-    assert t.finish == 1.0
-
-
-def test_task_timing_rejects_negative():
-    with pytest.raises(ValueError):
-        task_timing(start=-1.0, compute=0.0, wait=0.0)
-    with pytest.raises(ValueError):
-        task_timing(start=0.0, compute=0.0, wait=0.0, pred_transfers=[-0.1])
-
-
-@given(
-    start=st.floats(0, 1e6),
-    compute=st.floats(0, 1e6),
-    wait=st.floats(0, 1e6),
-    transfers=st.lists(st.floats(0, 1e4), max_size=5),
-)
-def test_task_timing_totals(start, compute, wait, transfers):
-    t = task_timing(start=start, compute=compute, wait=wait, pred_transfers=transfers)
-    assert t.delay == compute + wait + t.max_transfer
-    assert t.finish == start + t.delay
-    if transfers:
-        assert t.max_transfer == max(transfers)
-
-
-def test_task_cost():
-    # one hour of spot t4g.large, half an hour of on-demand t4g.2xlarge
-    assert task_cost(3600.0, 0.033 / 3600) == pytest.approx(0.033, rel=1e-12)
-    assert task_cost(1800.0, 0.2688 / 3600) == pytest.approx(0.1344, rel=1e-12)
-    assert task_cost(0.0, 5.0) == 0.0
-    with pytest.raises(ValueError):
-        task_cost(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        task_cost(1.0, -1.0)
-
-
 def test_workflow_stats_aggregates():
-    a = task_timing(start=0, compute=5, wait=0, cost=1.5)
-    b = task_timing(start=5, compute=3, wait=1, pred_transfers=[2.0], cost=0.5)
+    a = TaskTiming(start=0.0, compute=5.0, wait=0.0, max_transfer=0.0, delay=5.0,
+                   finish=5.0, cost=1.5)
+    b = TaskTiming(start=5.0, compute=3.0, wait=1.0, max_transfer=2.0, delay=6.0,
+                   finish=11.0, cost=0.5)
     stats = workflow_stats({"a": a, "b": b}, Outcome.COMPLETED)
-    assert stats.makespan == b.finish == 11.0
+    assert stats.makespan == 11.0
     assert stats.cost == 2.0
     assert stats.outcome is Outcome.COMPLETED
-    # iterable input works too, and the empty case stays at zero
-    assert workflow_stats([a], Outcome.COMPLETED).makespan == 5.0
     empty = workflow_stats({}, Outcome.FAILED_TIMEOUT)
     assert empty.makespan == 0.0 and empty.cost == 0.0
 
