@@ -154,7 +154,9 @@ class NodeState:
         """Seconds of work backlog ahead of a new arrival on this node.
 
         Remaining work of running tasks divided by the node's rate. A dead
-        node reports DEAD_NODE_WAIT.
+        node reports DEAD_NODE_WAIT. `now` is never before a running task's
+        exec_start (the simulator's clock never runs back), so no task has
+        more than its compute left.
 
         Known gap: a task placed at t holds its node until it finishes at
         t + max_transfer + compute, but RunningTask records only compute, so
@@ -165,12 +167,14 @@ class NodeState:
         """
         if not self.alive:
             return DEAD_NODE_WAIT
+        if not self.running:
+            return 0.0
         rate = self.spec.rate
         backlog = 0.0
         for t in self.running.values():
-            elapsed = now - t.exec_start
-            remaining = t.compute - elapsed
-            backlog += min(max(remaining, 0.0), t.compute) * rate
+            remaining = t.compute - (now - t.exec_start)
+            if remaining > 0.0:  # a finished task would add only 0.0
+                backlog += remaining * rate
         return backlog / rate
 
 

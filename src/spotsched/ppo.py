@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nets import Adam, Mlp, clip_grad_norm, masked_log_softmax
+from .workflow import is_int
 
 _NORM_EPS = 1e-8
 
@@ -34,8 +35,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.episodes < 1 or self.entropy_weight < 0:
-            raise ValueError("episodes must be >= 1 and entropy_weight >= 0")
+        if not is_int(self.episodes) or self.episodes < 1:
+            raise ValueError(f"episodes must be an integer >= 1, got {self.episodes!r}")
+        if not 0 <= self.entropy_weight < np.inf:
+            raise ValueError(f"entropy_weight must be finite and >= 0, got {self.entropy_weight!r}")
+        if not is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 class RolloutBuffer:

@@ -164,6 +164,11 @@ def validate_dag(workflow: WorkflowSpec) -> None:
 # --- helpers shared by every module ----------------------------------------
 
 
+def is_int(value) -> bool:
+    """An int or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def seed_list(seed: int | Iterable[int]) -> list[int]:
     """A seed or seed sequence as a list of ints, ready to extend with a stream key."""
     if isinstance(seed, (int, np.integer)):

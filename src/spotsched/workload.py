@@ -14,17 +14,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .workflow import EdgeSpec, TaskSpec, WorkflowSpec, read_json, seed_list
+from .workflow import EdgeSpec, TaskSpec, WorkflowSpec, is_int, read_json, seed_list
 
 # Fork/join anchor tasks are deliberately near-free so they never compete
 # with map tasks for resources or dominate cost.
 ANCHOR_WORK = 0.1
 ANCHOR_CPU = 0.1
 ANCHOR_MEM = 0.1
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -46,10 +42,10 @@ class WorkloadConfig:
             object.__setattr__(self, "parallelism", tuple(int(p) for p in self.parallelism))
         object.__setattr__(self, "work_range", tuple(float(x) for x in self.work_range))
         object.__setattr__(self, "interarrival_range", tuple(float(x) for x in self.interarrival_range))
-        if not _is_int(self.count) or self.count < 1:
+        if not is_int(self.count) or self.count < 1:
             raise ConfigError(f"count must be an integer >= 1, got {self.count!r}")
-        seeds = (self.seed,) if _is_int(self.seed) else self.seed
-        if isinstance(seeds, str) or not isinstance(seeds, Sequence) or not all(map(_is_int, seeds)):
+        seeds = (self.seed,) if is_int(self.seed) else self.seed
+        if isinstance(seeds, str) or not isinstance(seeds, Sequence) or not all(map(is_int, seeds)):
             raise ConfigError(f"seed must be an integer or a sequence of integers, got {self.seed!r}")
         if not self.parallelism or any(p < 1 for p in self.parallelism):
             raise ConfigError("parallelism must be positive")

@@ -123,14 +123,18 @@ def test_feasibility_masks_batch_matches_rows():
     for cluster in (default_cluster(), small_cluster(), spot_free):
         layout = ActionSpaceLayout.from_cluster(cluster)
         fits = rng.random((40, len(cluster.nodes))) < 0.3
+        fits[0] = np.arange(len(cluster.nodes)) == 1  # a single live entry
         gmasks, nmasks = feasibility_masks(fits, layout)
         assert gmasks.shape == (40, 2)
         for b, fit in enumerate(fits):
             gmask, row_masks = feasibility_masks(fit, layout)
             assert np.array_equal(gmasks[b], gmask)
             assert all(np.array_equal(m[b], r) for m, r in zip(nmasks, row_masks))
-    # the spot-free cluster's empty group: one output, never feasible
+    # the spot-free cluster's empty group: one output, never feasible, in a
+    # batch as in a single row
     assert nmasks[1].shape == (40, 1) and not nmasks[1].any() and not gmasks[:, 1].any()
+    assert row_masks[1].shape == (1,) and not row_masks[1].any() and not gmask[1]
+    assert gmask.shape == (2,) and feasibility_masks(fits[0], layout)[0].tolist() == [True, False]
 
 
 def test_masks_and_baselines_match_engine_fit_over_episodes():
@@ -201,6 +205,22 @@ def test_greedy_act_skips_the_critic():
     assert node_id in obs.node_ids and choice.value is None
     with pytest.raises(FloatingPointError):
         agent.act(obs, np.random.default_rng(0))
+
+
+def test_sampled_act_calls_each_layer_once(monkeypatch):
+    # perfbench times acting through these names; one sampled decision makes
+    # one encode, one mask build and three forwards (group, node, critic)
+    import spotsched.agent as agent_mod
+    calls = {"encode": 0, "feasibility_masks": 0, "forward": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(agent_mod, name), **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(agent_mod, name, counted)
+    cluster = default_cluster()
+    obs = offer(cluster, [single()])
+    MultiActorAgent(cluster, seed=0).act(obs, np.random.default_rng(0))
+    assert calls == {"encode": 1, "feasibility_masks": 1, "forward": 3}
 
 
 def test_untrained_group_choice_is_near_even():

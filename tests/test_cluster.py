@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from spotsched.cluster import (
     DEAD_NODE_WAIT,
@@ -76,6 +77,35 @@ def test_estimated_wait():
     assert state.estimated_wait(now=1000.0) == 0.0  # clamped, never negative
     state.alive = False
     assert state.estimated_wait(now=25.0) == DEAD_NODE_WAIT
+
+
+def reference_wait(state, now):
+    """The wait as first written: every running task, clamped to [0, compute]."""
+    if not state.alive:
+        return DEAD_NODE_WAIT
+    rate = state.spec.rate
+    backlog = 0.0
+    for t in state.running.values():
+        elapsed = now - t.exec_start
+        remaining = t.compute - elapsed
+        backlog += min(max(remaining, 0.0), t.compute) * rate
+    return backlog / rate
+
+
+@given(rate=st.sampled_from([3.0, 2.0, 0.7]),
+       tasks=st.lists(st.tuples(st.floats(0.1, 500.0), st.floats(0.0, 1000.0)), max_size=6),
+       ahead=st.one_of(st.just(0.0), st.floats(0.0, 2000.0)),
+       alive=st.booleans())
+def test_estimated_wait_equals_the_clamped_formula(rate, tasks, ahead, alive):
+    # compute is work / rate as placement makes it: at rate 3 times are not
+    # binary-exact. `now` is at or after every exec_start, as in the simulator:
+    # ahead 0 puts it on the latest start, large ahead past every finish.
+    state = NodeState(spec=node(rate=rate))
+    for i, (work, start) in enumerate(tasks):
+        state.add(RunningTask("w", f"t{i}", 0.1, 0.1, compute=work / rate, exec_start=start))
+    now = max((start for _, start in tasks), default=0.0) + ahead
+    state.alive = alive
+    assert state.estimated_wait(now).hex() == reference_wait(state, now).hex()
 
 
 def test_sample_next_interruption_edge_rates():

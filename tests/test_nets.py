@@ -61,6 +61,8 @@ def test_masked_log_softmax_batch_equals_rows():
     logits = rng.normal(size=(40, 11)) * 5.0
     mask = rng.random((40, 11)) < 0.5
     mask[np.arange(40), rng.integers(11, size=40)] = True
+    mask[0] = np.arange(11) == 4  # a single live entry
+    logits[1] = np.where(np.arange(11) % 2, 1000.0, -1000.0)  # extreme logits
     batch = masked_log_softmax(logits, mask)
     rows = np.array([masked_log_softmax(z, m) for z, m in zip(logits, mask)])
     assert np.array_equal(batch, rows)
@@ -78,6 +80,8 @@ def test_masked_softmax_batch_equals_rows():
     logits = rng.normal(size=(40, 11)) * 5.0
     mask = rng.random((40, 11)) < 0.5
     mask[np.arange(40), rng.integers(11, size=40)] = True
+    mask[0] = np.arange(11) == 4  # a single live entry
+    logits[1] = np.where(np.arange(11) % 2, 1000.0, -1000.0)  # extreme logits
     batch = masked_softmax(logits, mask)
     rows = np.array([masked_softmax(z, m) for z, m in zip(logits, mask)])
     assert np.array_equal(batch, rows)

@@ -1,4 +1,5 @@
 """Returns, advantages, and the clipped-surrogate update."""
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -32,9 +33,18 @@ def test_train_config_defaults():
 
 
 def test_train_config_validation():
-    for bad in (dict(episodes=0), dict(entropy_weight=-1)):
-        with pytest.raises(ValueError):
-            TrainConfig(**bad)
+    # each bad value fails at construction, naming its field, not deep in training
+    for field, value in [("episodes", 0), ("episodes", 2.5), ("episodes", True), ("episodes", "3"),
+                         ("entropy_weight", -1), ("entropy_weight", math.nan),
+                         ("entropy_weight", math.inf), ("seed", 1.0), ("seed", True),
+                         ("seed", "1"), ("seed", (1, 2))]:
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_numpy_integers():
+    cfg = TrainConfig(episodes=np.int64(2), seed=np.int32(7), entropy_weight=0)
+    assert (cfg.episodes, cfg.seed, cfg.entropy_weight) == (2, 7, 0)
 
 
 def test_discounted_returns_hand_case():
