@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Mapping
 
@@ -102,6 +103,10 @@ class RunningTask:
     exec_start: float
 
 
+_cpu_req = attrgetter("cpu_req")
+_mem_req = attrgetter("mem_req")
+
+
 @dataclass
 class NodeState:
     """Mutable per-node simulator state.
@@ -122,8 +127,9 @@ class NodeState:
         self._resum()
 
     def _resum(self) -> None:
-        self.cpu_free = self.spec.cpu - sum(t.cpu_req for t in self.running.values())
-        self.mem_free = self.spec.mem_gb - sum(t.mem_req for t in self.running.values())
+        running = self.running.values()
+        self.cpu_free = self.spec.cpu - sum(map(_cpu_req, running))
+        self.mem_free = self.spec.mem_gb - sum(map(_mem_req, running))
 
     def add(self, task: RunningTask) -> None:
         self.running[(task.workflow_id, task.task_id)] = task
@@ -141,8 +147,9 @@ class NodeState:
     def can_fit(self, task: TaskSpec) -> bool:
         """True when the node is up and has the free cpu and memory for the task.
 
-        The one fit rule: the simulator offers and places by it, and each
-        observation carries it per node as `fit` for the schedulers.
+        The one fit rule: the simulator places by it, offers by its results
+        (cached per task shape, re-read for a node whenever that node
+        changes), and each observation carries it per node as `fit`.
         """
         return (
             self.alive

@@ -48,7 +48,7 @@ TIMEOUT = "timeout"
 _KIND_PRIORITY = {FINISH: 0, REVIVE: 1, INTERRUPT: 2, ARRIVAL: 3, TIMEOUT: 4}
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Observation:
     """One pending task plus the cluster as the scheduler may see it.
 
@@ -136,6 +136,7 @@ class SimEnv:
             validate_dag(wf)
         self.cluster = cluster
         self._node_ids = tuple(n.id for n in cluster.nodes)
+        self._index = {node_id: i for i, node_id in enumerate(self._node_ids)}
         self._unit_cost = np.array([n.unit_cost for n in cluster.nodes])
         self._unit_cost.flags.writeable = False
         self.workload = tuple(workload)
@@ -153,10 +154,16 @@ class SimEnv:
         # Queued tasks of unresolved workflows, one sorted list per task
         # shape (cpu_req, mem_req): fit depends on nothing else.
         self._queue: dict[tuple[float, float], list[tuple[float, str, str]]] = {}
+        # Per shape ever queued: one task of it and its can_fit row; with the
+        # per-node lists below, _refresh re-reads a node after each change.
+        self._fits: dict[tuple[float, float], tuple[TaskSpec, list[bool]]] = {}
         self._offered: tuple[str, str] | None = None
         self._total_cost = 0.0
         self._done = False
         self.nodes = {n.id: NodeState(spec=n) for n in self.cluster.nodes}
+        self._cpu_free = [n.cpu_free for n in self.nodes.values()]
+        self._mem_free = [n.mem_free for n in self.nodes.values()]
+        self._alive = [n.alive for n in self.nodes.values()]
         self.runs = {wf.id: _Run(wf) for wf in self.workload}
         self._unresolved = len(self.runs)
         for wf in self.workload:
@@ -251,6 +258,7 @@ class SimEnv:
             compute=compute,
             exec_start=self.now,
         ))
+        self._refresh(spec.id)
         self._total_cost += timing.cost
         self._push(timing.finish, FINISH, (spec.id, run.spec.id, task.id))
         return timing.cost
@@ -281,16 +289,13 @@ class SimEnv:
         """First queued task, in (ready, workflow, task) order, that fits somewhere.
 
         Tasks of one shape fit the same nodes, so it is the earliest shape
-        head that fits: O(shapes x nodes), whatever the queue's length.
+        head whose cached fit row has a True: shapes list reads, whatever
+        the queue's length.
         """
-        nodes = self.nodes.values()
         best = None
-        for entries in self._queue.values():
-            if entries and (best is None or entries[0] < best):
-                _ready, wf_id, task_id = entries[0]
-                task = self.runs[wf_id].tasks[task_id]
-                if any(n.can_fit(task) for n in nodes):
-                    best = entries[0]
+        for shape, entries in self._queue.items():
+            if entries and (best is None or entries[0] < best) and any(self._fits[shape][1]):
+                best = entries[0]
         return None if best is None else best[1:]
 
     def _observe(self, offer: tuple[str, str]) -> Observation:
@@ -310,11 +315,11 @@ class SimEnv:
             task=task,
             node_ids=self._node_ids,
             unit_cost=self._unit_cost,
-            cpu_free=np.array([n.cpu_free for n in nodes]),
-            mem_free=np.array([n.mem_free for n in nodes]),
+            cpu_free=np.array(self._cpu_free),
+            mem_free=np.array(self._mem_free),
             compute_wait=compute_wait,
-            alive=np.array([n.alive for n in nodes]),
-            fit=np.array([n.can_fit(task) for n in nodes]),
+            alive=np.array(self._alive),
+            fit=np.array(self._fits[task.cpu_req, task.mem_req][1]),
         )
 
     def _process(self, time: float, _prio: int, _seq: int, kind: str, payload: tuple) -> None:
@@ -353,6 +358,7 @@ class SimEnv:
         if run.outcome is not None:
             return  # the workflow failed, which cancelled the task
         self.nodes[node_id].remove(wf_id, task_id)
+        self._refresh(node_id)
         run.completed.add(task_id)
         if len(run.completed) == len(run.tasks):
             self._resolve(run, Outcome.COMPLETED)
@@ -365,6 +371,7 @@ class SimEnv:
     def _on_interrupt(self, node_id: str) -> None:
         node = self.nodes[node_id]
         killed = apply_interruption(node, self.now, self.cluster.interruption_downtime_s)
+        self._refresh(node_id)
         revive_at = node.down_until
         self._push(revive_at, REVIVE, (node_id,))
         gap = sample_next_interruption(
@@ -381,6 +388,7 @@ class SimEnv:
         node = self.nodes[node_id]
         node.alive = True
         node.down_until = 0.0
+        self._refresh(node_id)
 
     def _on_timeout(self, wf_id: str) -> None:
         run = self.runs[wf_id]
@@ -397,6 +405,7 @@ class SimEnv:
         for task_id, node_id in run.node_of.items():
             if task_id not in run.completed:
                 self.nodes[node_id].remove(run.spec.id, task_id)
+                self._refresh(node_id)
         for entries in self._queue.values():
             entries[:] = [e for e in entries if e[1] != run.spec.id]
         self._resolve(run, outcome)
@@ -409,8 +418,19 @@ class SimEnv:
         """Queue a task whose predecessors all completed; insort keeps FIFO order."""
         run.ready_time[task_id] = self.now
         task = run.tasks[task_id]
-        entries = self._queue.setdefault((task.cpu_req, task.mem_req), [])
-        bisect.insort(entries, (self.now, run.spec.id, task_id))
+        shape = (task.cpu_req, task.mem_req)
+        if shape not in self._fits:
+            self._fits[shape] = (task, [n.can_fit(task) for n in self.nodes.values()])
+        bisect.insort(self._queue.setdefault(shape, []), (self.now, run.spec.id, task_id))
+
+    def _refresh(self, node_id: str) -> None:
+        """Re-read a node's free figures, liveness and fit per shape after it changed."""
+        i, node = self._index[node_id], self.nodes[node_id]
+        self._cpu_free[i] = node.cpu_free
+        self._mem_free[i] = node.mem_free
+        self._alive[i] = node.alive
+        for task, row in self._fits.values():
+            row[i] = node.can_fit(task)
 
 
 def run_episode(

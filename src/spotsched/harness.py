@@ -134,6 +134,9 @@ def compare(schedulers: Sequence[str], cluster: ClusterSpec, source: WorkloadSou
     for name in schedulers:
         if name not in SCHEDULER_NAMES:
             raise ConfigError(f"unknown scheduler {name!r}; expected one of {SCHEDULER_NAMES}")
+    dupes = duplicates(schedulers)
+    if dupes:
+        raise ConfigError(f"duplicate schedulers {dupes}")
     rows: list[MetricsRow] = []
     summaries: list[SchedulerSummary] = []
     for name in schedulers:

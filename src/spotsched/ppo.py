@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nets import Adam, Mlp, clip_grad_norm, masked_log_softmax
-from .workflow import is_int
+from .workflow import is_int, is_real
 
 _NORM_EPS = 1e-8
 
@@ -37,8 +37,8 @@ class TrainConfig:
     def __post_init__(self):
         if not is_int(self.episodes) or self.episodes < 1:
             raise ValueError(f"episodes must be an integer >= 1, got {self.episodes!r}")
-        if not 0 <= self.entropy_weight < np.inf:
-            raise ValueError(f"entropy_weight must be finite and >= 0, got {self.entropy_weight!r}")
+        if not is_real(self.entropy_weight) or not 0 <= self.entropy_weight < np.inf:
+            raise ValueError(f"entropy_weight must be a finite number >= 0, got {self.entropy_weight!r}")
         if not is_int(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
 

@@ -169,6 +169,11 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """An int, float or numpy real scalar, and not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def seed_list(seed: int | Iterable[int]) -> list[int]:
     """A seed or seed sequence as a list of ints, ready to extend with a stream key."""
     if isinstance(seed, (int, np.integer)):

@@ -14,13 +14,21 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .workflow import EdgeSpec, TaskSpec, WorkflowSpec, is_int, read_json, seed_list
+from .workflow import EdgeSpec, TaskSpec, WorkflowSpec, is_int, is_real, read_json, seed_list
 
 # Fork/join anchor tasks are deliberately near-free so they never compete
 # with map tasks for resources or dominate cost.
 ANCHOR_WORK = 0.1
 ANCHOR_CPU = 0.1
 ANCHOR_MEM = 0.1
+
+
+def _ints(value, name: str) -> tuple[int, ...]:
+    """An integer or a sequence of integers as a tuple; a string or a bool is neither."""
+    values = (value,) if is_int(value) else value
+    if isinstance(values, str) or not isinstance(values, Sequence) or not all(map(is_int, values)):
+        raise ConfigError(f"{name} must be an integer or a sequence of integers, got {value!r}")
+    return tuple(int(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -36,17 +44,15 @@ class WorkloadConfig:
     seed: int | tuple[int, ...] = 0
 
     def __post_init__(self):
-        if isinstance(self.parallelism, (int, np.integer)):
-            object.__setattr__(self, "parallelism", (int(self.parallelism),))
-        else:
-            object.__setattr__(self, "parallelism", tuple(int(p) for p in self.parallelism))
+        object.__setattr__(self, "parallelism", _ints(self.parallelism, "parallelism"))
         object.__setattr__(self, "work_range", tuple(float(x) for x in self.work_range))
         object.__setattr__(self, "interarrival_range", tuple(float(x) for x in self.interarrival_range))
         if not is_int(self.count) or self.count < 1:
             raise ConfigError(f"count must be an integer >= 1, got {self.count!r}")
-        seeds = (self.seed,) if is_int(self.seed) else self.seed
-        if isinstance(seeds, str) or not isinstance(seeds, Sequence) or not all(map(is_int, seeds)):
-            raise ConfigError(f"seed must be an integer or a sequence of integers, got {self.seed!r}")
+        _ints(self.seed, "seed")
+        for name in ("data_mb", "cpu_req", "mem_req", "timeout"):
+            if not is_real(getattr(self, name)):
+                raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not self.parallelism or any(p < 1 for p in self.parallelism):
             raise ConfigError("parallelism must be positive")
         for name, (lo, hi) in (("work_range", self.work_range),

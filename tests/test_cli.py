@@ -120,6 +120,14 @@ def test_compare_unknown_scheduler(tmp_path):
     assert "unknown scheduler" in result.output
 
 
+def test_compare_duplicate_scheduler(tmp_path):
+    out = tmp_path / "x"
+    result = invoke(["compare", "--schedulers", "random,random", "--seeds", "1", "--out", str(out)])
+    assert result.exit_code == 1
+    assert "duplicate schedulers" in result.output
+    assert not out.exists()
+
+
 def test_compare_bad_seeds(tmp_path):
     result = invoke(["compare", "--seeds", "1,x", "--out", str(tmp_path / "x")])
     assert result.exit_code == 2

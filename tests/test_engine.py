@@ -509,6 +509,15 @@ def test_random_episodes_keep_the_engine_invariants(episode, seed):
             assert node.cpu_free == node.spec.cpu - sum(t.cpu_req for t in node.running.values())
             assert node.mem_free == node.spec.mem_gb - sum(t.mem_req for t in node.running.values())
             assert node.cpu_free >= -EPS and node.mem_free >= -EPS
+        # the per-node lists and every shape's fit row equal fresh reads
+        nodes = list(env.nodes.values())
+        assert env._cpu_free == [n.cpu_free for n in nodes]
+        assert env._mem_free == [n.mem_free for n in nodes]
+        assert env._alive == [n.alive for n in nodes]
+        assert set(env._fits) == set(env._queue)
+        for shape, (task, row) in env._fits.items():
+            assert shape == (task.cpu_req, task.mem_req)
+            assert row == [n.can_fit(task) for n in nodes]
         for (cpu, mem), queue in env._queue.items():
             assert queue == sorted(queue)
             assert all(env.runs[w].tasks[t].cpu_req == cpu and env.runs[w].tasks[t].mem_req == mem

@@ -117,6 +117,12 @@ def test_compare_orders_by_cost_and_validates():
         evaluate_rows("agent", cluster, WorkloadConfig(count=1), [1])  # no checkpoint
 
 
+def test_compare_rejects_duplicate_schedulers():
+    # one scheduler named twice would write its rows and its summary twice
+    with pytest.raises(ConfigError, match=r"duplicate schedulers \['random'\]"):
+        compare(["random", "on-demand", "random"], tiny_cluster(), WorkloadConfig(count=1), [1])
+
+
 def test_compare_rejects_empty_fixed_workload():
     with pytest.raises(ConfigError, match="at least one workflow"):
         compare(["random"], tiny_cluster(), [], [1])

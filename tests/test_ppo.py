@@ -36,7 +36,9 @@ def test_train_config_validation():
     # each bad value fails at construction, naming its field, not deep in training
     for field, value in [("episodes", 0), ("episodes", 2.5), ("episodes", True), ("episodes", "3"),
                          ("entropy_weight", -1), ("entropy_weight", math.nan),
-                         ("entropy_weight", math.inf), ("seed", 1.0), ("seed", True),
+                         ("entropy_weight", math.inf), ("entropy_weight", "0.1"),
+                         ("entropy_weight", None), ("entropy_weight", True),
+                         ("seed", 1.0), ("seed", True),
                          ("seed", "1"), ("seed", (1, 2))]:
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})

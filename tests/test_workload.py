@@ -117,15 +117,22 @@ def test_config_file_round_trip(tmp_path):
 @pytest.mark.parametrize("doc", [
     {"count": "x"}, {"parallelism": ["a"]}, {"work_range": [1.0]}, {"timeout": None},
     {"count": 2.5}, {"count": True}, {"seed": "x"}, {"seed": 1.5}, {"seed": [1, "x"]},
-    {"seed": [True]}, {"seed": None},
+    {"seed": [True]}, {"seed": None}, {"parallelism": "48"}, {"parallelism": [2.5, 4]},
+    {"parallelism": True}, {"parallelism": [4, True]}, {"timeout": True}, {"cpu": True},
+    {"mem_gb": False}, {"data_mb": True}, {"timeout": "60"},
 ], ids=["count-str", "parallelism-str", "work-range-short", "timeout-null",
         "count-float", "count-bool", "seed-str", "seed-float", "seed-list-str",
-        "seed-list-bool", "seed-null"])
+        "seed-list-bool", "seed-null", "parallelism-digits", "parallelism-float",
+        "parallelism-bool", "parallelism-list-bool", "timeout-bool", "cpu-bool",
+        "mem-bool", "data-mb-bool", "timeout-str"])
 def test_config_dict_bad_values_are_config_errors(doc):
+    # each bad value is refused, naming its field, rather than coerced
     with pytest.raises(ConfigError, match="^workload config: ") as info:
         config_from_dict(doc)
-    if "count" in doc or "seed" in doc:
-        assert next(iter(doc)) in str(info.value)
+    key = next(iter(doc))
+    field = {"cpu": "cpu_req", "mem_gb": "mem_req"}.get(key, key)
+    if key != "work_range":
+        assert field in str(info.value)
 
 
 def test_config_file_rejects_unknown_and_bad_json(tmp_path):
