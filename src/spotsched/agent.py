@@ -22,7 +22,7 @@ from .errors import ConfigError, LayoutMismatchError
 from .nets import Adam, Mlp, forward
 from .ppo import (EPOCHS, LEARNING_RATE, MINIBATCH_SIZE, RolloutBuffer, TrainConfig, actor_step,
                   critic_step)
-from .workflow import WorkflowSpec, check_fields, is_real, read_json, seed_list
+from .workflow import WorkflowSpec, check_fields, read_json, seed_list
 
 GROUP_ORDER = (ON_DEMAND, SPOT)
 HIDDEN_SIZES = (64, 64)
@@ -71,7 +71,8 @@ class ScalingConstants:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (is_real(value) and 0 < value < math.inf):
+            numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (numeric and 0 < value < math.inf):
                 raise ValueError(f"{f.name} must be a finite number > 0, got {value!r}")
 
     @cached_property

@@ -154,8 +154,8 @@ class SimEnv:
         # Queued tasks of unresolved workflows, one sorted list per task
         # shape (cpu_req, mem_req): fit depends on nothing else.
         self._queue: dict[tuple[float, float], list[tuple[float, str, str]]] = {}
-        # Per shape ever queued: one task of it and its can_fit row; with the
-        # per-node lists below, _refresh re-reads a node after each change.
+        # Per shape with queued tasks: one task of it and its can_fit row; with
+        # the per-node lists below, _refresh re-reads a node after each change.
         self._fits: dict[tuple[float, float], tuple[TaskSpec, list[bool]]] = {}
         self._offered: tuple[str, str] | None = None
         self._total_cost = 0.0
@@ -196,7 +196,10 @@ class SimEnv:
             raise InvalidActionError(f"task {task_id!r} does not fit on node {node_id!r}")
 
         self._offered = None  # the state changes from here on
-        self._queue[task.cpu_req, task.mem_req].remove((run.ready_time[task_id], wf_id, task_id))
+        shape = (task.cpu_req, task.mem_req)
+        self._queue[shape].remove((run.ready_time[task_id], wf_id, task_id))
+        if not self._queue[shape]:
+            del self._fits[shape]
         reward = -self._place(run, task, node)
         obs = self._advance()
         return obs, reward, self._done
@@ -289,13 +292,14 @@ class SimEnv:
         """First queued task, in (ready, workflow, task) order, that fits somewhere.
 
         Tasks of one shape fit the same nodes, so it is the earliest shape
-        head whose cached fit row has a True: shapes list reads, whatever
-        the queue's length.
+        head whose cached fit row has a True: one list read per shape with
+        queued tasks, whatever the queue's length.
         """
         best = None
-        for shape, entries in self._queue.items():
-            if entries and (best is None or entries[0] < best) and any(self._fits[shape][1]):
-                best = entries[0]
+        for shape, (_task, row) in self._fits.items():
+            head = self._queue[shape][0]
+            if (best is None or head < best) and any(row):
+                best = head
         return None if best is None else best[1:]
 
     def _observe(self, offer: tuple[str, str]) -> Observation:
@@ -406,8 +410,10 @@ class SimEnv:
             if task_id not in run.completed:
                 self.nodes[node_id].remove(run.spec.id, task_id)
                 self._refresh(node_id)
-        for entries in self._queue.values():
+        for shape, entries in self._queue.items():
             entries[:] = [e for e in entries if e[1] != run.spec.id]
+            if not entries:
+                self._fits.pop(shape, None)
         self._resolve(run, outcome)
 
     def _resolve(self, run: _Run, outcome: Outcome) -> None:
@@ -419,7 +425,7 @@ class SimEnv:
         run.ready_time[task_id] = self.now
         task = run.tasks[task_id]
         shape = (task.cpu_req, task.mem_req)
-        if shape not in self._fits:
+        if shape not in self._fits:  # the shape's queue was empty, so its row is built afresh
             self._fits[shape] = (task, [n.can_fit(task) for n in self.nodes.values()])
         bisect.insort(self._queue.setdefault(shape, []), (self.now, run.spec.id, task_id))
 

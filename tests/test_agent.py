@@ -72,6 +72,12 @@ def test_scaling_constants_from_cluster():
     assert ScalingConstants.from_cluster(spot_only).cost_norm == pytest.approx(0.36 / 3600)
 
 
+def test_scaling_constants_refuse_numpy_scalars():
+    """save_checkpoint writes the constants with json, which cannot write a numpy scalar."""
+    with pytest.raises(ValueError, match="cpu_norm"):
+        ScalingConstants(cpu_norm=np.float32(8.0), mem_norm=32.0, cost_norm=1e-4, wait_norm=100.0)
+
+
 def test_encode_layout():
     cluster = default_cluster()
     obs = offer(cluster, [single(cpu=1.0, mem=2.0, work=100.0)])

@@ -514,7 +514,7 @@ def test_random_episodes_keep_the_engine_invariants(episode, seed):
         assert env._cpu_free == [n.cpu_free for n in nodes]
         assert env._mem_free == [n.mem_free for n in nodes]
         assert env._alive == [n.alive for n in nodes]
-        assert set(env._fits) == set(env._queue)
+        assert set(env._fits) == {shape for shape, queue in env._queue.items() if queue}
         for shape, (task, row) in env._fits.items():
             assert shape == (task.cpu_req, task.mem_req)
             assert row == [n.can_fit(task) for n in nodes]
