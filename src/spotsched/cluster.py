@@ -28,6 +28,9 @@ EPS = 1e-9
 # estimated_wait() sentinel for nodes that are down.
 DEAD_NODE_WAIT = 1e9
 
+# NodeState._resum's field reads: a C-level getter sums faster than a generator.
+_cpu_req, _mem_req = attrgetter("cpu_req"), attrgetter("mem_req")
+
 
 @dataclass(frozen=True)
 class NodeSpec:
@@ -101,10 +104,6 @@ class RunningTask:
     mem_req: float
     compute: float
     exec_start: float
-
-
-_cpu_req = attrgetter("cpu_req")
-_mem_req = attrgetter("mem_req")
 
 
 @dataclass

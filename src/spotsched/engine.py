@@ -292,8 +292,7 @@ class SimEnv:
         """First queued task, in (ready, workflow, task) order, that fits somewhere.
 
         Tasks of one shape fit the same nodes, so it is the earliest shape
-        head whose cached fit row has a True: one list read per shape with
-        queued tasks, whatever the queue's length.
+        head whose cached fit row has a True: one list read per queued shape.
         """
         best = None
         for shape, (_task, row) in self._fits.items():
@@ -410,10 +409,9 @@ class SimEnv:
             if task_id not in run.completed:
                 self.nodes[node_id].remove(run.spec.id, task_id)
                 self._refresh(node_id)
-        for shape, entries in self._queue.items():
+        for entries in self._queue.values():
             entries[:] = [e for e in entries if e[1] != run.spec.id]
-            if not entries:
-                self._fits.pop(shape, None)
+        self._fits = {shape: fits for shape, fits in self._fits.items() if self._queue[shape]}
         self._resolve(run, outcome)
 
     def _resolve(self, run: _Run, outcome: Outcome) -> None:
