@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError
-from .workflow import TaskSpec, check_fields, duplicates, read_json
+from .workflow import TaskSpec, as_real, check_fields, duplicates, read_json
 
 SPOT = "spot"
 ON_DEMAND = "on_demand"
@@ -275,18 +275,15 @@ def cluster_from_dict(doc: Mapping) -> ClusterSpec:
         for i, n in enumerate(doc["nodes"]):
             where = f"cluster node[{i}]"
             check_fields(n, _NODE_FIELDS, where)
-            nodes.append(NodeSpec(
-                id=str(n["id"]), flavor=str(n["flavor"]), cpu=float(n["cpu"]),
-                mem_gb=float(n["mem_gb"]), rate=float(n["rate"]),
-                pricing_class=str(n["class"]), price_per_hour=float(n["price_per_hour"]),
-            ))
+            cpu, mem, rate, price = (as_real(n[k], k)
+                                     for k in ("cpu", "mem_gb", "rate", "price_per_hour"))
+            nodes.append(NodeSpec(id=str(n["id"]), flavor=str(n["flavor"]), cpu=cpu, mem_gb=mem,
+                                  rate=rate, pricing_class=str(n["class"]), price_per_hour=price))
         where = "cluster"
-        return ClusterSpec(
-            nodes=tuple(nodes),
-            bandwidth_mbps=float(doc["bandwidth_mbps"]),
-            interruption_rate_per_hour=float(doc["interruption_rate_per_hour"]),
-            interruption_downtime_s=float(doc["interruption_downtime_s"]),
-        )
+        bandwidth, rate, downtime = (as_real(doc[k], k) for k in (
+            "bandwidth_mbps", "interruption_rate_per_hour", "interruption_downtime_s"))
+        return ClusterSpec(nodes=tuple(nodes), bandwidth_mbps=bandwidth,
+                           interruption_rate_per_hour=rate, interruption_downtime_s=downtime)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 

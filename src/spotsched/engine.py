@@ -33,7 +33,6 @@ from .workflow import (
     WorkflowStats,
     duplicates,
     seed_list,
-    validate_dag,
     workflow_stats,
 )
 
@@ -92,17 +91,12 @@ class EpisodeStats:
 
 
 class _Run:
-    """Mutable per-workflow bookkeeping."""
+    """Mutable per-workflow bookkeeping; the graph tables are the spec's."""
 
     def __init__(self, spec: WorkflowSpec):
         self.spec = spec
-        self.tasks = spec.task_map()
-        self.preds = spec.predecessors()
-        # Per task: unfinished predecessors and successors, one per edge.
-        self.waiting = {tid: len(edges) for tid, edges in self.preds.items()}
-        self.successors: dict[str, list[str]] = {tid: [] for tid in self.tasks}
-        for e in spec.edges:
-            self.successors[e.src].append(e.dst)
+        # Per task: predecessors not yet completed, one per edge.
+        self.waiting = {tid: len(edges) for tid, edges in spec.preds.items()}
         self.completed: set[str] = set()
         self.ready_time: dict[str, float] = {}
         self.node_of: dict[str, str] = {}
@@ -132,8 +126,6 @@ class SimEnv:
         dupes = duplicates(wf.id for wf in workload)
         if dupes:
             raise ConfigError(f"duplicate workflow ids {dupes}")
-        for wf in workload:
-            validate_dag(wf)
         self.cluster = cluster
         self._node_ids = tuple(n.id for n in cluster.nodes)
         self._index = {node_id: i for i, node_id in enumerate(self._node_ids)}
@@ -151,10 +143,10 @@ class SimEnv:
         self.now = 0.0
         self._heap: list = []
         self._seq = 0
-        # Queued tasks of unresolved workflows, one sorted list per task
-        # shape (cpu_req, mem_req): fit depends on nothing else.
+        # Queued tasks of unresolved workflows, one non-empty sorted list per
+        # task shape (cpu_req, mem_req): fit depends on nothing else.
         self._queue: dict[tuple[float, float], list[tuple[float, str, str]]] = {}
-        # Per shape with queued tasks: one task of it and its can_fit row; with
+        # Per shape in _queue, same keys: one task of it and its can_fit row; with
         # the per-node lists below, _refresh re-reads a node after each change.
         self._fits: dict[tuple[float, float], tuple[TaskSpec, list[bool]]] = {}
         self._offered: tuple[str, str] | None = None
@@ -186,7 +178,7 @@ class SimEnv:
             raise InvalidActionError("no pending task to place")
         wf_id, task_id = self._offered
         run = self.runs[wf_id]
-        task = run.tasks[task_id]
+        task = run.spec.task_map[task_id]
         node = self.nodes.get(node_id)
         if node is None:
             raise InvalidActionError(f"unknown node {node_id!r}")
@@ -199,7 +191,7 @@ class SimEnv:
         shape = (task.cpu_req, task.mem_req)
         self._queue[shape].remove((run.ready_time[task_id], wf_id, task_id))
         if not self._queue[shape]:
-            del self._fits[shape]
+            del self._queue[shape], self._fits[shape]
         reward = -self._place(run, task, node)
         obs = self._advance()
         return obs, reward, self._done
@@ -245,7 +237,7 @@ class SimEnv:
         bandwidth = self.cluster.bandwidth_mbps
         compute = task.work / spec.rate
         max_transfer = max((0.0 if run.node_of[e.src] == spec.id else e.data_mb / bandwidth
-                            for e in run.preds[task.id]), default=0.0)
+                            for e in run.spec.preds[task.id]), default=0.0)
         start = run.ready_time[task.id]
         wait = self.now - start
         delay = compute + wait + max_transfer
@@ -303,7 +295,7 @@ class SimEnv:
 
     def _observe(self, offer: tuple[str, str]) -> Observation:
         wf_id, task_id = offer
-        task = self.runs[wf_id].tasks[task_id]
+        task = self.runs[wf_id].spec.task_map[task_id]
         nodes = self.nodes.values()
 
         def compute_wait() -> np.ndarray:
@@ -349,7 +341,7 @@ class SimEnv:
 
     def _on_arrival(self, wf_id: str) -> None:
         run = self.runs[wf_id]
-        if not run.tasks:
+        if not run.spec.tasks:
             self._resolve(run, Outcome.COMPLETED)
             return
         for task_id, waiting in run.waiting.items():
@@ -363,10 +355,10 @@ class SimEnv:
         self.nodes[node_id].remove(wf_id, task_id)
         self._refresh(node_id)
         run.completed.add(task_id)
-        if len(run.completed) == len(run.tasks):
+        if len(run.completed) == len(run.spec.tasks):
             self._resolve(run, Outcome.COMPLETED)
             return
-        for succ in run.successors[task_id]:
+        for succ in run.spec.succs[task_id]:
             run.waiting[succ] -= 1
             if not run.waiting[succ]:
                 self._enqueue(run, succ)
@@ -409,9 +401,9 @@ class SimEnv:
             if task_id not in run.completed:
                 self.nodes[node_id].remove(run.spec.id, task_id)
                 self._refresh(node_id)
-        for entries in self._queue.values():
-            entries[:] = [e for e in entries if e[1] != run.spec.id]
-        self._fits = {shape: fits for shape, fits in self._fits.items() if self._queue[shape]}
+        self._queue = {shape: kept for shape, entries in self._queue.items()
+                       if (kept := [e for e in entries if e[1] != run.spec.id])}
+        self._fits = {shape: self._fits[shape] for shape in self._queue}
         self._resolve(run, outcome)
 
     def _resolve(self, run: _Run, outcome: Outcome) -> None:
@@ -421,7 +413,7 @@ class SimEnv:
     def _enqueue(self, run: _Run, task_id: str) -> None:
         """Queue a task whose predecessors all completed; insort keeps FIFO order."""
         run.ready_time[task_id] = self.now
-        task = run.tasks[task_id]
+        task = run.spec.task_map[task_id]
         shape = (task.cpu_req, task.mem_req)
         if shape not in self._fits:  # the shape's queue was empty, so its row is built afresh
             self._fits[shape] = (task, [n.can_fit(task) for n in self.nodes.values()])

@@ -11,7 +11,7 @@ import enum
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -65,8 +65,12 @@ class EdgeSpec:
 class WorkflowSpec:
     """A DAG of tasks submitted at arrival_time with a completion deadline.
 
-    Construction only checks scalar fields; call validate_dag() for the
-    structural checks so invalid graphs can still be built and inspected.
+    Construction checks the scalar fields, then the graph: unique task ids,
+    edge endpoints that name tasks, and no cycle. The same pass builds
+    `task_map` (task by id), `preds` (incoming edges per task, in task
+    order) and `succs` (successor ids per task, one per edge). Every episode
+    over the spec shares these tables, so they are read-only; they take no
+    part in ==, hash or repr.
     """
 
     id: str
@@ -74,6 +78,9 @@ class WorkflowSpec:
     edges: tuple[EdgeSpec, ...]
     arrival_time: float = 0.0
     timeout: float = 3600.0
+    task_map: dict[str, TaskSpec] = field(init=False, repr=False, compare=False)
+    preds: dict[str, list[EdgeSpec]] = field(init=False, repr=False, compare=False)
+    succs: dict[str, list[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "tasks", tuple(self.tasks))
@@ -82,16 +89,40 @@ class WorkflowSpec:
             raise ValueError(f"workflow {self.id!r}: timeout must be finite and > 0")
         if not 0 <= self.arrival_time < math.inf:
             raise ValueError(f"workflow {self.id!r}: arrival_time must be finite and >= 0")
-
-    def task_map(self) -> dict[str, TaskSpec]:
-        return {t.id: t for t in self.tasks}
-
-    def predecessors(self) -> dict[str, list[EdgeSpec]]:
-        """Incoming edges per task id (tasks without predecessors included)."""
-        preds: dict[str, list[EdgeSpec]] = {t.id: [] for t in self.tasks}
+        task_map = {t.id: t for t in self.tasks}
+        if len(task_map) < len(self.tasks):
+            dupes = duplicates(t.id for t in self.tasks)
+            raise DagReferenceError(f"workflow {self.id!r}: duplicate task ids {dupes}")
+        preds: dict[str, list[EdgeSpec]] = {tid: [] for tid in task_map}
+        succs: dict[str, list[str]] = {tid: [] for tid in task_map}
         for e in self.edges:
+            for endpoint in (e.src, e.dst):
+                if endpoint not in task_map:
+                    raise DagReferenceError(
+                        f"workflow {self.id!r}: edge {e.src!r}->{e.dst!r} "
+                        f"references unknown task {endpoint!r}"
+                    )
             preds[e.dst].append(e)
-        return preds
+            succs[e.src].append(e.dst)
+        # Kahn's algorithm. Each task it never frees has a predecessor it never
+        # frees, so walking back through those repeats a task on a cycle.
+        waiting = {tid: len(edges) for tid, edges in preds.items()}
+        freed = [tid for tid, n in waiting.items() if not n]
+        for tid in freed:
+            for nxt in succs[tid]:
+                waiting[nxt] -= 1
+                if not waiting[nxt]:
+                    freed.append(nxt)
+        if len(freed) < len(task_map):
+            tid, seen = next(t for t, n in waiting.items() if n), set()
+            while tid not in seen:
+                seen.add(tid)
+                edge = next(e for e in preds[tid] if waiting[e.src])
+                tid = edge.src
+            raise DagCycleError((edge.src, edge.dst))
+        object.__setattr__(self, "task_map", task_map)
+        object.__setattr__(self, "preds", preds)
+        object.__setattr__(self, "succs", succs)
 
 
 @dataclass(frozen=True)
@@ -125,42 +156,6 @@ def workflow_stats(timings: Mapping[str, TaskTiming], outcome: Outcome) -> Workf
     return WorkflowStats(makespan=makespan, cost=cost, outcome=outcome)
 
 
-def validate_dag(workflow: WorkflowSpec) -> None:
-    """Raise unless the edge relation is acyclic and every endpoint resolves."""
-    dupes = duplicates(t.id for t in workflow.tasks)
-    if dupes:
-        raise DagReferenceError(f"workflow {workflow.id!r}: duplicate task ids {dupes}")
-    id_set = {t.id for t in workflow.tasks}
-    for e in workflow.edges:
-        for endpoint in (e.src, e.dst):
-            if endpoint not in id_set:
-                raise DagReferenceError(
-                    f"workflow {workflow.id!r}: edge {e.src!r}->{e.dst!r} "
-                    f"references unknown task {endpoint!r}"
-                )
-    # Kahn's algorithm; any leftover node sits on a cycle.
-    indeg = {tid: 0 for tid in id_set}
-    succs: dict[str, list[str]] = {tid: [] for tid in id_set}
-    for e in workflow.edges:
-        indeg[e.dst] += 1
-        succs[e.src].append(e.dst)
-    frontier = sorted(tid for tid, d in indeg.items() if d == 0)
-    seen = 0
-    while frontier:
-        tid = frontier.pop()
-        seen += 1
-        for nxt in succs[tid]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                frontier.append(nxt)
-    if seen != len(id_set):
-        stuck = {tid for tid, d in indeg.items() if d > 0}
-        for e in workflow.edges:
-            if e.src in stuck and e.dst in stuck:
-                raise DagCycleError((e.src, e.dst))
-        raise DagCycleError(("?", "?"))  # unreachable on consistent input
-
-
 # --- helpers shared by every module ----------------------------------------
 
 
@@ -172,6 +167,13 @@ def is_int(value) -> bool:
 def is_real(value) -> bool:
     """An int, float or numpy real scalar, and not a bool."""
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def as_real(value, name: str) -> float:
+    """A real, non-bool number as a float; anything else is a ValueError naming `name`."""
+    if not is_real(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def seed_list(seed: int | Iterable[int]) -> list[int]:
@@ -227,23 +229,21 @@ def workflow_from_dict(doc: Mapping) -> WorkflowSpec:
     try:
         for i, t in enumerate(doc["tasks"]):
             check_fields(t, _TASK_FIELDS, f"workflow task[{i}]")
-            tasks.append(TaskSpec(id=str(t["id"]), cpu_req=float(t["cpu"]),
-                                  mem_req=float(t["mem_gb"]), work=float(t["work"])))
+            cpu, mem, work = (as_real(t[k], f"task {t['id']!r}: {k}") for k in ("cpu", "mem_gb", "work"))
+            tasks.append(TaskSpec(id=str(t["id"]), cpu_req=cpu, mem_req=mem, work=work))
         for i, e in enumerate(doc["edges"]):
             check_fields(e, _EDGE_FIELDS, f"workflow edge[{i}]")
-            edges.append(EdgeSpec(src=str(e["src"]), dst=str(e["dst"]),
-                                  data_mb=float(e["data_mb"])))
-        wf = WorkflowSpec(
+            data_mb = as_real(e["data_mb"], f"edge {e['src']!r}->{e['dst']!r}: data_mb")
+            edges.append(EdgeSpec(src=str(e["src"]), dst=str(e["dst"]), data_mb=data_mb))
+        return WorkflowSpec(
             id=str(doc["id"]),
             tasks=tuple(tasks),
             edges=tuple(edges),
-            arrival_time=float(doc["arrival_time"]),
-            timeout=float(doc["timeout"]),
+            arrival_time=as_real(doc["arrival_time"], "arrival_time"),
+            timeout=as_real(doc["timeout"], "timeout"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"workflow {doc['id']!r}: {exc}") from exc
-    validate_dag(wf)
-    return wf
 
 
 def workflow_to_dict(wf: WorkflowSpec) -> dict:

@@ -45,8 +45,14 @@ class WorkloadConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "parallelism", _ints(self.parallelism, "parallelism"))
-        object.__setattr__(self, "work_range", tuple(float(x) for x in self.work_range))
-        object.__setattr__(self, "interarrival_range", tuple(float(x) for x in self.interarrival_range))
+        for name in ("work_range", "interarrival_range"):
+            pair = getattr(self, name)
+            if not (isinstance(pair, Sequence) and len(pair) == 2 and all(map(is_real, pair))):
+                raise ConfigError(f"{name} must be a pair of numbers, got {pair!r}")
+            lo, hi = float(pair[0]), float(pair[1])
+            if not 0 < lo <= hi < math.inf:
+                raise ConfigError(f"{name} must satisfy 0 < lo <= hi < inf, got ({lo}, {hi})")
+            object.__setattr__(self, name, (lo, hi))
         if not is_int(self.count) or self.count < 1:
             raise ConfigError(f"count must be an integer >= 1, got {self.count!r}")
         _ints(self.seed, "seed")
@@ -55,10 +61,6 @@ class WorkloadConfig:
                 raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not self.parallelism or any(p < 1 for p in self.parallelism):
             raise ConfigError("parallelism must be positive")
-        for name, (lo, hi) in (("work_range", self.work_range),
-                               ("interarrival_range", self.interarrival_range)):
-            if not 0 < lo <= hi < math.inf:
-                raise ConfigError(f"{name} must satisfy 0 < lo <= hi < inf, got ({lo}, {hi})")
         if not 0 <= self.data_mb < math.inf:
             raise ConfigError("data_mb must be finite and >= 0")
         if not (0 < self.cpu_req < math.inf and 0 < self.mem_req < math.inf):

@@ -265,7 +265,14 @@ def test_cluster_dict_rejects_bad_fields():
     (lambda d: d["nodes"][0].update(rate="fast"), r"cluster node\[0\]: "),
     (lambda d: d.update(nodes=5), "cluster: "),
     (lambda d: d.update(bandwidth_mbps=None), "cluster: "),
-], ids=["cpu-null", "rate-str", "nodes-int", "bandwidth-null"])
+    (lambda d: d["nodes"][0].update(cpu=True), r"cluster node\[0\]: cpu must be a number"),
+    (lambda d: d["nodes"][2].update(mem_gb="8"), r"cluster node\[2\]: mem_gb must be a number"),
+    (lambda d: d["nodes"][3].update(price_per_hour=False),
+     r"cluster node\[3\]: price_per_hour must be a number"),
+    (lambda d: d.update(interruption_downtime_s="600"),
+     "cluster: interruption_downtime_s must be a number"),
+], ids=["cpu-null", "rate-str", "nodes-int", "bandwidth-null", "cpu-bool", "mem-str",
+        "price-bool", "downtime-str"])
 def test_cluster_dict_bad_values_are_config_errors(edit, where):
     doc = cluster_to_dict(default_cluster())
     edit(doc)

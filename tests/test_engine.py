@@ -18,7 +18,7 @@ from spotsched.cluster import (
     sample_next_interruption,
 )
 from spotsched.engine import SimEnv, run_episode
-from spotsched.errors import ConfigError, InvalidActionError
+from spotsched.errors import ConfigError, DagCycleError, InvalidActionError
 from spotsched.workflow import EdgeSpec, Outcome, TaskSpec, WorkflowSpec
 from spotsched.workload import WorkloadConfig, generate
 
@@ -140,7 +140,7 @@ def test_fifo_order_among_ready_tasks():
 
 
 def test_repeated_edge_releases_its_successor_once():
-    # validate_dag accepts a repeated edge; readiness counts edges, so b is
+    # a workflow spec accepts a repeated edge; readiness counts edges, so b is
     # queued once, when a finishes
     twice = WorkflowSpec(id="w", tasks=chain().tasks, edges=chain().edges * 2)
     env = SimEnv(two_nodes(), [twice], seed=0)
@@ -402,9 +402,9 @@ def test_env_validates_workload():
     with pytest.raises(ConfigError):
         SimEnv(two_nodes(), [single("w"), single("w")])
     tasks = tuple(TaskSpec(id=t, cpu_req=1, mem_req=1, work=1) for t in "ab")
-    cyclic = WorkflowSpec(id="c", tasks=tasks, edges=(EdgeSpec("a", "b"), EdgeSpec("b", "a")))
-    with pytest.raises(ConfigError):
-        SimEnv(two_nodes(), [cyclic])
+    # a cyclic workflow never reaches the environment: building its spec fails
+    with pytest.raises(DagCycleError):
+        WorkflowSpec(id="c", tasks=tasks, edges=(EdgeSpec("a", "b"), EdgeSpec("b", "a")))
 
 
 def test_empty_workflow_resolves_on_arrival():
@@ -444,7 +444,7 @@ def test_precedence_is_never_violated():
     while obs is not None:
         obs, _, _ = env.step(policy(obs))
     for run in env.runs.values():
-        preds = run.spec.predecessors()
+        preds = run.spec.preds
         for task_id, timing in run.timings.items():
             # transfers happen before compute: effective start = finish - compute
             exec_start = timing.finish - timing.compute
@@ -498,7 +498,7 @@ def test_random_episodes_keep_the_engine_invariants(episode, seed):
     def first_fit_in_whole_queue():
         """The offer by a linear scan of the merged, sorted sub-queues."""
         for _ready, wf_id, task_id in sorted(e for q in env._queue.values() for e in q):
-            task = env.runs[wf_id].tasks[task_id]
+            task = env.runs[wf_id].spec.task_map[task_id]
             if any(n.can_fit(task) for n in env.nodes.values()):
                 return wf_id, task_id
         return None
@@ -514,22 +514,22 @@ def test_random_episodes_keep_the_engine_invariants(episode, seed):
         assert env._cpu_free == [n.cpu_free for n in nodes]
         assert env._mem_free == [n.mem_free for n in nodes]
         assert env._alive == [n.alive for n in nodes]
-        assert set(env._fits) == {shape for shape, queue in env._queue.items() if queue}
+        assert set(env._fits) == set(env._queue) and all(env._queue.values())
         for shape, (task, row) in env._fits.items():
             assert shape == (task.cpu_req, task.mem_req)
             assert row == [n.can_fit(task) for n in nodes]
         for (cpu, mem), queue in env._queue.items():
             assert queue == sorted(queue)
-            assert all(env.runs[w].tasks[t].cpu_req == cpu and env.runs[w].tasks[t].mem_req == mem
-                       for _, w, t in queue)
+            assert all((env.runs[w].spec.task_map[t].cpu_req, env.runs[w].spec.task_map[t].mem_req)
+                       == (cpu, mem) for _, w, t in queue)
         assert env._next_offer() == first_fit_in_whole_queue()
         for run in env.runs.values():
             if run.outcome is not None:
                 continue
             # the readiness counters equal a recount, and a run that has
             # arrived has queued exactly the tasks they release
-            assert run.waiting == {t: sum(e.src not in run.completed for e in run.preds[t])
-                                   for t in run.tasks}
+            assert run.waiting == {t: sum(e.src not in run.completed for e in edges)
+                                   for t, edges in run.spec.preds.items()}
             if run.ready_time:
                 assert set(run.ready_time) == {t for t, n in run.waiting.items() if not n}
 
@@ -545,7 +545,7 @@ def test_random_episodes_keep_the_engine_invariants(episode, seed):
         run = env.runs[obs.workflow_id]
         assert run.outcome is None
         assert obs.task.id not in run.timings
-        assert all(e.src in run.completed for e in run.preds[obs.task.id])
+        assert all(e.src in run.completed for e in run.spec.preds[obs.task.id])
         task, now = obs.task, env.now
         node_id = policy(obs)
         obs, reward, _ = env.step(node_id)
@@ -556,7 +556,7 @@ def test_random_episodes_keep_the_engine_invariants(episode, seed):
         compute = task.work / spec.rate
         max_transfer = max(
             (0.0 if run.node_of[e.src] == node_id else e.data_mb / cluster.bandwidth_mbps
-             for e in run.preds[task.id]),
+             for e in run.spec.preds[task.id]),
             default=0.0,
         )
         start = run.ready_time[task.id]

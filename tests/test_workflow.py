@@ -1,6 +1,7 @@
 """Spec validation, DAG checks, per-workflow stats and the workflow file format."""
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -13,7 +14,6 @@ from spotsched.workflow import (
     WorkflowSpec,
     load_workflow,
     save_workflow,
-    validate_dag,
     workflow_from_dict,
     workflow_stats,
     workflow_to_dict,
@@ -45,22 +45,31 @@ def test_workflow_stats_aggregates():
 
 
 def test_validate_dag_accepts_diamond():
-    validate_dag(diamond())
+    wf = diamond()
+    a, b, c, d = wf.tasks
+    e_ab, e_ac, e_bd, e_cd = wf.edges
+    assert wf.task_map == {"a": a, "b": b, "c": c, "d": d}
+    assert wf.preds == {"a": [], "b": [e_ab], "c": [e_ac], "d": [e_bd, e_cd]}
+    assert wf.succs == {"a": ["b", "c"], "b": ["d"], "c": ["d"], "d": []}
 
 
 def test_validate_dag_cycle():
     tasks = tuple(TaskSpec(id=t, cpu_req=1, mem_req=1, work=1) for t in "abc")
     edges = (EdgeSpec("a", "b"), EdgeSpec("b", "c"), EdgeSpec("c", "b"))
     with pytest.raises(DagCycleError) as err:
-        validate_dag(WorkflowSpec(id="w", tasks=tasks, edges=edges))
+        WorkflowSpec(id="w", tasks=tasks, edges=edges)
     assert set(err.value.edge) <= {"b", "c"}
+    # c hangs off the cycle a <-> b; the reported edge is on the cycle itself
+    edges = (EdgeSpec("b", "c"), EdgeSpec("a", "b"), EdgeSpec("b", "a"))
+    with pytest.raises(DagCycleError) as err:
+        WorkflowSpec(id="w", tasks=tasks, edges=edges)
+    assert err.value.edge in {("a", "b"), ("b", "a")}
 
 
 def test_validate_dag_unknown_endpoint():
     tasks = (TaskSpec(id="a", cpu_req=1, mem_req=1, work=1),)
-    wf = WorkflowSpec(id="w", tasks=tasks, edges=(EdgeSpec("a", "ghost"),))
     with pytest.raises(DagReferenceError):
-        validate_dag(wf)
+        WorkflowSpec(id="w", tasks=tasks, edges=(EdgeSpec("a", "ghost"),))
 
 
 def test_validate_dag_duplicate_ids():
@@ -69,7 +78,16 @@ def test_validate_dag_duplicate_ids():
         TaskSpec(id="a", cpu_req=1, mem_req=1, work=1),
     )
     with pytest.raises(DagReferenceError):
-        validate_dag(WorkflowSpec(id="w", tasks=tasks, edges=()))
+        WorkflowSpec(id="w", tasks=tasks, edges=())
+
+
+def test_graph_tables_leave_equality_alone_and_replace_rechecks():
+    first, second = diamond(), diamond()
+    assert first is not second and first.preds is not second.preds
+    assert first == second and hash(first) == hash(second)
+    assert repr(first) == repr(second) and "preds" not in repr(first)
+    with pytest.raises(DagCycleError):
+        replace(first, edges=first.edges + (EdgeSpec("d", "a"),))
 
 
 def test_spec_validation():
@@ -140,24 +158,33 @@ def test_workflow_dict_rejects_unknown_and_missing():
         workflow_from_dict(bad_task)
 
 
-@pytest.mark.parametrize("edit", [
-    lambda d: d["tasks"][0].update(cpu=0),      # ValueError from TaskSpec
-    lambda d: d["tasks"][0].update(cpu=None),   # TypeError from float()
-    lambda d: d.update(tasks=5),                # TypeError from iteration
-    lambda d: d["edges"][0].update(data_mb="x"),
-], ids=["cpu-zero", "cpu-null", "tasks-int", "data-mb-str"])
-def test_workflow_dict_bad_values_are_config_errors(edit):
+@pytest.mark.parametrize("edit, names", [
+    (lambda d: d["tasks"][0].update(cpu=0), "task 'a': cpu_req"),  # ValueError from TaskSpec
+    (lambda d: d["tasks"][0].update(cpu=None), "task 'a': cpu"),
+    (lambda d: d.update(tasks=5), ""),                              # TypeError from iteration
+    (lambda d: d["edges"][0].update(data_mb="x"), "edge 'a'->'b': data_mb"),
+    (lambda d: d["tasks"][1].update(cpu=True), "task 'b': cpu"),
+    (lambda d: d["tasks"][2].update(mem_gb="8"), "task 'c': mem_gb"),
+    (lambda d: d["tasks"][3].update(work=False), "task 'd': work"),
+    (lambda d: d["edges"][3].update(data_mb=True), "edge 'c'->'d': data_mb"),
+    (lambda d: d.update(timeout="60"), "timeout"),
+    (lambda d: d.update(arrival_time=True), "arrival_time"),
+], ids=["cpu-zero", "cpu-null", "tasks-int", "data-mb-str", "cpu-bool", "mem-str",
+        "work-bool", "data-mb-bool", "timeout-str", "arrival-bool"])
+def test_workflow_dict_bad_values_are_config_errors(edit, names):
+    # each bad value is refused, naming its task, edge or field, rather than coerced
     doc = workflow_to_dict(diamond())
     edit(doc)
-    with pytest.raises(ConfigError, match="^workflow 'wf': "):
+    with pytest.raises(ConfigError, match="^workflow 'wf': ") as err:
         workflow_from_dict(doc)
+    assert names in str(err.value)
 
 
 def test_workflow_dict_validates_dag():
-    tasks = tuple(TaskSpec(id=t, cpu_req=1, mem_req=1, work=1) for t in "ab")
-    cyclic = WorkflowSpec(id="w", tasks=tasks, edges=(EdgeSpec("a", "b"), EdgeSpec("b", "a")))
+    doc = workflow_to_dict(diamond())
+    doc["edges"].append({"src": "d", "dst": "a", "data_mb": 0.0})
     with pytest.raises(DagCycleError):
-        workflow_from_dict(workflow_to_dict(cyclic))
+        workflow_from_dict(doc)
 
 
 def test_load_workflow_bad_json(tmp_path):
