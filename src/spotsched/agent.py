@@ -20,8 +20,8 @@ from .cluster import ON_DEMAND, SPOT, ClusterSpec
 from .engine import Observation, SimEnv
 from .errors import ConfigError, LayoutMismatchError
 from .nets import Adam, Mlp, forward
-from .ppo import (EPOCHS, LEARNING_RATE, MINIBATCH_SIZE, RolloutBuffer, TrainConfig, actor_step,
-                  critic_step)
+from .ppo import (EPOCHS, LEARNING_RATE, MINIBATCH_SIZE, Rollout, TrainConfig, actor_step,
+                  critic_step, rollout)
 from .workflow import WorkflowSpec, check_fields, read_json, seed_list
 
 GROUP_ORDER = (ON_DEMAND, SPOT)
@@ -224,42 +224,31 @@ class MultiActorAgent:
 
     # -- learning ----------------------------------------------------------
 
-    def update(self, buffer: RolloutBuffer, config: TrainConfig,
-               rng: np.random.Generator) -> dict:
+    def update(self, batch: Rollout, rng: np.random.Generator) -> dict:
         """One PPO round: EPOCHS epochs of one minibatch of up to MINIBATCH_SIZE samples.
 
         The critic and group actor train on the whole minibatch; each node
         actor sees only the samples whose chosen group was its own.
         """
-        if len(buffer) == 0:
-            raise ValueError("cannot update from an empty buffer")
-        if buffer.returns is None or buffer.advantages is None:
-            raise ValueError("buffer returns/advantages not computed")
         opts = self._optimizers
-        n = len(buffer)
+        n = len(batch.groups)
         report = {"critic_loss": [], "group_loss": [], "node_loss": [], "clip_fraction": []}
         for _ in range(EPOCHS):
             idx = rng.choice(n, size=min(MINIBATCH_SIZE, n), replace=False)
-            states = buffer.features[idx]
-            groups = buffer.groups[idx]
-            nodes = buffer.nodes[idx]
-            logp_nodes = buffer.logp_nodes[idx]
-            advs = buffer.advantages[idx]
-            group_mask, node_masks = feasibility_masks(buffer.fits[idx], self.layout)
+            mb = Rollout(*(column[idx] for column in batch))
+            group_mask, node_masks = feasibility_masks(mb.fits, self.layout)
             report["critic_loss"].append(
-                critic_step(self.policies.critic, opts["critic"], states,
-                            buffer.returns[idx])["loss"]
-            )
-            stats = actor_step(self.policies.group_actor, opts["group"], states, groups,
-                               buffer.logp_groups[idx], advs, group_mask, config)
+                critic_step(self.policies.critic, opts["critic"], mb.features, mb.returns)["loss"])
+            stats = actor_step(self.policies.group_actor, opts["group"], mb.features, mb.groups,
+                               mb.logp_groups, mb.advantages, group_mask)
             report["group_loss"].append(stats["loss"])
             report["clip_fraction"].append(stats["clip_fraction"])
             for g, net in enumerate(self.policies.node_actors):
-                rows = np.flatnonzero(groups == g)
+                rows = np.flatnonzero(mb.groups == g)
                 if not rows.size:
                     continue
-                stats = actor_step(net, opts["nodes"][g], states[rows], nodes[rows],
-                                   logp_nodes[rows], advs[rows], node_masks[g][rows], config)
+                stats = actor_step(net, opts["nodes"][g], mb.features[rows], mb.nodes[rows],
+                                   mb.logp_nodes[rows], mb.advantages[rows], node_masks[g][rows])
                 report["node_loss"].append(stats["loss"])
         return {k: float(np.mean(v)) if v else 0.0 for k, v in report.items()}
 
@@ -290,23 +279,21 @@ def train(agent: MultiActorAgent,
     base = seed_list(config.seed)
     act_rng = np.random.default_rng(base + [3])
     update_rng = np.random.default_rng(base + [4])
-    buffer = RolloutBuffer()
     curve = []
     for episode in range(config.episodes):
         env = SimEnv(agent.cluster, make_workload(episode), seed=base + [2, episode])
         obs = env.reset()
         total_reward = 0.0
+        rows = []
         while obs is not None:
             node_id, choice, features = agent.act(obs, act_rng)
             fit = obs.fit
             obs, reward, _ = env.step(node_id)
             total_reward += reward
-            buffer.add(features, fit, choice.group, choice.node, choice.logp_group,
-                       choice.logp_node, reward, choice.value)
-        if len(buffer):
-            buffer.compute()
-            agent.update(buffer, config, update_rng)
-            buffer.clear()
+            rows.append((features, fit, choice.group, choice.node, choice.logp_group,
+                         choice.logp_node, reward, choice.value))
+        if rows:
+            agent.update(rollout(rows), update_rng)
         stats = env.episode_stats()
         curve.append(EpisodeRecord(
             episode=episode,

@@ -82,7 +82,7 @@ class Mlp:
         return out
 
 
-def masked_log_softmax(logits: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+def masked_log_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Log-probabilities with -inf on masked-out entries.
 
     Takes a row of logits (n,) or a batch (batch, n), and a mask of that
@@ -93,12 +93,9 @@ def masked_log_softmax(logits: np.ndarray, mask: np.ndarray | None = None) -> np
     # count_nonzero, not .all()/.any(): on a short row it costs a quarter as much.
     if np.count_nonzero(np.isfinite(z)) < z.size:
         raise FloatingPointError("non-finite policy logits")
-    if mask is None:
-        mask = np.ones(z.shape, dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != z.shape:
-            raise ValueError(f"mask shape {mask.shape} != logits shape {z.shape}")
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != z.shape:
+        raise ValueError(f"mask shape {mask.shape} != logits shape {z.shape}")
     # A single row, the acting path, reduces whole: no per-row axis to keep.
     axis, keepdims = (None, False) if z.ndim == 1 else (-1, True)
     if not (np.count_nonzero(mask) if axis is None else mask.any(axis=-1).all()):
@@ -109,7 +106,7 @@ def masked_log_softmax(logits: np.ndarray, mask: np.ndarray | None = None) -> np
     return z - (m + np.log(np.add.reduce(np.exp(z - m), axis=axis, keepdims=keepdims)))
 
 
-def masked_softmax(logits: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Probabilities, exactly zero on masked-out entries; a batch per row."""
     p = np.exp(masked_log_softmax(logits, mask))
     return p / (np.add.reduce(p) if p.ndim == 1 else np.add.reduce(p, axis=-1, keepdims=True))

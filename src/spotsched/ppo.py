@@ -1,18 +1,19 @@
 """Clipped-surrogate policy optimization primitives.
 
 Returns are plain Monte-Carlo discounted sums; advantages are return minus
-value baseline, normalized over the buffer. Actor and critic losses come
+value baseline, normalized over the rollout. Actor and critic losses come
 with hand-derived gradients that tests cross-check against central finite
 differences.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .nets import Adam, Mlp, clip_grad_norm, masked_log_softmax
-from .workflow import is_int, is_real
+from .workflow import is_int
 
 _NORM_EPS = 1e-8
 
@@ -20,6 +21,7 @@ _NORM_EPS = 1e-8
 # horizon keeps the per-action signal out of the trajectory noise.
 DISCOUNT = 0.9
 CLIP_EPSILON = 0.2
+ENTROPY_WEIGHT = 0.01
 LEARNING_RATE = 3e-4  # every network's Adam
 EPOCHS = 4
 MINIBATCH_SIZE = 64
@@ -31,48 +33,42 @@ class TrainConfig:
     """What a training run chooses; the PPO hyperparameters are the constants above."""
 
     episodes: int = 300
-    entropy_weight: float = 0.01
     seed: int = 0
 
     def __post_init__(self):
         if not is_int(self.episodes) or self.episodes < 1:
             raise ValueError(f"episodes must be an integer >= 1, got {self.episodes!r}")
-        if not is_real(self.entropy_weight) or not 0 <= self.entropy_weight < np.inf:
-            raise ValueError(f"entropy_weight must be a finite number >= 0, got {self.entropy_weight!r}")
         if not is_int(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
-class RolloutBuffer:
-    """One row per decision of an episode, plus derived returns and advantages.
+class Rollout(NamedTuple):
+    """One episode's decisions as column arrays, one row per decision.
 
-    A row holds the encoded features, the observation's `fit` row, the
-    chosen group and node with their log-probabilities, the reward and the
-    critic's value. `compute` stacks the rows into column arrays once; the
-    update derives its masks from the `fits` column by the rule acting used.
+    The update derives its masks from the `fits` column by the rule acting used.
     """
 
-    def __init__(self):
-        self.rows: list[tuple] = []
-        self.clear()
+    features: np.ndarray
+    fits: np.ndarray
+    groups: np.ndarray
+    nodes: np.ndarray
+    logp_groups: np.ndarray
+    logp_nodes: np.ndarray
+    returns: np.ndarray
+    advantages: np.ndarray
 
-    def add(self, features: np.ndarray, fit: np.ndarray, group: int, node: int,
-            logp_group: float, logp_node: float, reward: float, value: float) -> None:
-        self.rows.append((features, fit, group, node, logp_group, logp_node, reward, value))
 
-    def __len__(self) -> int:
-        return len(self.rows)
+def rollout(rows) -> Rollout:
+    """Stack an episode's decision rows into a Rollout, with returns and advantages.
 
-    def compute(self) -> None:
-        (self.features, self.fits, self.groups, self.nodes, self.logp_groups,
-         self.logp_nodes, rewards, values) = map(np.array, zip(*self.rows))
-        self.returns = discounted_returns(rewards, DISCOUNT)
-        self.advantages = advantages(self.returns, values)
-
-    def clear(self) -> None:
-        self.rows.clear()
-        self.features = self.fits = self.groups = self.nodes = None
-        self.logp_groups = self.logp_nodes = self.returns = self.advantages = None
+    A row is (features, fit row, group, node, logp_group, logp_node,
+    reward, critic value).
+    """
+    if not rows:
+        raise ValueError("a rollout needs at least one decision")
+    *columns, rewards, values = map(np.array, zip(*rows))
+    returns = discounted_returns(rewards, DISCOUNT)
+    return Rollout(*columns, returns, advantages(returns, values))
 
 
 def discounted_returns(rewards, discount: float) -> np.ndarray:
@@ -89,7 +85,7 @@ def advantages(returns: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Return-minus-baseline advantages, normalized over the batch.
 
     Normalization is skipped for a single sample or a (near-)zero spread,
-    so degenerate buffers pass through unscaled.
+    so degenerate rollouts pass through unscaled.
     """
     adv = returns - values
     if adv.size < 2:
@@ -108,8 +104,9 @@ def actor_loss_and_grads(net: Mlp, states, actions, old_logps, advs, masks,
     """Negated mean clipped surrogate minus entropy bonus (to minimize),
     its parameter gradients, and the fraction of clipped ratios.
 
-    Takes the numpy arrays the update slices from one RolloutBuffer, and
-    neither converts nor re-checks them.
+    Takes the numpy arrays of one minibatch of a Rollout, and neither
+    converts nor re-checks them. The update passes CLIP_EPSILON and
+    ENTROPY_WEIGHT; tests vary both.
     """
     n = states.shape[0]
     rows = np.arange(n)
@@ -148,11 +145,10 @@ def critic_loss_and_grads(net: Mlp, states, returns):
     return loss, net.backward(acts, dout)
 
 
-def actor_step(net: Mlp, opt: Adam, states, actions, old_logps, advs, masks,
-               config: TrainConfig) -> dict:
+def actor_step(net: Mlp, opt: Adam, states, actions, old_logps, advs, masks) -> dict:
     """One clipped-surrogate ascent step; returns loss and clip fraction."""
     loss, grads, clip_frac = actor_loss_and_grads(
-        net, states, actions, old_logps, advs, masks, CLIP_EPSILON, config.entropy_weight)
+        net, states, actions, old_logps, advs, masks, CLIP_EPSILON, ENTROPY_WEIGHT)
     clip_grad_norm(grads, GRAD_CLIP_NORM)
     opt.step(net.vector, np.concatenate([g.ravel() for g in grads]))
     return {"loss": loss, "clip_fraction": clip_frac}

@@ -173,14 +173,22 @@ def as_real(value, name: str) -> float:
     """A real, non-bool number as a float; anything else is a ValueError naming `name`."""
     if not is_real(value):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
 
 
 def seed_list(seed: int | Iterable[int]) -> list[int]:
-    """A seed or seed sequence as a list of ints, ready to extend with a stream key."""
-    if isinstance(seed, (int, np.integer)):
-        return [int(seed)]
-    return [int(s) for s in seed]
+    """A seed or seed sequence as a list of ints, ready to extend with a stream key.
+
+    numpy seeds only from non-negative integers, so a negative one is a ConfigError.
+    """
+    seeds = [int(seed)] if isinstance(seed, (int, np.integer)) else [int(s) for s in seed]
+    for s in seeds:
+        if s < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {s}")
+    return seeds
 
 
 def duplicates(ids: Iterable[str]) -> list[str]:

@@ -14,7 +14,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .workflow import EdgeSpec, TaskSpec, WorkflowSpec, is_int, is_real, read_json, seed_list
+from .workflow import (EdgeSpec, TaskSpec, WorkflowSpec, as_real, is_int, is_real, read_json,
+                       seed_list)
 
 # Fork/join anchor tasks are deliberately near-free so they never compete
 # with map tasks for resources or dominate cost.
@@ -29,6 +30,14 @@ def _ints(value, name: str) -> tuple[int, ...]:
     if isinstance(values, str) or not isinstance(values, Sequence) or not all(map(is_int, values)):
         raise ConfigError(f"{name} must be an integer or a sequence of integers, got {value!r}")
     return tuple(int(v) for v in values)
+
+
+def _real(value, name: str) -> float:
+    """as_real, failing with a ConfigError: a non-number or an int too large for a float."""
+    try:
+        return as_real(value, name)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -49,7 +58,7 @@ class WorkloadConfig:
             pair = getattr(self, name)
             if not (isinstance(pair, Sequence) and len(pair) == 2 and all(map(is_real, pair))):
                 raise ConfigError(f"{name} must be a pair of numbers, got {pair!r}")
-            lo, hi = float(pair[0]), float(pair[1])
+            lo, hi = (_real(v, name) for v in pair)
             if not 0 < lo <= hi < math.inf:
                 raise ConfigError(f"{name} must satisfy 0 < lo <= hi < inf, got ({lo}, {hi})")
             object.__setattr__(self, name, (lo, hi))
@@ -57,8 +66,7 @@ class WorkloadConfig:
             raise ConfigError(f"count must be an integer >= 1, got {self.count!r}")
         _ints(self.seed, "seed")
         for name in ("data_mb", "cpu_req", "mem_req", "timeout"):
-            if not is_real(getattr(self, name)):
-                raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
+            _real(getattr(self, name), name)
         if not self.parallelism or any(p < 1 for p in self.parallelism):
             raise ConfigError("parallelism must be positive")
         if not 0 <= self.data_mb < math.inf:

@@ -39,6 +39,7 @@ import time
 import numpy as np
 from click.testing import CliRunner
 
+from spotsched import ppo
 from spotsched.agent import MultiActorAgent, state_dim
 from spotsched.baselines import RandomPolicy, baseline_cluster, make_baseline
 from spotsched.cli import main
@@ -46,7 +47,7 @@ from spotsched.cluster import ON_DEMAND, SPOT, ClusterSpec, NodeSpec
 from spotsched.engine import SimEnv, run_episode
 from spotsched.harness import workload_for_seed
 from spotsched.nets import Mlp, forward, masked_log_softmax, masked_softmax
-from spotsched.ppo import RolloutBuffer, TrainConfig, actor_loss_and_grads, critic_loss_and_grads
+from spotsched.ppo import actor_loss_and_grads, critic_loss_and_grads, rollout
 from spotsched.workflow import EdgeSpec, TaskSpec, WorkflowSpec
 from spotsched.workload import WorkloadConfig
 
@@ -165,7 +166,7 @@ def _max_rel_grad_error(net, loss_fn, grads):
     return worst
 
 
-def test_criterion_3_policy_numerics(builtin_cluster):
+def test_criterion_3_policy_numerics(builtin_cluster, monkeypatch):
     # (a) masked softmax normalizes within 1e-9
     rng = np.random.default_rng(42)
     for _ in range(100):
@@ -219,7 +220,7 @@ def test_criterion_3_policy_numerics(builtin_cluster):
 
     # (d) zero advantages + zero entropy weight leave the actors untouched
     agent = MultiActorAgent(builtin_cluster, seed=0)
-    buffer = RolloutBuffer()
+    rows = []
     dim = state_dim(len(builtin_cluster.nodes))
     group_mask = np.ones(2, dtype=bool)
     fit = np.ones(len(builtin_cluster.nodes), dtype=bool)
@@ -230,14 +231,14 @@ def test_criterion_3_policy_numerics(builtin_cluster):
         state[0] = 0.1 * i
         p_group = forward(agent.policies.group_actor, state, group_mask)
         p_node = forward(agent.policies.node_actors[g], state, node_mask)
-        buffer.add(state, fit, g, 0, float(np.log(p_group[g])), float(np.log(p_node[0])),
-                   0.0, 0.0)
-    config = TrainConfig(entropy_weight=0.0)
-    buffer.compute()
-    assert np.all(buffer.advantages == 0.0)
+        rows.append((state, fit, g, 0, float(np.log(p_group[g])), float(np.log(p_node[0])),
+                     0.0, 0.0))
+    monkeypatch.setattr(ppo, "ENTROPY_WEIGHT", 0.0)
+    batch = rollout(rows)
+    assert np.all(batch.advantages == 0.0)
     actors = [agent.policies.group_actor, *agent.policies.node_actors]
     before = [p.copy() for net in actors for p in net.params]
-    agent.update(buffer, config, np.random.default_rng(0))
+    agent.update(batch, np.random.default_rng(0))
     after = [p for net in actors for p in net.params]
     unchanged = all(np.array_equal(b, a) for b, a in zip(before, after))
     assert unchanged

@@ -24,7 +24,7 @@ from spotsched.engine import Observation, SimEnv, run_episode
 from spotsched.errors import ConfigError, LayoutMismatchError
 from spotsched.harness import train_run
 from spotsched.nets import forward, masked_softmax
-from spotsched.ppo import EPOCHS, LEARNING_RATE, RolloutBuffer, TrainConfig
+from spotsched.ppo import EPOCHS, LEARNING_RATE, TrainConfig, rollout
 from spotsched.workflow import TaskSpec, WorkflowSpec
 from spotsched.workload import WorkloadConfig, generate
 
@@ -273,27 +273,26 @@ def test_spot_free_cluster_matches_on_demand_restriction():
     assert free == restricted
 
 
-def _collect_buffer(agent, cluster, wfs, seed):
+def _collect_rollout(agent, cluster, wfs, seed):
     env = SimEnv(cluster, wfs, seed=seed)
     rng = np.random.default_rng(3)
-    buffer = RolloutBuffer()
+    rows = []
     obs = env.reset()
     while obs is not None:
         node_id, choice, feats = agent.act(obs, rng)
         fit = obs.fit
         obs, reward, _ = env.step(node_id)
-        buffer.add(feats, fit, choice.group, choice.node, choice.logp_group,
-                   choice.logp_node, reward, choice.value)
-    return buffer
+        rows.append((feats, fit, choice.group, choice.node, choice.logp_group,
+                     choice.logp_node, reward, choice.value))
+    return rollout(rows)
 
 
 def test_update_reports_and_steps_optimizers():
     cluster = small_cluster()
     wfs = generate(WorkloadConfig(count=3, seed=4))
     agent = MultiActorAgent(cluster, seed=0)
-    buffer = _collect_buffer(agent, cluster, wfs, seed=[1])
-    buffer.compute()
-    report = agent.update(buffer, TrainConfig(), np.random.default_rng(0))
+    report = agent.update(_collect_rollout(agent, cluster, wfs, seed=[1]),
+                          np.random.default_rng(0))
     opts = agent._optimizers
     assert opts["critic"].t == EPOCHS and opts["group"].t == EPOCHS
     # every sample chose a group, so some node actor steps in each epoch
@@ -303,14 +302,33 @@ def test_update_reports_and_steps_optimizers():
     assert all(np.isfinite(v) for v in report.values())
 
 
-def test_update_requires_computed_buffer():
+def test_rollout_needs_a_decision():
+    with pytest.raises(ValueError):
+        rollout([])
+
+
+def test_each_update_takes_one_episode(monkeypatch):
+    # rows must not leak across episodes: update n sees exactly episode n's decisions
     agent = MultiActorAgent(small_cluster(), seed=0)
-    with pytest.raises(ValueError):
-        agent.update(RolloutBuffer(), TrainConfig(), np.random.default_rng(0))
-    buffer = RolloutBuffer()
-    buffer.add(np.zeros(state_dim(2)), np.ones(2, dtype=bool), 0, 0, 0.0, 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        agent.update(buffer, TrainConfig(), np.random.default_rng(0))
+    sizes, decisions = [], []
+    act, update = MultiActorAgent.act, MultiActorAgent.update
+
+    def counting_act(self, obs, rng=None):
+        decisions[-1] += 1
+        return act(self, obs, rng)
+
+    def recording_update(self, batch, rng):
+        sizes.append(len(batch.groups))
+        return update(self, batch, rng)
+
+    def make_workload(episode):
+        decisions.append(0)
+        return generate(WorkloadConfig(count=2 + episode, seed=(100, episode)))
+
+    monkeypatch.setattr(MultiActorAgent, "act", counting_act)
+    monkeypatch.setattr(MultiActorAgent, "update", recording_update)
+    train(agent, make_workload, TrainConfig(episodes=3, seed=0))
+    assert sizes == decisions and all(sizes)
 
 
 def test_training_curves_reproducible():
@@ -376,9 +394,8 @@ def test_loaded_parameters_stay_views_the_optimizers_train(tmp_path):
     group_mask = np.ones(2, dtype=bool)
     before = forward(clone.policies.group_actor, feats, group_mask)
     value_before = forward(clone.policies.critic, feats)
-    buffer = _collect_buffer(clone, cluster, generate(WorkloadConfig(count=3, seed=4)), seed=[1])
-    buffer.compute()
-    clone.update(buffer, TrainConfig(), np.random.default_rng(0))
+    batch = _collect_rollout(clone, cluster, generate(WorkloadConfig(count=3, seed=4)), seed=[1])
+    clone.update(batch, np.random.default_rng(0))
     assert not np.array_equal(forward(clone.policies.group_actor, feats, group_mask), before)
     assert forward(clone.policies.critic, feats) != value_before
 

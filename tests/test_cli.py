@@ -1,6 +1,7 @@
 """End-user command behavior via the click runner."""
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from spotsched.cli import main
@@ -132,6 +133,22 @@ def test_compare_bad_seeds(tmp_path):
     result = invoke(["compare", "--seeds", "1,x", "--out", str(tmp_path / "x")])
     assert result.exit_code == 2
     assert "--seeds" in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["generate", "--seed", "-1"],
+    ["train", "--seed", "-1", "--episodes", "1"],
+    ["compare", "--seeds", "2,-1"],
+    ["generate", "--config", "{config}"],
+], ids=["generate", "train", "compare", "config-file"])
+def test_negative_seed_is_a_one_line_error(tmp_path, args):
+    cfg = tmp_path / "wl.json"
+    cfg.write_text(json.dumps({"seed": -1}), encoding="utf-8")
+    args = [a.replace("{config}", str(cfg)) for a in args]
+    result = invoke([*args, "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not an escaped numpy ValueError
+    assert result.output == "Error: seed must be an integer >= 0, got -1\n"
 
 
 def test_missing_cluster_file_is_a_usage_error(tmp_path):

@@ -271,8 +271,9 @@ def test_cluster_dict_rejects_bad_fields():
      r"cluster node\[3\]: price_per_hour must be a number"),
     (lambda d: d.update(interruption_downtime_s="600"),
      "cluster: interruption_downtime_s must be a number"),
+    (lambda d: d.update(bandwidth_mbps=10**400), "cluster: bandwidth_mbps is too large"),
 ], ids=["cpu-null", "rate-str", "nodes-int", "bandwidth-null", "cpu-bool", "mem-str",
-        "price-bool", "downtime-str"])
+        "price-bool", "downtime-str", "bandwidth-huge-int"])
 def test_cluster_dict_bad_values_are_config_errors(edit, where):
     doc = cluster_to_dict(default_cluster())
     edit(doc)

@@ -36,7 +36,7 @@ def test_masked_softmax_is_a_distribution(case):
 
 
 def test_masked_softmax_extreme_logits():
-    p = masked_softmax(np.array([1000.0, -1000.0, 0.0]))
+    p = masked_softmax(np.array([1000.0, -1000.0, 0.0]), np.ones(3, dtype=bool))
     assert p.sum() == pytest.approx(1.0)
     assert p[0] == pytest.approx(1.0)
 
@@ -45,7 +45,7 @@ def test_masked_softmax_errors():
     with pytest.raises(NoFeasibleActionError):
         masked_softmax(np.zeros(3), np.zeros(3, dtype=bool))
     with pytest.raises(FloatingPointError):
-        masked_softmax(np.array([np.nan, 1.0]))
+        masked_softmax(np.array([np.nan, 1.0]), np.ones(2, dtype=bool))
     with pytest.raises(ValueError):
         masked_softmax(np.zeros(3), np.ones(2, dtype=bool))
 
@@ -85,7 +85,8 @@ def test_masked_softmax_batch_equals_rows():
     batch = masked_softmax(logits, mask)
     rows = np.array([masked_softmax(z, m) for z, m in zip(logits, mask)])
     assert np.array_equal(batch, rows)
-    assert np.array_equal(masked_softmax(np.zeros((2, 3))), np.full((2, 3), 1 / 3))
+    uniform = masked_softmax(np.zeros((2, 3)), np.ones((2, 3), dtype=bool))
+    assert np.array_equal(uniform, np.full((2, 3), 1 / 3))
 
 
 def test_mlp_orthogonal_init():

@@ -14,6 +14,7 @@ from spotsched.workflow import (
     WorkflowSpec,
     load_workflow,
     save_workflow,
+    seed_list,
     workflow_from_dict,
     workflow_stats,
     workflow_to_dict,
@@ -123,6 +124,13 @@ def test_specs_reject_non_finite(make, name, value):
         make(value)
 
 
+def test_seed_list_refuses_negative_seeds():
+    assert seed_list(3) == [3] and seed_list((0, 5)) == [0, 5]
+    for seed in (-1, (4, -1), [-1]):
+        with pytest.raises(ConfigError, match="seed must be an integer >= 0, got -1"):
+            seed_list(seed)
+
+
 def test_outcome_labels():
     assert Outcome.COMPLETED.value == "completed"
     assert Outcome.FAILED_INTERRUPTED.value == "failed-interrupted"
@@ -169,8 +177,9 @@ def test_workflow_dict_rejects_unknown_and_missing():
     (lambda d: d["edges"][3].update(data_mb=True), "edge 'c'->'d': data_mb"),
     (lambda d: d.update(timeout="60"), "timeout"),
     (lambda d: d.update(arrival_time=True), "arrival_time"),
+    (lambda d: d["tasks"][0].update(cpu=10**400), "task 'a': cpu is too large"),
 ], ids=["cpu-zero", "cpu-null", "tasks-int", "data-mb-str", "cpu-bool", "mem-str",
-        "work-bool", "data-mb-bool", "timeout-str", "arrival-bool"])
+        "work-bool", "data-mb-bool", "timeout-str", "arrival-bool", "cpu-huge-int"])
 def test_workflow_dict_bad_values_are_config_errors(edit, names):
     # each bad value is refused, naming its task, edge or field, rather than coerced
     doc = workflow_to_dict(diamond())

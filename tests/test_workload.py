@@ -119,13 +119,15 @@ def test_config_file_round_trip(tmp_path):
     {"parallelism": True}, {"parallelism": [4, True]}, {"timeout": True}, {"cpu": True},
     {"mem_gb": False}, {"data_mb": True}, {"timeout": "60"}, {"work_range": [True, 2]},
     {"interarrival_range": ["5", "30"]}, {"work_range": 5}, {"interarrival_range": "12"},
-    {"work_range": [1, 2, 3]},
+    {"work_range": [1, 2, 3]}, {"timeout": 10**400}, {"work_range": [1, 10**400]},
+    {"interarrival_range": [10**400, 10**401]},
 ], ids=["count-str", "parallelism-str", "work-range-short", "timeout-null",
         "count-float", "count-bool", "seed-str", "seed-float", "seed-list-str",
         "seed-list-bool", "seed-null", "parallelism-digits", "parallelism-float",
         "parallelism-bool", "parallelism-list-bool", "timeout-bool", "cpu-bool",
         "mem-bool", "data-mb-bool", "timeout-str", "work-range-bool", "interarrival-str",
-        "work-range-scalar", "interarrival-digits", "work-range-long"])
+        "work-range-scalar", "interarrival-digits", "work-range-long",
+        "timeout-huge-int", "work-range-huge-int", "interarrival-huge-int"])
 def test_config_dict_bad_values_are_config_errors(doc):
     # each bad value is refused, naming its field, rather than coerced
     with pytest.raises(ConfigError, match="^workload config: ") as info:
