@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -29,13 +28,16 @@ HIDDEN_SIZES = (64, 64)
 
 CHECKPOINT_VERSION = 1
 
+# What MultiActorAgent.update reports, each a mean over the update's steps.
+UPDATE_STATS = ("critic_loss", "group_loss", "node_loss", "clip_fraction")
+
 
 @dataclass(frozen=True)
 class ActionSpaceLayout:
     """Maps joint actions (group, node-in-group) to node ids.
 
     `group_positions` holds the same nodes' positions in cluster order, the
-    order of an observation's arrays.
+    order of an observation's lists.
     """
 
     group_nodes: tuple[tuple[str, ...], ...]
@@ -75,14 +77,6 @@ class ScalingConstants:
             if not (numeric and 0 < value < math.inf):
                 raise ValueError(f"{f.name} must be a finite number > 0, got {value!r}")
 
-    @cached_property
-    def node_divisor(self) -> np.ndarray:
-        """encode's read-only divisor column (cpu, mem, wait, cost, alive); not a field."""
-        column = np.array([[self.cpu_norm], [self.mem_norm], [self.wait_norm], [self.cost_norm],
-                           [1.0]])
-        column.flags.writeable = False
-        return column
-
     @classmethod
     def from_cluster(cls, cluster: ClusterSpec) -> "ScalingConstants":
         od_costs = [n.unit_cost for n in cluster.nodes if n.pricing_class == ON_DEMAND]
@@ -97,18 +91,16 @@ class ScalingConstants:
 def encode(obs: Observation, scaling: ScalingConstants) -> np.ndarray:
     """Feature vector: 3 task entries then 5 per node, in cluster order.
 
+    Node entries are cpu, mem, wait (capped at 1), unit cost and alive.
     Dead nodes read as saturated: wait 1, alive 0.
     """
-    task = obs.task
-    raw = np.array([obs.cpu_free, obs.mem_free, obs.wait, obs.unit_cost, obs.alive])
-    nodes = raw / scaling.node_divisor
-    nodes[2] = np.where(obs.alive, np.minimum(nodes[2], 1.0), 1.0)
-    return np.concatenate([
-        [task.cpu_req / scaling.cpu_norm,
-         task.mem_req / scaling.mem_norm,
-         task.work / scaling.work_norm],
-        nodes.T.ravel(),
-    ])
+    task, s = obs.task, scaling
+    row = [task.cpu_req / s.cpu_norm, task.mem_req / s.mem_norm, task.work / s.work_norm]
+    for cpu, mem, wait, cost, alive in zip(obs.cpu_free, obs.mem_free, obs.wait, obs.unit_cost,
+                                           obs.alive):
+        row += (cpu / s.cpu_norm, mem / s.mem_norm, min(wait / s.wait_norm, 1.0) if alive else 1.0,
+                cost / s.cost_norm, float(alive))
+    return np.array(row)
 
 
 def state_dim(node_count: int) -> int:
@@ -116,7 +108,7 @@ def state_dim(node_count: int) -> int:
 
 
 def feasibility_masks(fit: np.ndarray, layout: ActionSpaceLayout):
-    """(group mask, per-group node masks) from an observation's `fit` row.
+    """(group mask, per-group node masks) from a bool array of an observation's `fit`.
 
     True means alive and fits. A batch of fit rows gives a batch of masks,
     one row per fit row. An empty group still has one node output, always
@@ -214,7 +206,7 @@ class MultiActorAgent:
             rng: np.random.Generator | None = None) -> tuple[str, SelectedAction, np.ndarray]:
         """(node id, choice, features): sampled from rng, greedy without one."""
         features = encode(obs, self.scaling)
-        group_mask, node_masks = feasibility_masks(obs.fit, self.layout)
+        group_mask, node_masks = feasibility_masks(np.array(obs.fit), self.layout)
         choice = select_action(self.policies, features, group_mask, node_masks, rng)
         return self.layout.node_id(choice.group, choice.node), choice, features
 
@@ -232,7 +224,7 @@ class MultiActorAgent:
         """
         opts = self._optimizers
         n = len(batch.groups)
-        report = {"critic_loss": [], "group_loss": [], "node_loss": [], "clip_fraction": []}
+        report = {k: [] for k in UPDATE_STATS}
         for _ in range(EPOCHS):
             idx = rng.choice(n, size=min(MINIBATCH_SIZE, n), replace=False)
             mb = Rollout(*(column[idx] for column in batch))
@@ -265,6 +257,10 @@ class EpisodeRecord:
     completed: int
     interrupted: int
     timed_out: int
+    critic_loss: float
+    group_loss: float
+    node_loss: float
+    clip_fraction: float
 
 
 def train(agent: MultiActorAgent,
@@ -274,7 +270,8 @@ def train(agent: MultiActorAgent,
 
     Episode e uses environment seed [seed, 2, e]; action sampling and
     minibatch selection draw from their own fixed streams so the curve is
-    reproducible end to end.
+    reproducible end to end. Each record carries its episode's update
+    report, all 0.0 when the episode made no decision and so no update.
     """
     base = seed_list(config.seed)
     act_rng = np.random.default_rng(base + [3])
@@ -292,8 +289,8 @@ def train(agent: MultiActorAgent,
             total_reward += reward
             rows.append((features, fit, choice.group, choice.node, choice.logp_group,
                          choice.logp_node, reward, choice.value))
-        if rows:
-            agent.update(rollout(rows), update_rng)
+        report = (agent.update(rollout(rows), update_rng) if rows
+                  else dict.fromkeys(UPDATE_STATS, 0.0))
         stats = env.episode_stats()
         curve.append(EpisodeRecord(
             episode=episode,
@@ -303,6 +300,7 @@ def train(agent: MultiActorAgent,
             completed=stats.completed,
             interrupted=stats.interrupted,
             timed_out=stats.timed_out,
+            **report,
         ))
     return curve
 

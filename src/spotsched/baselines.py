@@ -26,25 +26,24 @@ MEM_WEIGHT = 0.5
 
 def random_policy(obs: Observation, rng: np.random.Generator) -> str:
     """Uniform choice among alive nodes that fit the pending task."""
-    nodes = np.flatnonzero(obs.fit)
-    if not nodes.size:
+    nodes = [i for i, ok in enumerate(obs.fit) if ok]
+    if not nodes:
         raise NoFeasibleActionError("no feasible node for pending task")
-    return obs.node_ids[nodes[rng.integers(nodes.size)]]
+    return obs.node_ids[nodes[rng.integers(len(nodes))]]
 
 
 def score_policy(obs: Observation, cluster: ClusterSpec) -> str:
     """Filter then score by free-fraction average; first node wins ties.
 
-    Node i of the observation's arrays is cluster.nodes[i].
+    Node i of the observation's lists is cluster.nodes[i].
     """
     if len(obs.node_ids) != len(cluster.nodes):
         raise ValueError(f"observation of {len(obs.node_ids)} nodes, "
                          f"cluster of {len(cluster.nodes)}")
-    nodes = np.flatnonzero(obs.fit).tolist()
+    nodes = [i for i, ok in enumerate(obs.fit) if ok]
     if not nodes:
         raise NoFeasibleActionError("no feasible node for pending task")
-    # Python floats: indexing numpy arrays one element at a time costs more.
-    cpu_free, mem_free = obs.cpu_free.tolist(), obs.mem_free.tolist()
+    cpu_free, mem_free = obs.cpu_free, obs.mem_free
 
     def score(i):
         spec = cluster.nodes[i]

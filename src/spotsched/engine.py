@@ -51,26 +51,28 @@ _KIND_PRIORITY = {FINISH: 0, REVIVE: 1, INTERRUPT: 2, ARRIVAL: 3, TIMEOUT: 4}
 class Observation:
     """One pending task plus the cluster as the scheduler may see it.
 
-    Per-node arrays follow cluster config order, always all nodes: `fit` is
-    NodeState.can_fit for the task, `wait` is estimated_wait. `node_ids` and
-    the read-only `unit_cost` are shared by all of an environment's offers.
-    Only the agent reads `wait`, so `compute_wait` builds it on first read;
-    SimEnv's raises if that read comes after the environment moved on.
+    Per-node lists follow cluster config order, always all nodes: `fit` is
+    NodeState.can_fit for the task, `wait` is estimated_wait. Each is the
+    offer's own copy, so it keeps its values while the environment moves on.
+    The `node_ids` and `unit_cost` tuples are shared by all of an
+    environment's offers. Only the agent reads `wait`, so `compute_wait`
+    builds it on first read; SimEnv's raises if that read comes after the
+    environment moved on.
     """
 
     time: float
     workflow_id: str
     task: TaskSpec
     node_ids: tuple[str, ...]
-    unit_cost: np.ndarray
-    cpu_free: np.ndarray
-    mem_free: np.ndarray
-    compute_wait: Callable[[], np.ndarray]
-    alive: np.ndarray
-    fit: np.ndarray
+    unit_cost: tuple[float, ...]
+    cpu_free: list[float]
+    mem_free: list[float]
+    compute_wait: Callable[[], list[float]]
+    alive: list[bool]
+    fit: list[bool]
 
     @cached_property
-    def wait(self) -> np.ndarray:
+    def wait(self) -> list[float]:
         return self.compute_wait()
 
 
@@ -129,8 +131,7 @@ class SimEnv:
         self.cluster = cluster
         self._node_ids = tuple(n.id for n in cluster.nodes)
         self._index = {node_id: i for i, node_id in enumerate(self._node_ids)}
-        self._unit_cost = np.array([n.unit_cost for n in cluster.nodes])
-        self._unit_cost.flags.writeable = False
+        self._unit_cost = tuple(n.unit_cost for n in cluster.nodes)
         self.workload = tuple(workload)
         self.seed = seed_list(seed)
         self.on_event = on_event
@@ -298,11 +299,11 @@ class SimEnv:
         task = self.runs[wf_id].spec.task_map[task_id]
         nodes = self.nodes.values()
 
-        def compute_wait() -> np.ndarray:
+        def compute_wait() -> list[float]:
             # `_next_offer` makes a new tuple per offer, so identity marks this one.
             if self._offered is not offer:
                 raise RuntimeError("observation's wait read after the environment moved on")
-            return np.array([n.estimated_wait(self.now) for n in nodes])
+            return [n.estimated_wait(self.now) for n in nodes]
 
         return Observation(
             time=self.now,
@@ -310,11 +311,12 @@ class SimEnv:
             task=task,
             node_ids=self._node_ids,
             unit_cost=self._unit_cost,
-            cpu_free=np.array(self._cpu_free),
-            mem_free=np.array(self._mem_free),
+            # copies: _refresh keeps rewriting the engine's lists after the offer
+            cpu_free=self._cpu_free[:],
+            mem_free=self._mem_free[:],
             compute_wait=compute_wait,
-            alive=np.array(self._alive),
-            fit=np.array(self._fits[task.cpu_req, task.mem_req][1]),
+            alive=self._alive[:],
+            fit=self._fits[task.cpu_req, task.mem_req][1][:],
         )
 
     def _process(self, time: float, _prio: int, _seq: int, kind: str, payload: tuple) -> None:

@@ -137,6 +137,9 @@ def compare(schedulers: Sequence[str], cluster: ClusterSpec, source: WorkloadSou
     dupes = duplicates(schedulers)
     if dupes:
         raise ConfigError(f"duplicate schedulers {dupes}")
+    dupes = duplicates(seeds)
+    if dupes:
+        raise ConfigError(f"duplicate seeds {dupes}")
     rows: list[MetricsRow] = []
     summaries: list[SchedulerSummary] = []
     for name in schedulers:

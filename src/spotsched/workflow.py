@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Hashable, Iterable, Mapping
 
 import numpy as np
 
@@ -191,8 +191,8 @@ def seed_list(seed: int | Iterable[int]) -> list[int]:
     return seeds
 
 
-def duplicates(ids: Iterable[str]) -> list[str]:
-    """Ids that occur more than once, sorted."""
+def duplicates(ids: Iterable[Hashable]) -> list:
+    """Ids (names or seeds) that occur more than once, sorted."""
     return sorted(i for i, n in Counter(ids).items() if n > 1)
 
 

@@ -8,6 +8,7 @@ import pytest
 from spotsched.agent import (
     ActionSpaceLayout,
     MultiActorAgent,
+    UPDATE_STATS,
     ScalingConstants,
     _pick,
     encode,
@@ -93,14 +94,45 @@ def test_encode_layout():
     assert feats[7] == 1.0  # alive
 
 
+def numpy_encode(obs, scaling):
+    """encode's former numpy formula, the reference its Python pass must equal."""
+    divisor = np.array([[scaling.cpu_norm], [scaling.mem_norm], [scaling.wait_norm],
+                        [scaling.cost_norm], [1.0]])
+    nodes = np.array([obs.cpu_free, obs.mem_free, obs.wait, obs.unit_cost, obs.alive]) / divisor
+    nodes[2] = np.where(obs.alive, np.minimum(nodes[2], 1.0), 1.0)
+    task = obs.task
+    return np.concatenate([[task.cpu_req / scaling.cpu_norm, task.mem_req / scaling.mem_norm,
+                            task.work / scaling.work_norm], nodes.T.ravel()])
+
+
+def test_encode_equals_the_numpy_formula_bit_for_bit():
+    # 60 interruptions/h and long maps: offers meet dead nodes and live
+    # nodes whose wait exceeds wait_norm
+    cluster = default_cluster(interruption_rate_per_hour=60.0, interruption_downtime_s=60.0)
+    scaling = ScalingConstants.from_cluster(cluster)
+    config = WorkloadConfig(count=8, parallelism=(6,), work_range=(1000.0, 3000.0),
+                            interarrival_range=(1.0, 5.0))
+    saw_dead = saw_long_wait = 0
+    for seed in (1, 2):
+        env = SimEnv(cluster, generate(replace(config, seed=seed)), seed=[seed, 2])
+        policy = RandomPolicy(cluster, seed=[seed, 3])
+        obs = env.reset()
+        while obs is not None:
+            assert encode(obs, scaling).tobytes() == numpy_encode(obs, scaling).tobytes()
+            saw_dead += not all(obs.alive)
+            saw_long_wait += any(a and w > scaling.wait_norm for a, w in zip(obs.alive, obs.wait))
+            obs, _, _ = env.step(policy(obs))
+    assert saw_dead and saw_long_wait, (saw_dead, saw_long_wait)
+
+
 def test_encode_dead_node_saturates():
     # a dead node next to a live one whose backlog exceeds wait_norm
     obs = Observation(
         time=0.0, workflow_id="w", task=TaskSpec(id="t", cpu_req=1, mem_req=1, work=1),
-        node_ids=("x", "y"), unit_cost=np.array([1e-5, 2e-5]),
-        cpu_free=np.array([2.0, 1.0]), mem_free=np.array([8.0, 4.0]),
-        compute_wait=lambda: np.array([1e9, 250.0]), alive=np.array([False, True]),
-        fit=np.array([False, True]),
+        node_ids=("x", "y"), unit_cost=(1e-5, 2e-5),
+        cpu_free=[2.0, 1.0], mem_free=[8.0, 4.0],
+        compute_wait=lambda: [1e9, 250.0], alive=[False, True],
+        fit=[False, True],
     )
     feats = encode(obs, ScalingConstants(cpu_norm=8.0, mem_norm=32.0, cost_norm=1e-4,
                                          wait_norm=100.0))
@@ -114,7 +146,7 @@ def test_feasibility_masks_respect_capacity():
     # cpu 6 only fits the 8-core flavors
     obs = offer(cluster, [single(cpu=6.0, mem=2.0)])
     layout = ActionSpaceLayout.from_cluster(cluster)
-    gmask, nmasks = feasibility_masks(obs.fit, layout)
+    gmask, nmasks = feasibility_masks(np.array(obs.fit), layout)
     assert gmask.tolist() == [True, True]
     od_fit = [layout.group_nodes[0][i] for i in np.flatnonzero(nmasks[0])]
     spot_fit = [layout.group_nodes[1][i] for i in np.flatnonzero(nmasks[1])]
@@ -166,11 +198,11 @@ def test_masks_and_baselines_match_engine_fit_over_episodes():
                          seed=[seed, 2])
             obs = env.reset()
             while obs is not None:
-                assert obs.fit.tolist() == [env.nodes[i].can_fit(obs.task) for i in obs.node_ids]
+                assert obs.fit == [env.nodes[i].can_fit(obs.task) for i in obs.node_ids]
                 pick = policy(obs)
                 assert obs.fit[obs.node_ids.index(pick)], name
-                saw_dead += not obs.alive.all()
-                saw_full += (obs.alive & ~obs.fit).any()
+                saw_dead += not all(obs.alive)
+                saw_full += any(a and not f for a, f in zip(obs.alive, obs.fit))
                 obs, _, _ = env.step(pick)
         assert saw_full, name
         # on-demand runs on the on-demand nodes, which are never interrupted
@@ -183,7 +215,7 @@ def test_single_feasible_node_is_forced():
     agent = MultiActorAgent(cluster, seed=0)
     node_id, choice, _ = agent.act(obs, np.random.default_rng(0))
     assert node_id == "o0"
-    assert feasibility_masks(obs.fit, agent.layout)[0].tolist() == [True, False]
+    assert feasibility_masks(np.array(obs.fit), agent.layout)[0].tolist() == [True, False]
     assert choice.logp_group == 0.0 and choice.logp_node == 0.0
     assert agent.act(obs)[0] == "o0"  # no rng: the greedy pick
 
@@ -234,7 +266,7 @@ def test_untrained_group_choice_is_near_even():
     obs = offer(cluster, [single()])
     agent = MultiActorAgent(cluster, seed=0)
     feats = encode(obs, agent.scaling)
-    gmask, nmasks = feasibility_masks(obs.fit, agent.layout)
+    gmask, nmasks = feasibility_masks(np.array(obs.fit), agent.layout)
     rng = np.random.default_rng(123)
     counts = np.zeros(2)
     for _ in range(10_000):
@@ -340,6 +372,23 @@ def test_training_curves_reproducible():
     assert [r.episode for r in first] == [0, 1, 2]
     assert all(r.total_cost > 0 for r in first)
     assert all(r.total_reward == -r.total_cost for r in first)
+
+
+def test_training_curve_carries_update_reports(monkeypatch):
+    cluster = small_cluster()
+    agent = MultiActorAgent(cluster, seed=0)
+    reports = []
+    update = agent.update
+    monkeypatch.setattr(agent, "update",
+                        lambda batch, rng: reports.append(update(batch, rng)) or reports[-1])
+    # episode 1's workflow has no task, so it makes no decision and no update
+    empty = WorkflowSpec(id="empty", tasks=(), edges=())
+    workloads = [[single()], [empty], [single(cpu=2.0, work=50.0)]]
+    curve = train(agent, workloads.__getitem__, TrainConfig(episodes=3, seed=0))
+    recorded = [{k: getattr(r, k) for k in UPDATE_STATS} for r in curve]
+    assert recorded == [reports[0], dict.fromkeys(UPDATE_STATS, 0.0), reports[1]]
+    assert len(reports) == 2
+    assert all(r["critic_loss"] > 0 and 0.0 <= r["clip_fraction"] <= 1.0 for r in reports)
 
 
 def test_train_uses_fresh_workload_per_episode():

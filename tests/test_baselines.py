@@ -35,12 +35,11 @@ def manual_obs(nodes, cpu=1.0, mem=1.0):
     """An observation of hand-set nodes, in the order of the cluster it stands for."""
     task = TaskSpec(id="t", cpu_req=cpu, mem_req=mem, work=10.0)
     ids, cpu_free, mem_free, alive = zip(*nodes)
-    cpu_free, mem_free, alive = np.array(cpu_free), np.array(mem_free), np.array(alive)
     return Observation(
         time=0.0, workflow_id="w", task=task, node_ids=ids,
-        unit_cost=np.full(len(ids), 1e-5), cpu_free=cpu_free, mem_free=mem_free,
-        compute_wait=lambda: np.zeros(len(ids)), alive=alive,
-        fit=alive & (cpu <= cpu_free) & (mem <= mem_free),
+        unit_cost=(1e-5,) * len(ids), cpu_free=list(cpu_free), mem_free=list(mem_free),
+        compute_wait=lambda: [0.0] * len(ids), alive=list(alive),
+        fit=[a and cpu <= c and mem <= m for a, c, m in zip(alive, cpu_free, mem_free)],
     )
 
 

@@ -80,7 +80,8 @@ def test_train_then_compare_pipeline(tmp_path):
     assert result.exit_code == 0, result.output
     assert (train_out / "checkpoint.json").exists()
     curve = (train_out / "training_curve.csv").read_text(encoding="utf-8").splitlines()
-    assert curve[0] == "episode,total_reward,total_cost,mean_execution_time,completed,interrupted,timed_out"
+    assert curve[0] == ("episode,total_reward,total_cost,mean_execution_time,completed,interrupted,"
+                        "timed_out,critic_loss,group_loss,node_loss,clip_fraction")
     assert len(curve) == 3  # header + one line per episode
     assert "trained 2 episodes" in result.output
 
@@ -126,6 +127,14 @@ def test_compare_duplicate_scheduler(tmp_path):
     result = invoke(["compare", "--schedulers", "random,random", "--seeds", "1", "--out", str(out)])
     assert result.exit_code == 1
     assert "duplicate schedulers" in result.output
+    assert not out.exists()
+
+
+def test_compare_duplicate_seeds_is_a_one_line_error(tmp_path):
+    out = tmp_path / "x"
+    result = invoke(["compare", "--seeds", "1,1,2", "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.output == "Error: duplicate seeds [1]\n"
     assert not out.exists()
 
 

@@ -66,8 +66,8 @@ def test_reset_offers_first_task_at_time_zero():
     assert obs.time == 0.0
     assert obs.workflow_id == "w" and obs.task.id == "t"
     assert obs.node_ids == ("s0", "o0")
-    assert obs.alive.all() and obs.fit.all()
-    assert (obs.wait == 0.0).all()
+    assert all(obs.alive) and all(obs.fit)
+    assert all(w == 0.0 for w in obs.wait)
 
 
 def test_one_arrival_event_per_workflow():
@@ -175,8 +175,7 @@ def test_identical_observation_sequences():
                 obs.workflow_id,
                 obs.task.id,
                 obs.node_ids,
-                *(tuple(a.tolist()) for a in (obs.cpu_free, obs.mem_free, obs.wait,
-                                               obs.alive, obs.fit)),
+                *(tuple(a) for a in (obs.cpu_free, obs.mem_free, obs.wait, obs.alive, obs.fit)),
             ))
             obs, _, _ = env.step(policy(obs))
         return seen
@@ -197,12 +196,36 @@ def test_baseline_episodes_estimate_no_waits(name, monkeypatch):
     assert stats.submitted == 3 and calls == []
 
 
+def test_observations_are_snapshots():
+    # a backlog on failing nodes: later steps rewrite every per-node list the
+    # engine keeps, and each offer must keep the values it was made with
+    cluster = default_cluster(interruption_rate_per_hour=60.0, interruption_downtime_s=60.0)
+    workflows = generate(WorkloadConfig(count=20, parallelism=(6,),
+                                        interarrival_range=(0.3, 0.6), seed=1))
+    env = SimEnv(cluster, workflows, seed=[1, 2])
+    policy = RandomPolicy(cluster, seed=[1, 3])
+    kept, moved = [], [0, 0, 0, 0]
+    obs = env.reset()
+    while obs is not None:
+        lists = [obs.cpu_free, obs.mem_free, obs.alive, obs.fit]
+        at_offer = [values[:] for values in lists]
+        kept.append((lists, at_offer))
+        shape = (obs.task.cpu_req, obs.task.mem_req)
+        obs, _, _ = env.step(policy(obs))
+        # the shape's fit row is gone once its queue emptied
+        row = env._fits[shape][1] if shape in env._fits else at_offer[3]
+        for i, now in enumerate([env._cpu_free, env._mem_free, env._alive, row]):
+            moved[i] += now != at_offer[i]
+    assert all(moved), moved
+    assert all(lists == at_offer for lists, at_offer in kept)
+
+
 def test_wait_read_after_the_offer_raises():
     env = SimEnv(two_nodes(), [chain()], seed=0)
     first = env.reset()
-    assert first.wait.tolist() == [0.0, 0.0]
+    assert first.wait == [0.0, 0.0]
     second, _, _ = env.step("s0")
-    assert first.wait.tolist() == [0.0, 0.0]  # read before the step, kept
+    assert first.wait == [0.0, 0.0]  # read before the step, kept
     unread, _, done = env.step("s0")
     assert unread is None and done
     with pytest.raises(RuntimeError, match="moved on"):
@@ -541,7 +564,7 @@ def test_random_episodes_keep_the_engine_invariants(episode, seed):
         assert (obs.workflow_id, obs.task.id) == first_fit_in_whole_queue()
         # the wait, built on first read, is the cluster's at the offer, bit for bit
         wait = np.array([n.estimated_wait(env.now) for n in env.nodes.values()])
-        assert obs.wait.tobytes() == wait.tobytes()
+        assert np.array(obs.wait).tobytes() == wait.tobytes()
         run = env.runs[obs.workflow_id]
         assert run.outcome is None
         assert obs.task.id not in run.timings
