@@ -8,10 +8,10 @@ node with room for the pending task.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .errors import ConfigError, LayoutMismatchError
 from .nets import Adam, Mlp, forward
 from .ppo import (EPOCHS, LEARNING_RATE, MINIBATCH_SIZE, Rollout, TrainConfig, actor_step,
                   critic_step, rollout)
-from .workflow import WorkflowSpec, check_fields, read_json, seed_list
+from .workflow import WorkflowSpec, as_real, check_fields, is_int, read_json, seed_list
 
 GROUP_ORDER = (ON_DEMAND, SPOT)
 HIDDEN_SIZES = (64, 64)
@@ -74,7 +74,8 @@ class ScalingConstants:
         for f in fields(self):
             value = getattr(self, f.name)
             numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (numeric and 0 < value < math.inf):
+            # the float bound, not inf: a huge int passes `< math.inf` but not float()
+            if not (numeric and 0 < value <= sys.float_info.max):
                 raise ValueError(f"{f.name} must be a finite number > 0, got {value!r}")
 
     @classmethod
@@ -142,8 +143,9 @@ class PolicySet:
         return cls(group_actor=group, node_actors=nodes, critic=critic)
 
 
-@dataclass(frozen=True)
-class SelectedAction:
+class SelectedAction(NamedTuple):
+    """One act's choice, built by position once per decision."""
+
     group: int
     node: int
     logp_group: float
@@ -170,15 +172,10 @@ def select_action(policies: PolicySet, features: np.ndarray, group_mask, node_ma
     g = _pick(p_group, rng)
     p_node = forward(policies.node_actors[g], features, node_masks[g])
     n = _pick(p_node, rng)
-    return SelectedAction(
-        group=g,
-        node=n,
-        # np.log, not math.log: with numpy 2.4 on AVX-512 they differ in the last bit on
-        # about 1 in 700 softmax probabilities, and that would change training.
-        logp_group=float(np.log(p_group[g])),
-        logp_node=float(np.log(p_node[n])),
-        value=None if rng is None else forward(policies.critic, features),
-    )
+    # np.log, not math.log: with numpy 2.4 on AVX-512 they differ in the last bit on
+    # about 1 in 700 softmax probabilities, and that would change training.
+    return SelectedAction(g, n, float(np.log(p_group[g])), float(np.log(p_node[n])),
+                          None if rng is None else forward(policies.critic, features))
 
 
 class MultiActorAgent:
@@ -322,25 +319,36 @@ def _net_to_dict(net: Mlp) -> dict:
     }
 
 
+def _reals(x):
+    """Nested lists of numbers as floats; a bool, string or huge integer is a ValueError."""
+    return [_reals(v) for v in x] if isinstance(x, list) else as_real(x, "an entry")
+
+
 def _load_net(doc: dict, net: Mlp, where: str) -> None:
     """Copy stored parameters into `net`, a network PolicySet.build made for the cluster."""
     check_fields(doc, _NET_FIELDS, where)
-    if doc["sizes"] != net.sizes or doc["policy_head"] != net.policy_head:
+    sizes, head = doc["sizes"], doc["policy_head"]
+    if not (isinstance(sizes, list) and all(map(is_int, sizes))):
+        raise ConfigError(f"{where}: sizes must be a list of integers, got {sizes!r}")
+    if not isinstance(head, bool):
+        raise ConfigError(f"{where}: policy_head must be true or false, got {head!r}")
+    if sizes != net.sizes or head != net.policy_head:
         raise LayoutMismatchError(
-            f"{where}: sizes {doc['sizes']}, policy head {doc['policy_head']}; the cluster "
+            f"{where}: sizes {sizes}, policy head {head}; the cluster "
             f"needs sizes {net.sizes}, policy head {net.policy_head}")
     stored = (doc["weights"], doc["biases"])
     if not all(isinstance(x, list) and len(x) == len(net.weights) for x in stored):
         raise ConfigError(f"{where}: needs {len(net.weights)} weight and bias layers")
-    try:
-        params = [np.array(x, dtype=float) for layer in zip(*stored) for x in layer]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: parameters are not numeric arrays ({exc})") from None
-    for i, (got, want) in enumerate(zip(params, net.params)):
-        if got.shape != want.shape or not np.isfinite(got).all():
-            raise ConfigError(f"{where}: parameter {i} must be finite with shape {want.shape}, "
+    names = [f"{kind}[{i}]" for i in range(len(net.weights)) for kind in ("weights", "biases")]
+    values = [x for layer in zip(*stored) for x in layer]
+    for name, x, have in zip(names, values, net.params):  # params is [W0, b0, W1, b1, ...]
+        try:
+            got = np.array(_reals(x), dtype=float)
+        except ValueError as exc:  # as_real's, or numpy's for ragged lists
+            raise ConfigError(f"{where}: {name}: {exc}") from None
+        if got.shape != have.shape or not np.isfinite(got).all():
+            raise ConfigError(f"{where}: {name} must be finite with shape {have.shape}, "
                               f"got shape {got.shape}")
-    for have, got in zip(net.params, params):
         have[...] = got  # into the views of net.vector, which the optimizers update
 
 
@@ -366,9 +374,12 @@ def load_checkpoint(path: str | Path, cluster: ClusterSpec) -> MultiActorAgent:
     doc = read_json(path)
     check_fields(doc, _CHECKPOINT_FIELDS, f"{path}: checkpoint")
     version = doc["format_version"]
-    if version != CHECKPOINT_VERSION:
-        raise ConfigError(f"{path}: unsupported checkpoint version {version!r}")
+    if not is_int(version) or version != CHECKPOINT_VERSION:
+        raise ConfigError(f"{path}: unsupported checkpoint format_version {version!r}")
     check_fields(doc["groups"], set(GROUP_ORDER), f"{path}: checkpoint groups")
+    for name in GROUP_ORDER:
+        if not isinstance(doc["groups"][name], list):
+            raise ConfigError(f"{path}: checkpoint groups: {name} must be a list of node ids")
     layout = ActionSpaceLayout.from_cluster(cluster)
     stored = tuple(tuple(doc["groups"][name]) for name in GROUP_ORDER)
     if stored != layout.group_nodes:

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -94,9 +94,8 @@ class ClusterSpec:
         return groups
 
 
-@dataclass
-class RunningTask:
-    """A task occupying a node, with enough detail to charge and to kill it."""
+class RunningTask(NamedTuple):
+    """A task occupying a node, enough to charge and kill it; built by position per placement."""
 
     workflow_id: str
     task_id: str

@@ -234,30 +234,24 @@ class SimEnv:
         The spec constructors reject negative and non-finite work, rates,
         prices, data sizes and bandwidth, so nothing here re-checks them.
         """
-        spec = node.spec
-        bandwidth = self.cluster.bandwidth_mbps
+        spec, now, bandwidth = node.spec, self.now, self.cluster.bandwidth_mbps
         compute = task.work / spec.rate
-        max_transfer = max((0.0 if run.node_of[e.src] == spec.id else e.data_mb / bandwidth
-                            for e in run.spec.preds[task.id]), default=0.0)
+        max_transfer = 0.0  # the slowest input from another node
+        for e in run.spec.preds[task.id]:
+            if run.node_of[e.src] != spec.id and e.data_mb / bandwidth > max_transfer:
+                max_transfer = e.data_mb / bandwidth
         start = run.ready_time[task.id]
-        wait = self.now - start
+        wait = now - start
         delay = compute + wait + max_transfer
-        timing = TaskTiming(start=start, compute=compute, wait=wait, max_transfer=max_transfer,
-                            delay=delay, finish=start + delay, cost=compute * spec.unit_cost)
-        run.timings[task.id] = timing
+        cost = compute * spec.unit_cost
+        run.timings[task.id] = TaskTiming(start, compute, wait, max_transfer, delay,
+                                          start + delay, cost)
         run.node_of[task.id] = spec.id
-        node.add(RunningTask(
-            workflow_id=run.spec.id,
-            task_id=task.id,
-            cpu_req=task.cpu_req,
-            mem_req=task.mem_req,
-            compute=compute,
-            exec_start=self.now,
-        ))
+        node.add(RunningTask(run.spec.id, task.id, task.cpu_req, task.mem_req, compute, now))
         self._refresh(spec.id)
-        self._total_cost += timing.cost
-        self._push(timing.finish, FINISH, (spec.id, run.spec.id, task.id))
-        return timing.cost
+        self._total_cost += cost
+        self._push(start + delay, FINISH, (spec.id, run.spec.id, task.id))
+        return cost
 
     def _advance(self) -> Observation | None:
         while True:
@@ -305,19 +299,10 @@ class SimEnv:
                 raise RuntimeError("observation's wait read after the environment moved on")
             return [n.estimated_wait(self.now) for n in nodes]
 
-        return Observation(
-            time=self.now,
-            workflow_id=wf_id,
-            task=task,
-            node_ids=self._node_ids,
-            unit_cost=self._unit_cost,
-            # copies: _refresh keeps rewriting the engine's lists after the offer
-            cpu_free=self._cpu_free[:],
-            mem_free=self._mem_free[:],
-            compute_wait=compute_wait,
-            alive=self._alive[:],
-            fit=self._fits[task.cpu_req, task.mem_req][1][:],
-        )
+        # copies of the lists: _refresh keeps rewriting the engine's own after the offer
+        return Observation(self.now, wf_id, task, self._node_ids, self._unit_cost,
+                           self._cpu_free[:], self._mem_free[:], compute_wait, self._alive[:],
+                           self._fits[task.cpu_req, task.mem_req][1][:])
 
     def _process(self, time: float, _prio: int, _seq: int, kind: str, payload: tuple) -> None:
         self.now = time

@@ -115,7 +115,9 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
 def forward(net: Mlp, x: np.ndarray, mask: np.ndarray | None = None):
     """Single-row inference on a feature row (in,): masked probabilities or a float value."""
     for w, b in net.hidden:
-        x = np.tanh(x @ w + b)
+        x = x @ w  # a new array, so the in-place steps never touch the caller's row
+        x += b
+        np.tanh(x, out=x)
     out = x @ net.weights[-1] + net.biases[-1]
     if net.policy_head:
         return masked_softmax(out, mask)

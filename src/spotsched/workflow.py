@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -125,12 +125,12 @@ class WorkflowSpec:
         object.__setattr__(self, "succs", succs)
 
 
-@dataclass(frozen=True)
-class TaskTiming:
+class TaskTiming(NamedTuple):
     """Realized timing and cost record of one executed task.
 
     delay = compute + wait + max_transfer and finish = start + delay hold
-    by construction; `SimEnv._place` builds every instance.
+    by construction; `SimEnv._place` builds every instance, by position,
+    once per placement.
     """
 
     start: float

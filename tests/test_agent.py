@@ -1,5 +1,6 @@
 """Hierarchical action space, state encoding, updates, and checkpoints."""
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -259,6 +260,26 @@ def test_sampled_act_calls_each_layer_once(monkeypatch):
     obs = offer(cluster, [single()])
     MultiActorAgent(cluster, seed=0).act(obs, np.random.default_rng(0))
     assert calls == {"encode": 1, "feasibility_masks": 1, "forward": 3}
+
+
+def test_sampled_act_leaves_its_features_row_unchanged(monkeypatch):
+    # forward runs its hidden layers in place: each of a sampled act's three
+    # forwards must leave the row it was given, and act returns encode's row
+    import spotsched.agent as agent_mod
+    unchanged = []
+
+    def checked(net, x, *args, _forward=agent_mod.forward):
+        before = x.tobytes()
+        out = _forward(net, x, *args)
+        unchanged.append(x.tobytes() == before)
+        return out
+    monkeypatch.setattr(agent_mod, "forward", checked)
+    cluster = default_cluster()
+    obs = offer(cluster, [single()])
+    agent = MultiActorAgent(cluster, seed=0)
+    _, _, features = agent.act(obs, np.random.default_rng(0))
+    assert unchanged == [True, True, True]
+    assert features.tobytes() == encode(obs, agent.scaling).tobytes()
 
 
 def test_untrained_group_choice_is_near_even():
@@ -521,6 +542,8 @@ def test_checkpoint_missing_keys_are_config_errors(tmp_path, damage):
     ("mem_norm", -2.0, "mem_norm"),
     # json writes NaN, which read_json refuses before the norms are checked
     ("cost_norm", float("nan"), "NaN"),
+    # below math.inf as an int, but no float holds it
+    pytest.param("cpu_norm", 10**400, "cpu_norm", id="cpu_norm-401-digit-int"),
 ])
 def test_checkpoint_rejects_bad_scaling(tmp_path, norm, value, message):
     """A norm that would divide by zero or poison encode fails at load."""
@@ -571,4 +594,35 @@ def test_checkpoint_rejects_malformed_networks(tmp_path, damage, error):
     damage(doc["networks"])
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(error):
+        load_checkpoint(path, cluster)
+
+
+@pytest.mark.parametrize("keys,value,where", [
+    (("format_version",), True, "format_version"),
+    (("format_version",), 1.0, "format_version"),
+    (("groups", "spot"), 5, "groups: spot"),
+    (("networks", "group_actor", "policy_head"), 1, "network group_actor: policy_head"),
+    (("networks", "critic", "sizes"), [58.0, 64.0, 64.0, 1.0], "network critic: sizes"),
+    (("networks", "critic", "weights", 0, 0, 0), True, "network critic: weights[0]"),
+    (("networks", "critic", "weights", 0, 0, 0), "0.5", "network critic: weights[0]"),
+    (("networks", "critic", "biases", 1, 0), True, "network critic: biases[1]"),
+    (("networks", "critic", "biases", 1, 0), "0.5", "network critic: biases[1]"),
+    (("networks", "node_actors", 1, "weights", 2, 0, 0), 10**400,
+     "network node_actors[1]: weights[2]"),
+], ids=["version-true", "version-float", "spot-group-int", "policy-head-int", "float-sizes",
+        "weight-true", "weight-string", "bias-true", "bias-string", "weight-401-digit-int"])
+def test_checkpoint_rejects_mistyped_values(tmp_path, keys, value, where):
+    """Values that == and numpy's casts would let through, or that would raise a raw
+    TypeError or OverflowError, are ConfigErrors naming the network and field."""
+    cluster = default_cluster()
+    path = tmp_path / "ck.json"
+    save_checkpoint(MultiActorAgent(cluster, seed=0), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    *parents, key = keys
+    target = doc
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape(where)):
         load_checkpoint(path, cluster)

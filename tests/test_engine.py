@@ -70,6 +70,38 @@ def test_reset_offers_first_task_at_time_zero():
     assert all(w == 0.0 for w in obs.wait)
 
 
+def test_first_observation_fields_by_name():
+    # no two per-node lists agree here (cpu_free != mem_free, alive != fit), so
+    # a swapped positional argument in the engine's build shows
+    env = SimEnv(two_nodes(spot_cpu=1.0), [single(cpu=2.0, mem=3.0, arrival=3.0)], seed=0)
+    obs = env.reset()
+    nodes = list(env.nodes.values())
+    assert obs.time == env.now == 3.0
+    assert obs.workflow_id == "w"
+    assert obs.task is env.runs["w"].spec.task_map["t"]
+    assert obs.node_ids == tuple(n.spec.id for n in nodes) == ("s0", "o0")
+    assert obs.unit_cost == tuple(n.spec.unit_cost for n in nodes) == (0.36 / 3600, 0.72 / 3600)
+    assert obs.cpu_free == [n.cpu_free for n in nodes] == [1.0, 4.0]
+    assert obs.mem_free == [n.mem_free for n in nodes] == [16.0, 16.0]
+    assert obs.alive == [n.alive for n in nodes] == [True, True]
+    assert obs.fit == [n.can_fit(obs.task) for n in nodes] == [False, True]
+
+
+def test_placement_records_its_running_task_by_name():
+    # cpu_req != mem_req and compute != exec_start, so a swapped field shows
+    tasks = tuple(TaskSpec(id=tid, cpu_req=1.0, mem_req=3.0, work=100.0) for tid in "ab")
+    env = SimEnv(two_nodes(spot_rate=2.0), [WorkflowSpec(id="w", tasks=tasks, edges=(),
+                                                         arrival_time=5.0)], seed=0)
+    assert env.reset().task.id == "a"
+    obs, _, _ = env.step("s0")
+    assert obs.task.id == "b" and env.now == 5.0  # the next offer, at the same instant
+    running = env.nodes["s0"].running[("w", "a")]
+    assert (running.workflow_id, running.task_id) == ("w", "a")
+    assert (running.cpu_req, running.mem_req) == (1.0, 3.0)
+    assert running.compute == 100.0 / 2.0
+    assert running.exec_start == env.now
+
+
 def test_one_arrival_event_per_workflow():
     events = []
     wfs = [single(f"w{i}", work=1.0, arrival=float(i)) for i in range(10)]
