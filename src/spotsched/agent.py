@@ -28,8 +28,9 @@ HIDDEN_SIZES = (64, 64)
 
 CHECKPOINT_VERSION = 1
 
-# What MultiActorAgent.update reports, each a mean over the update's steps.
-UPDATE_STATS = ("critic_loss", "group_loss", "node_loss", "clip_fraction")
+# What MultiActorAgent.update reports, each a mean over the update's steps;
+# the clip fraction, entropy and approx-KL are the group actor's.
+UPDATE_STATS = ("critic_loss", "group_loss", "node_loss", "clip_fraction", "entropy", "approx_kl")
 
 
 @dataclass(frozen=True)
@@ -230,8 +231,9 @@ class MultiActorAgent:
                 critic_step(self.policies.critic, opts["critic"], mb.features, mb.returns)["loss"])
             stats = actor_step(self.policies.group_actor, opts["group"], mb.features, mb.groups,
                                mb.logp_groups, mb.advantages, group_mask)
-            report["group_loss"].append(stats["loss"])
-            report["clip_fraction"].append(stats["clip_fraction"])
+            report["group_loss"].append(stats.pop("loss"))
+            for k, v in stats.items():
+                report[k].append(v)
             for g, net in enumerate(self.policies.node_actors):
                 rows = np.flatnonzero(mb.groups == g)
                 if not rows.size:
@@ -258,6 +260,8 @@ class EpisodeRecord:
     group_loss: float
     node_loss: float
     clip_fraction: float
+    entropy: float
+    approx_kl: float
 
 
 def train(agent: MultiActorAgent,

@@ -101,8 +101,9 @@ def advantages(returns: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def actor_loss_and_grads(net: Mlp, states, actions, old_logps, advs, masks,
                          epsilon: float, entropy_weight: float):
-    """Negated mean clipped surrogate minus entropy bonus (to minimize),
-    its parameter gradients, and the fraction of clipped ratios.
+    """Negated mean clipped surrogate minus entropy bonus (to minimize), its
+    parameter gradients, and the minibatch's diagnostics: the fraction of
+    clipped ratios, the mean entropy and the approx-KL mean(old_logp - logp).
 
     Takes the numpy arrays of one minibatch of a Rollout, and neither
     converts nor re-checks them. The update passes CLIP_EPSILON and
@@ -113,7 +114,8 @@ def actor_loss_and_grads(net: Mlp, states, actions, old_logps, advs, masks,
     out, acts = net.forward_cache(states)
     logp = masked_log_softmax(out, masks)
     p = np.exp(logp)
-    ratio = np.exp(logp[rows, actions] - old_logps)
+    live = logp[rows, actions]
+    ratio = np.exp(live - old_logps)
     unclipped = ratio * advs
     clip_lo, clip_hi = 1.0 - epsilon, 1.0 + epsilon
     clipped = np.clip(ratio, clip_lo, clip_hi) * advs
@@ -122,7 +124,8 @@ def actor_loss_and_grads(net: Mlp, states, actions, old_logps, advs, masks,
     logp_live = np.where(masks, logp, 0.0)
     ent = -(p * logp_live).sum(axis=1)
     loss = float(np.mean(-np.minimum(unclipped, clipped) - entropy_weight * ent))
-    clip_fraction = np.count_nonzero(~inside) / n
+    stats = {"clip_fraction": np.count_nonzero(~inside) / n, "entropy": float(ent.mean()),
+             "approx_kl": float(np.mean(old_logps - live))}
     # d(surr)/dlogp[a] is ratio*adv on the active unclipped branch,
     # zero when the clamp saturates and wins the min.
     coeff = np.where(inside | (unclipped <= clipped), unclipped, 0.0)
@@ -132,7 +135,7 @@ def actor_loss_and_grads(net: Mlp, states, actions, old_logps, advs, masks,
     dent = np.where(masks, -p * (logp_live + ent[:, None]), 0.0)
     dlogits = np.where(masks, -dsurr - entropy_weight * dent, 0.0)
     grads = net.backward(acts, dlogits / n)
-    return loss, grads, clip_fraction
+    return loss, grads, stats
 
 
 def critic_loss_and_grads(net: Mlp, states, returns):
@@ -146,12 +149,12 @@ def critic_loss_and_grads(net: Mlp, states, returns):
 
 
 def actor_step(net: Mlp, opt: Adam, states, actions, old_logps, advs, masks) -> dict:
-    """One clipped-surrogate ascent step; returns loss and clip fraction."""
-    loss, grads, clip_frac = actor_loss_and_grads(
+    """One clipped-surrogate ascent step; returns the loss and the diagnostics."""
+    loss, grads, stats = actor_loss_and_grads(
         net, states, actions, old_logps, advs, masks, CLIP_EPSILON, ENTROPY_WEIGHT)
     clip_grad_norm(grads, GRAD_CLIP_NORM)
     opt.step(net.vector, np.concatenate([g.ravel() for g in grads]))
-    return {"loss": loss, "clip_fraction": clip_frac}
+    return {"loss": loss, **stats}
 
 
 def critic_step(net: Mlp, opt: Adam, states, returns) -> dict:

@@ -351,7 +351,8 @@ def test_update_reports_and_steps_optimizers():
     # every sample chose a group, so some node actor steps in each epoch
     assert all(o.t <= EPOCHS for o in opts["nodes"])
     assert sum(o.t for o in opts["nodes"]) >= EPOCHS
-    assert set(report) == {"critic_loss", "group_loss", "node_loss", "clip_fraction"}
+    assert set(report) == {"critic_loss", "group_loss", "node_loss", "clip_fraction", "entropy",
+                           "approx_kl"}
     assert all(np.isfinite(v) for v in report.values())
 
 
@@ -410,6 +411,8 @@ def test_training_curve_carries_update_reports(monkeypatch):
     assert recorded == [reports[0], dict.fromkeys(UPDATE_STATS, 0.0), reports[1]]
     assert len(reports) == 2
     assert all(r["critic_loss"] > 0 and 0.0 <= r["clip_fraction"] <= 1.0 for r in reports)
+    # two groups: the group actor's entropy lies in (0, log 2]
+    assert all(0.0 < r["entropy"] <= np.log(2) and np.isfinite(r["approx_kl"]) for r in reports)
 
 
 def test_train_uses_fresh_workload_per_episode():

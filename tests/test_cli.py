@@ -81,7 +81,7 @@ def test_train_then_compare_pipeline(tmp_path):
     assert (train_out / "checkpoint.json").exists()
     curve = (train_out / "training_curve.csv").read_text(encoding="utf-8").splitlines()
     assert curve[0] == ("episode,total_reward,total_cost,mean_execution_time,completed,interrupted,"
-                        "timed_out,critic_loss,group_loss,node_loss,clip_fraction")
+                        "timed_out,critic_loss,group_loss,node_loss,clip_fraction,entropy,approx_kl")
     assert len(curve) == 3  # header + one line per episode
     assert "trained 2 episodes" in result.output
 

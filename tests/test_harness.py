@@ -154,18 +154,18 @@ def test_comparison_csv_round_trip(tmp_path):
 
 
 def test_curve_csv(tmp_path):
-    curve = [EpisodeRecord(0, -0.5, 0.5, 10.0, 2, 0, 0, 0.1, -0.2, 0.3, 0.25),
-             EpisodeRecord(1, -0.25, 0.25, 8.0, 2, 0, 0, 0.0, 0.0, 0.0, 0.0)]
+    curve = [EpisodeRecord(0, -0.5, 0.5, 10.0, 2, 0, 0, 0.1, -0.2, 0.3, 0.25, 1.5, 0.01),
+             EpisodeRecord(1, -0.25, 0.25, 8.0, 2, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)]
     path = tmp_path / "curve.csv"
     write_csv(EpisodeRecord, curve, path)
     with open(path, newline="", encoding="utf-8") as fh:
         got = list(csv.reader(fh))
     assert got[0] == ["episode", "total_reward", "total_cost", "mean_execution_time",
                       "completed", "interrupted", "timed_out",
-                      "critic_loss", "group_loss", "node_loss", "clip_fraction"]
+                      "critic_loss", "group_loss", "node_loss", "clip_fraction", "entropy", "approx_kl"]
     assert [row[0] for row in got[1:]] == ["0", "1"]
     assert float(got[1][2]) == 0.5
-    assert [float(x) for x in got[1][7:]] == [0.1, -0.2, 0.3, 0.25]
+    assert [float(x) for x in got[1][7:]] == [0.1, -0.2, 0.3, 0.25, 1.5, 0.01]
     write_csv(EpisodeRecord, [], path)  # the header comes from the row type
     assert path.read_text(encoding="utf-8").count("\n") == 1
 

@@ -131,10 +131,10 @@ def _live_logps(net, states, actions, masks):
 def test_unit_ratio_reduces_to_vanilla_policy_gradient():
     net, states, actions, masks, advs = _toy_batch()
     old = _live_logps(net, states, actions, masks)
-    loss, grads, clip_frac = actor_loss_and_grads(
+    loss, grads, stats = actor_loss_and_grads(
         net, states, actions, old, advs, masks, epsilon=0.2, entropy_weight=0.0
     )
-    assert clip_frac == 0.0
+    assert stats["clip_fraction"] == 0.0 and stats["approx_kl"] == 0.0
     assert loss == pytest.approx(-advs.mean())
     # by hand: gradient of -mean(adv * logp[action]) wrt the logits
     out, acts = net.forward_cache(states)
@@ -153,7 +153,7 @@ def _per_sample_actor_terms(net, states, actions, old_logps, advs, masks, eps, w
     """The per-sample loop that the batched actor loss replaced, as its reference."""
     out, acts = net.forward_cache(states)
     dlogits = np.zeros_like(out)
-    total = clipped_count = 0
+    total = clipped_count = ent_total = kl_total = 0
     for b, (a, mask) in enumerate(zip(actions, masks)):
         logp = masked_log_softmax(out[b], mask)
         p = np.exp(logp)
@@ -163,6 +163,8 @@ def _per_sample_actor_terms(net, states, actions, old_logps, advs, masks, eps, w
         inside = 1.0 - eps <= ratio <= 1.0 + eps
         clipped_count += not inside
         ent = float(-(p[mask] * logp[mask]).sum())
+        ent_total += ent
+        kl_total += old_logps[b] - logp[a]
         total += -min(unclipped, clipped) - weight * ent
         onehot = np.zeros_like(p)
         onehot[a] = 1.0
@@ -170,7 +172,9 @@ def _per_sample_actor_terms(net, states, actions, old_logps, advs, masks, eps, w
         dent = np.where(mask, -p * (np.where(mask, logp, 0.0) + ent), 0.0)
         dlogits[b] = np.where(mask, -dsurr - weight * dent, 0.0)
     n = len(actions)
-    return total / n, net.backward(acts, dlogits / n), clipped_count / n
+    stats = {"clip_fraction": clipped_count / n, "entropy": ent_total / n,
+             "approx_kl": kl_total / n}
+    return total / n, net.backward(acts, dlogits / n), stats
 
 
 def test_batched_actor_terms_match_per_sample_loop():
@@ -182,11 +186,13 @@ def test_batched_actor_terms_match_per_sample_loop():
     masks[np.arange(16), actions] = True
     old = _live_logps(net, states, actions, masks) + rng.normal(scale=0.4, size=16)
     advs = rng.normal(size=16)
-    loss, grads, clip_frac = actor_loss_and_grads(net, states, actions, old, advs, masks,
-                                                  epsilon=0.2, entropy_weight=0.05)
-    ref_loss, ref_grads, ref_clip = _per_sample_actor_terms(
+    loss, grads, stats = actor_loss_and_grads(net, states, actions, old, advs, masks,
+                                              epsilon=0.2, entropy_weight=0.05)
+    ref_loss, ref_grads, ref_stats = _per_sample_actor_terms(
         net, states, actions, old, advs, masks, 0.2, 0.05)
-    assert 0 < clip_frac < 1 and clip_frac == ref_clip
+    assert 0 < stats["clip_fraction"] < 1 and stats["clip_fraction"] == ref_stats["clip_fraction"]
+    for k in ("entropy", "approx_kl"):  # summed in another order
+        assert stats[k] == pytest.approx(ref_stats[k], rel=1e-12)
     assert loss == pytest.approx(ref_loss, rel=1e-12)  # summed in another order
     assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
 
@@ -196,10 +202,10 @@ def test_clip_fraction_counts_out_of_range_ratios():
     old = _live_logps(net, states, actions, masks)
     old[0] -= 1.0  # ratio e^-1, below the clip window
     old[1] += 1.0  # ratio e^1, above it
-    _, _, clip_frac = actor_loss_and_grads(
+    _, _, stats = actor_loss_and_grads(
         net, states, actions, old, advs, masks, epsilon=0.2, entropy_weight=0.0
     )
-    assert clip_frac == pytest.approx(2 / len(actions))
+    assert stats["clip_fraction"] == pytest.approx(2 / len(actions))
 
 
 def test_zero_advantages_zero_entropy_gives_zero_grads():
@@ -262,4 +268,4 @@ def test_actor_step_raises_probability_of_good_action():
         report = actor_step(net, opt, state, action, old, np.array([1.0]), mask)
     after = forward(net, state[0], mask[0])[2]
     assert after > before
-    assert set(report) == {"loss", "clip_fraction"}
+    assert set(report) == {"loss", "clip_fraction", "entropy", "approx_kl"}
