@@ -8,8 +8,11 @@ node with room for the pending task.
 from __future__ import annotations
 
 import json
+import math
 import sys
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, fields
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -42,7 +45,7 @@ class ActionSpaceLayout:
     """
 
     group_nodes: tuple[tuple[str, ...], ...]
-    group_positions: tuple[np.ndarray, ...] = field(compare=False)
+    group_positions: tuple[tuple[int, ...], ...] = field(compare=False)
 
     @classmethod
     def from_cluster(cls, cluster: ClusterSpec) -> "ActionSpaceLayout":
@@ -50,8 +53,7 @@ class ActionSpaceLayout:
         position = {n.id: i for i, n in enumerate(cluster.nodes)}
         group_nodes = tuple(tuple(n.id for n in groups[g]) for g in GROUP_ORDER)
         return cls(group_nodes=group_nodes, group_positions=tuple(
-            np.array([position[i] for i in ids], dtype=np.intp) for ids in group_nodes
-        ))
+            tuple(position[i] for i in ids) for ids in group_nodes))
 
     @property
     def group_sizes(self) -> tuple[int, ...]:
@@ -109,18 +111,18 @@ def state_dim(node_count: int) -> int:
     return 3 + 5 * node_count
 
 
-def feasibility_masks(fit: np.ndarray, layout: ActionSpaceLayout):
-    """(group mask, per-group node masks) from a bool array of an observation's `fit`.
+def feasibility_masks(fit: list[bool] | np.ndarray, layout: ActionSpaceLayout):
+    """(group mask, per-group node masks) from `fit`; True is alive and fits.
 
-    True means alive and fits. A batch of fit rows gives a batch of masks,
-    one row per fit row. An empty group still has one node output, always
-    masked out.
-    """
-    # take and a ufunc reduce cost half what fit[..., pos] and .any() do on one row
-    node_masks = [fit.take(pos, axis=-1) if pos.size else np.zeros((*fit.shape[:-1], 1), dtype=bool)
+    An observation's `fit` list gives lists, for acting, and a bool array of fit rows arrays,
+    one row each, for the update. An empty group has one node output, always False."""
+    if isinstance(fit, list):
+        node_masks = [[fit[i] for i in pos] or [False] for pos in layout.group_positions]
+        return [any(m) for m in node_masks], node_masks
+    # take and a ufunc reduce cost two thirds of what fit[:, pos] and .any() do
+    node_masks = [fit.take(pos, axis=-1) if pos else np.zeros((len(fit), 1), dtype=bool)
                   for pos in layout.group_positions]
-    group_mask = np.array([np.logical_or.reduce(m, axis=-1) for m in node_masks]).T
-    return group_mask, node_masks
+    return np.array([np.logical_or.reduce(m, axis=-1) for m in node_masks]).T, node_masks
 
 
 @dataclass
@@ -154,13 +156,14 @@ class SelectedAction(NamedTuple):
     value: float | None
 
 
-def _pick(p: np.ndarray, rng: np.random.Generator | None) -> int:
-    """The argmax when rng is None, else the draw Generator.choice(p.size, p=p) makes."""
+def _pick(p: list[float], rng: np.random.Generator | None) -> int:
+    """The argmax when rng is None, else the draw Generator.choice(len(p), p=p) makes.
+
+    Neither lands on a 0.0: a zero repeats the running sum before it, and the search passes it."""
     if rng is None:
-        return int(p.argmax())
-    cdf = np.add.accumulate(p)  # p.cumsum() with less call overhead
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+        return p.index(max(p))
+    cdf = list(accumulate(p))
+    return bisect_right([c / cdf[-1] for c in cdf], rng.random())
 
 
 def select_action(policies: PolicySet, features: np.ndarray, group_mask, node_masks,
@@ -173,9 +176,9 @@ def select_action(policies: PolicySet, features: np.ndarray, group_mask, node_ma
     g = _pick(p_group, rng)
     p_node = forward(policies.node_actors[g], features, node_masks[g])
     n = _pick(p_node, rng)
-    # np.log, not math.log: with numpy 2.4 on AVX-512 they differ in the last bit on
-    # about 1 in 700 softmax probabilities, and that would change training.
-    return SelectedAction(g, n, float(np.log(p_group[g])), float(np.log(p_node[n])),
+    # math.log is safe: a pick never lands on a 0.0. The update recomputes these
+    # log-probabilities in numpy, so its first ratio is 1 within a few ulps.
+    return SelectedAction(g, n, math.log(p_group[g]), math.log(p_node[n]),
                           None if rng is None else forward(policies.critic, features))
 
 
@@ -204,7 +207,7 @@ class MultiActorAgent:
             rng: np.random.Generator | None = None) -> tuple[str, SelectedAction, np.ndarray]:
         """(node id, choice, features): sampled from rng, greedy without one."""
         features = encode(obs, self.scaling)
-        group_mask, node_masks = feasibility_masks(np.array(obs.fit), self.layout)
+        group_mask, node_masks = feasibility_masks(obs.fit, self.layout)
         choice = select_action(self.policies, features, group_mask, node_masks, rng)
         return self.layout.node_id(choice.group, choice.node), choice, features
 
@@ -231,9 +234,8 @@ class MultiActorAgent:
                 critic_step(self.policies.critic, opts["critic"], mb.features, mb.returns)["loss"])
             stats = actor_step(self.policies.group_actor, opts["group"], mb.features, mb.groups,
                                mb.logp_groups, mb.advantages, group_mask)
-            report["group_loss"].append(stats.pop("loss"))
-            for k, v in stats.items():
-                report[k].append(v)
+            for k, v in stats.items():  # the group actor's loss and its diagnostics
+                report["group_loss" if k == "loss" else k].append(v)
             for g, net in enumerate(self.policies.node_actors):
                 rows = np.flatnonzero(mb.groups == g)
                 if not rows.size:

@@ -1,8 +1,8 @@
 """Small feed-forward networks with explicit reverse-mode gradients.
 
-Float64 numpy throughout. Policy heads produce masked softmax
-distributions; value heads are linear scalars. Gradients are computed by
-hand so they can be cross-checked against finite differences.
+Float64 numpy, but one row's policy probabilities are a list of floats.
+Policy heads produce masked softmax distributions; value heads are linear
+scalars. Gradients are computed by hand to be checked by finite differences.
 """
 from __future__ import annotations
 
@@ -83,44 +83,53 @@ class Mlp:
 
 
 def masked_log_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Log-probabilities with -inf on masked-out entries.
+    """Log-probabilities along the last axis, with -inf on masked-out entries.
 
-    Takes a row of logits (n,) or a batch (batch, n), and a mask of that
+    The update's path, over a batch of rows (batch, n) and a mask of that
     shape. Masked entries enter each row's sum as exact zeros (exp(-inf)),
     so a batch gives exactly the row-by-row results.
     """
     z = np.asarray(logits, dtype=float)
-    # count_nonzero, not .all()/.any(): on a short row it costs a quarter as much.
-    if np.count_nonzero(np.isfinite(z)) < z.size:
+    if not np.isfinite(z).all():
         raise FloatingPointError("non-finite policy logits")
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != z.shape:
         raise ValueError(f"mask shape {mask.shape} != logits shape {z.shape}")
-    # A single row, the acting path, reduces whole: no per-row axis to keep.
-    axis, keepdims = (None, False) if z.ndim == 1 else (-1, True)
-    if not (np.count_nonzero(mask) if axis is None else mask.any(axis=-1).all()):
+    if not mask.any(axis=-1).all():
         raise NoFeasibleActionError("all actions masked out")
     z = np.where(mask, z, -np.inf)
-    # Ufunc reductions: the method forms pass through numpy's Python wrappers.
-    m = np.maximum.reduce(z, axis=axis, keepdims=keepdims)
-    return z - (m + np.log(np.add.reduce(np.exp(z - m), axis=axis, keepdims=keepdims)))
+    m = np.maximum.reduce(z, axis=-1, keepdims=True)
+    return z - (m + np.log(np.add.reduce(np.exp(z - m), axis=-1, keepdims=True)))
 
 
-def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Probabilities, exactly zero on masked-out entries; a batch per row."""
-    p = np.exp(masked_log_softmax(logits, mask))
-    return p / (np.add.reduce(p) if p.ndim == 1 else np.add.reduce(p, axis=-1, keepdims=True))
+def masked_softmax_row(logits: list[float], mask: list[bool]) -> list[float]:
+    """One row's probabilities as Python floats, exactly 0.0 where masked out.
+
+    The acting path, where numpy's per-call cost outweighs a short row's arithmetic;
+    within a few ulps of the batch path. fsum, not sum(), whose rounding changed in 3.12.
+    """
+    if len(mask) != len(logits):
+        raise ValueError(f"mask length {len(mask)} != logits length {len(logits)}")
+    if not all(map(math.isfinite, logits)):
+        raise FloatingPointError("non-finite policy logits")
+    live = [z for z, m in zip(logits, mask) if m]
+    if not live:
+        raise NoFeasibleActionError("all actions masked out")
+    top = max(live)
+    e = [math.exp(z - top) if m else 0.0 for z, m in zip(logits, mask)]
+    total = math.fsum(e)
+    return [v / total for v in e]
 
 
-def forward(net: Mlp, x: np.ndarray, mask: np.ndarray | None = None):
-    """Single-row inference on a feature row (in,): masked probabilities or a float value."""
+def forward(net: Mlp, x: np.ndarray, mask: list[bool] | None = None):
+    """Inference on one feature row (in,): a list of masked probabilities, or a float value."""
     for w, b in net.hidden:
         x = x @ w  # a new array, so the in-place steps never touch the caller's row
         x += b
         np.tanh(x, out=x)
     out = x @ net.weights[-1] + net.biases[-1]
     if net.policy_head:
-        return masked_softmax(out, mask)
+        return masked_softmax_row(out.tolist(), mask)
     if np.count_nonzero(np.isfinite(out)) < out.size:
         raise FloatingPointError("non-finite value output")
     return float(out[0]) if out.size == 1 else out

@@ -114,8 +114,8 @@ def actor_loss_and_grads(net: Mlp, states, actions, old_logps, advs, masks,
     out, acts = net.forward_cache(states)
     logp = masked_log_softmax(out, masks)
     p = np.exp(logp)
-    live = logp[rows, actions]
-    ratio = np.exp(live - old_logps)
+    log_ratio = logp[rows, actions] - old_logps
+    ratio = np.exp(log_ratio)
     unclipped = ratio * advs
     clip_lo, clip_hi = 1.0 - epsilon, 1.0 + epsilon
     clipped = np.clip(ratio, clip_lo, clip_hi) * advs
@@ -125,7 +125,7 @@ def actor_loss_and_grads(net: Mlp, states, actions, old_logps, advs, masks,
     ent = -(p * logp_live).sum(axis=1)
     loss = float(np.mean(-np.minimum(unclipped, clipped) - entropy_weight * ent))
     stats = {"clip_fraction": np.count_nonzero(~inside) / n, "entropy": float(ent.mean()),
-             "approx_kl": float(np.mean(old_logps - live))}
+             "approx_kl": -float(log_ratio.mean())}
     # d(surr)/dlogp[a] is ratio*adv on the active unclipped branch,
     # zero when the clamp saturates and wins the min.
     coeff = np.where(inside | (unclipped <= clipped), unclipped, 0.0)

@@ -34,6 +34,7 @@ link that rests on a premise asserts that premise too:
   terms: no agent workflow times out.
 """
 import itertools
+import math
 import time
 
 import numpy as np
@@ -46,7 +47,7 @@ from spotsched.cli import main
 from spotsched.cluster import ON_DEMAND, SPOT, ClusterSpec, NodeSpec
 from spotsched.engine import SimEnv, run_episode
 from spotsched.harness import workload_for_seed
-from spotsched.nets import Mlp, forward, masked_log_softmax, masked_softmax
+from spotsched.nets import Mlp, forward, masked_log_softmax, masked_softmax_row
 from spotsched.ppo import actor_loss_and_grads, critic_loss_and_grads, rollout
 from spotsched.workflow import EdgeSpec, TaskSpec, WorkflowSpec
 from spotsched.workload import WorkloadConfig
@@ -174,9 +175,9 @@ def test_criterion_3_policy_numerics(builtin_cluster, monkeypatch):
         mask = rng.random(6) < 0.5
         if not mask.any():
             mask[int(rng.integers(6))] = True
-        p = masked_softmax(logits, mask)
-        assert abs(float(p.sum()) - 1.0) <= 1e-9
-        assert (p[~mask] == 0.0).all()
+        p = masked_softmax_row(logits.tolist(), mask.tolist())  # the acting path
+        assert abs(math.fsum(p) - 1.0) <= 1e-9
+        assert all(v == 0.0 for v, m in zip(p, mask) if not m)
 
     # (b) analytic gradients vs central differences, fixed tiny setup
     actor = Mlp([5, 6, 3], np.random.default_rng(7), policy_head=True)
@@ -222,16 +223,16 @@ def test_criterion_3_policy_numerics(builtin_cluster, monkeypatch):
     agent = MultiActorAgent(builtin_cluster, seed=0)
     rows = []
     dim = state_dim(len(builtin_cluster.nodes))
-    group_mask = np.ones(2, dtype=bool)
+    group_mask = [True, True]
     fit = np.ones(len(builtin_cluster.nodes), dtype=bool)
     for i in range(6):
         g = i % 2
-        node_mask = np.ones(agent.layout.group_sizes[g], dtype=bool)
+        node_mask = [True] * agent.layout.group_sizes[g]
         state = np.zeros(dim)
         state[0] = 0.1 * i
         p_group = forward(agent.policies.group_actor, state, group_mask)
         p_node = forward(agent.policies.node_actors[g], state, node_mask)
-        rows.append((state, fit, g, 0, float(np.log(p_group[g])), float(np.log(p_node[0])),
+        rows.append((state, fit, g, 0, math.log(p_group[g]), math.log(p_node[0]),
                      0.0, 0.0))
     monkeypatch.setattr(ppo, "ENTROPY_WEIGHT", 0.0)
     batch = rollout(rows)

@@ -25,7 +25,7 @@ from spotsched.cluster import ON_DEMAND, SPOT, ClusterSpec, NodeSpec, default_cl
 from spotsched.engine import Observation, SimEnv, run_episode
 from spotsched.errors import ConfigError, LayoutMismatchError
 from spotsched.harness import train_run
-from spotsched.nets import forward, masked_softmax
+from spotsched.nets import forward, masked_softmax_row
 from spotsched.ppo import EPOCHS, LEARNING_RATE, TrainConfig, rollout
 from spotsched.workflow import TaskSpec, WorkflowSpec
 from spotsched.workload import WorkloadConfig, generate
@@ -147,8 +147,8 @@ def test_feasibility_masks_respect_capacity():
     # cpu 6 only fits the 8-core flavors
     obs = offer(cluster, [single(cpu=6.0, mem=2.0)])
     layout = ActionSpaceLayout.from_cluster(cluster)
-    gmask, nmasks = feasibility_masks(np.array(obs.fit), layout)
-    assert gmask.tolist() == [True, True]
+    gmask, nmasks = feasibility_masks(obs.fit, layout)
+    assert gmask == [True, True]
     od_fit = [layout.group_nodes[0][i] for i in np.flatnonzero(nmasks[0])]
     spot_fit = [layout.group_nodes[1][i] for i in np.flatnonzero(nmasks[1])]
     assert od_fit == ["od-2xlarge-0"]
@@ -166,14 +166,14 @@ def test_feasibility_masks_batch_matches_rows():
         gmasks, nmasks = feasibility_masks(fits, layout)
         assert gmasks.shape == (40, 2)
         for b, fit in enumerate(fits):
-            gmask, row_masks = feasibility_masks(fit, layout)
-            assert np.array_equal(gmasks[b], gmask)
-            assert all(np.array_equal(m[b], r) for m, r in zip(nmasks, row_masks))
+            gmask, row_masks = feasibility_masks(fit.tolist(), layout)  # an observation's list
+            assert gmasks[b].tolist() == gmask
+            assert all(m[b].tolist() == r for m, r in zip(nmasks, row_masks))
     # the spot-free cluster's empty group: one output, never feasible, in a
     # batch as in a single row
     assert nmasks[1].shape == (40, 1) and not nmasks[1].any() and not gmasks[:, 1].any()
-    assert row_masks[1].shape == (1,) and not row_masks[1].any() and not gmask[1]
-    assert gmask.shape == (2,) and feasibility_masks(fits[0], layout)[0].tolist() == [True, False]
+    assert row_masks[1] == [False] and gmask[1] is False
+    assert feasibility_masks(fits[0].tolist(), layout)[0] == [True, False]
 
 
 def test_masks_and_baselines_match_engine_fit_over_episodes():
@@ -216,7 +216,7 @@ def test_single_feasible_node_is_forced():
     agent = MultiActorAgent(cluster, seed=0)
     node_id, choice, _ = agent.act(obs, np.random.default_rng(0))
     assert node_id == "o0"
-    assert feasibility_masks(np.array(obs.fit), agent.layout)[0].tolist() == [True, False]
+    assert feasibility_masks(obs.fit, agent.layout)[0] == [True, False]
     assert choice.logp_group == 0.0 and choice.logp_node == 0.0
     assert agent.act(obs)[0] == "o0"  # no rng: the greedy pick
 
@@ -229,10 +229,26 @@ def test_pick_draws_what_generator_choice_draws():
         logits = dists.normal(size=n) * (40.0 if trial % 3 == 0 else 3.0)  # near-zero probabilities
         mask = dists.random(n) < (0.0 if trial % 5 == 0 else 0.6)  # one live action every 5th
         mask[dists.integers(n)] = True
-        p = masked_softmax(logits, mask)
+        p = masked_softmax_row(logits.tolist(), mask.tolist())
         assert _pick(p, mine) == int(theirs.choice(n, p=p))
         assert _pick(p, None) == int(np.argmax(p))
     assert mine.random() == theirs.random()  # both streams end at the same place
+
+
+def test_pick_never_lands_on_a_zero_probability():
+    # logits 1000 apart underflow live probabilities to 0.0, first and last
+    # entries included; select_action's math.log(0.0) would raise
+    dists, rng = np.random.default_rng(9), np.random.default_rng(10)
+    zeros = 0
+    for trial in range(2000):
+        n = int(dists.integers(2, 12))
+        logits = dists.integers(-2, 2, size=n) * 1000.0 + dists.normal(size=n)
+        p = masked_softmax_row(logits.tolist(), [True] * n)
+        zeros += p.count(0.0)
+        for _ in range(5):
+            assert p[_pick(p, rng)] > 0.0
+        assert p[_pick(p, None)] > 0.0
+    assert zeros > 2000
 
 
 def test_greedy_act_skips_the_critic():
@@ -287,7 +303,7 @@ def test_untrained_group_choice_is_near_even():
     obs = offer(cluster, [single()])
     agent = MultiActorAgent(cluster, seed=0)
     feats = encode(obs, agent.scaling)
-    gmask, nmasks = feasibility_masks(np.array(obs.fit), agent.layout)
+    gmask, nmasks = feasibility_masks(obs.fit, agent.layout)
     rng = np.random.default_rng(123)
     counts = np.zeros(2)
     for _ in range(10_000):
@@ -464,12 +480,12 @@ def test_loaded_parameters_stay_views_the_optimizers_train(tmp_path):
         for net in [policies.group_actor, *policies.node_actors, policies.critic]:
             assert all(np.shares_memory(p, net.vector) for p in net.params)
     feats = np.full(state_dim(2), 0.5)
-    group_mask = np.ones(2, dtype=bool)
+    group_mask = [True, True]
     before = forward(clone.policies.group_actor, feats, group_mask)
     value_before = forward(clone.policies.critic, feats)
     batch = _collect_rollout(clone, cluster, generate(WorkloadConfig(count=3, seed=4)), seed=[1])
     clone.update(batch, np.random.default_rng(0))
-    assert not np.array_equal(forward(clone.policies.group_actor, feats, group_mask), before)
+    assert forward(clone.policies.group_actor, feats, group_mask) != before
     assert forward(clone.policies.critic, feats) != value_before
 
 
