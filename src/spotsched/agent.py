@@ -12,6 +12,7 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from itertools import accumulate
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -153,7 +154,6 @@ class SelectedAction(NamedTuple):
     node: int
     logp_group: float
     logp_node: float
-    value: float | None
 
 
 def _pick(p: list[float], rng: np.random.Generator | None) -> int:
@@ -170,7 +170,7 @@ def select_action(policies: PolicySet, features: np.ndarray, group_mask, node_ma
                   rng: np.random.Generator | None) -> SelectedAction:
     """Sample the group, then a node within it; the argmax when rng is None.
 
-    Only sampling (training) reads the critic's value; greedy acting leaves it None.
+    Neither reads the critic: train takes an episode's values in one pass after its last decision.
     """
     p_group = forward(policies.group_actor, features, group_mask)
     g = _pick(p_group, rng)
@@ -178,8 +178,7 @@ def select_action(policies: PolicySet, features: np.ndarray, group_mask, node_ma
     n = _pick(p_node, rng)
     # math.log is safe: a pick never lands on a 0.0. The update recomputes these
     # log-probabilities in numpy, so its first ratio is 1 within a few ulps.
-    return SelectedAction(g, n, math.log(p_group[g]), math.log(p_node[n]),
-                          None if rng is None else forward(policies.critic, features))
+    return SelectedAction(g, n, math.log(p_group[g]), math.log(p_node[n]))
 
 
 class MultiActorAgent:
@@ -291,9 +290,10 @@ def train(agent: MultiActorAgent,
             obs, reward, _ = env.step(node_id)
             total_reward += reward
             rows.append((features, fit, choice.group, choice.node, choice.logp_group,
-                         choice.logp_node, reward, choice.value))
-        report = (agent.update(rollout(rows), update_rng) if rows
-                  else dict.fromkeys(UPDATE_STATS, 0.0))
+                         choice.logp_node, reward))
+        # the critic's values after the last decision: only update changes the critic
+        report = (agent.update(rollout(rows, partial(forward, agent.policies.critic)), update_rng)
+                  if rows else dict.fromkeys(UPDATE_STATS, 0.0))
         stats = env.episode_stats()
         curve.append(EpisodeRecord(
             episode=episode,

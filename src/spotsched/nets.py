@@ -75,11 +75,7 @@ class Mlp:
             grads_b[i] = delta.sum(axis=0)
             if i > 0:
                 delta = (delta @ self.weights[i].T) * (1.0 - acts[i] ** 2)
-        out = []
-        for gw, gb in zip(grads_w, grads_b):
-            out.append(gw)
-            out.append(gb)
-        return out
+        return [g for pair in zip(grads_w, grads_b) for g in pair]
 
 
 def masked_log_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -122,7 +118,11 @@ def masked_softmax_row(logits: list[float], mask: list[bool]) -> list[float]:
 
 
 def forward(net: Mlp, x: np.ndarray, mask: list[bool] | None = None):
-    """Inference on one feature row (in,): a list of masked probabilities, or a float value."""
+    """Inference on one feature row (in,): a list of masked probabilities, or a float value.
+
+    A value head also takes rows (n, in): values (n,), each bit for bit its row's, as
+    stacked (n, 1, in) gemvs like one row's, never the 2-D gemm that sums in another order."""
+    x = x[:, None, :] if x.ndim == 2 else x
     for w, b in net.hidden:
         x = x @ w  # a new array, so the in-place steps never touch the caller's row
         x += b
@@ -132,7 +132,7 @@ def forward(net: Mlp, x: np.ndarray, mask: list[bool] | None = None):
         return masked_softmax_row(out.tolist(), mask)
     if np.count_nonzero(np.isfinite(out)) < out.size:
         raise FloatingPointError("non-finite value output")
-    return float(out[0]) if out.size == 1 else out
+    return float(out[0]) if out.ndim == 1 else out[:, 0, 0]
 
 
 def clip_grad_norm(grads: list[np.ndarray], max_norm: float) -> float:

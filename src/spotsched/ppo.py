@@ -8,7 +8,7 @@ differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,17 +58,17 @@ class Rollout(NamedTuple):
     advantages: np.ndarray
 
 
-def rollout(rows) -> Rollout:
+def rollout(rows, value: Callable[[np.ndarray], np.ndarray]) -> Rollout:
     """Stack an episode's decision rows into a Rollout, with returns and advantages.
 
-    A row is (features, fit row, group, node, logp_group, logp_node,
-    reward, critic value).
+    A row is (features, fit row, group, node, logp_group, logp_node, reward).
+    `value` maps the stacked features (n, in) to the critic's values (n,).
     """
     if not rows:
         raise ValueError("a rollout needs at least one decision")
-    *columns, rewards, values = map(np.array, zip(*rows))
+    *columns, rewards = map(np.array, zip(*rows))
     returns = discounted_returns(rewards, DISCOUNT)
-    return Rollout(*columns, returns, advantages(returns, values))
+    return Rollout(*columns, returns, advantages(returns, value(columns[0])))
 
 
 def discounted_returns(rewards, discount: float) -> np.ndarray:

@@ -36,6 +36,7 @@ link that rests on a premise asserts that premise too:
 import itertools
 import math
 import time
+from functools import partial
 
 import numpy as np
 from click.testing import CliRunner
@@ -232,10 +233,12 @@ def test_criterion_3_policy_numerics(builtin_cluster, monkeypatch):
         state[0] = 0.1 * i
         p_group = forward(agent.policies.group_actor, state, group_mask)
         p_node = forward(agent.policies.node_actors[g], state, node_mask)
-        rows.append((state, fit, g, 0, math.log(p_group[g]), math.log(p_node[0]),
-                     0.0, 0.0))
+        rows.append((state, fit, g, 0, math.log(p_group[g]), math.log(p_node[0]), 0.0))
     monkeypatch.setattr(ppo, "ENTROPY_WEIGHT", 0.0)
-    batch = rollout(rows)
+    # a zero critic head: values exactly 0.0 against the zero returns
+    for p in agent.policies.critic.params[-2:]:
+        p[...] = 0.0
+    batch = rollout(rows, partial(forward, agent.policies.critic))
     assert np.all(batch.advantages == 0.0)
     actors = [agent.policies.group_actor, *agent.policies.node_actors]
     before = [p.copy() for net in actors for p in net.params]

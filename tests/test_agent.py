@@ -2,6 +2,7 @@
 import json
 import re
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -252,19 +253,57 @@ def test_pick_never_lands_on_a_zero_probability():
 
 
 def test_greedy_act_skips_the_critic():
+    # neither act reads the critic, so a poisoned one cannot stop either
     cluster = default_cluster()
     obs = offer(cluster, [single()])
     agent = MultiActorAgent(cluster, seed=0)
     agent.policies.critic.vector[:] = np.nan
-    node_id, choice, _ = agent.act(obs)
-    assert node_id in obs.node_ids and choice.value is None
+    for rng in (None, np.random.default_rng(0)):
+        node_id, _, _ = agent.act(obs, rng)
+        assert node_id in obs.node_ids
+
+
+def test_train_rejects_a_nonfinite_critic_before_any_update():
+    # the episode's value pass raises, so no optimizer has stepped
+    agent = MultiActorAgent(small_cluster(), seed=0)
+    agent.policies.critic.vector[:] = np.nan
     with pytest.raises(FloatingPointError):
-        agent.act(obs, np.random.default_rng(0))
+        train(agent, lambda e: generate(WorkloadConfig(count=2, seed=e)),
+              TrainConfig(episodes=2, seed=0))
+    opts = agent._optimizers
+    assert all(o.t == 0 for o in [opts["group"], *opts["nodes"], opts["critic"]])
+
+
+def test_episode_value_pass_trains_as_the_per_row_critic(monkeypatch):
+    # train's one stacked critic pass per episode against a forward per row:
+    # the same values, so bit for bit the same networks after three updates
+    import spotsched.agent as agent_mod
+    cluster = small_cluster()
+    batches = []
+
+    def per_row(net, x, *args, _forward=agent_mod.forward):
+        if x.ndim == 2:
+            batches.append(len(x))
+            return np.array([_forward(net, row) for row in x])
+        return _forward(net, x, *args)
+
+    def trained():
+        agent = MultiActorAgent(cluster, seed=0)
+        train(agent, lambda e: generate(WorkloadConfig(count=3, seed=(100, e))),
+              TrainConfig(episodes=3, seed=0))
+        p = agent.policies
+        return [net.vector for net in (p.group_actor, *p.node_actors, p.critic)]
+
+    stacked = trained()
+    monkeypatch.setattr(agent_mod, "forward", per_row)
+    rowwise = trained()
+    assert len(batches) == 3 and min(batches) > 0 and len(stacked) == len(rowwise) == 4
+    assert all(np.array_equal(a, b) for a, b in zip(stacked, rowwise))
 
 
 def test_sampled_act_calls_each_layer_once(monkeypatch):
     # perfbench times acting through these names; one sampled decision makes
-    # one encode, one mask build and three forwards (group, node, critic)
+    # one encode, one mask build and two forwards (group, node), none of the critic
     import spotsched.agent as agent_mod
     calls = {"encode": 0, "feasibility_masks": 0, "forward": 0}
     for name in calls:
@@ -275,11 +314,11 @@ def test_sampled_act_calls_each_layer_once(monkeypatch):
     cluster = default_cluster()
     obs = offer(cluster, [single()])
     MultiActorAgent(cluster, seed=0).act(obs, np.random.default_rng(0))
-    assert calls == {"encode": 1, "feasibility_masks": 1, "forward": 3}
+    assert calls == {"encode": 1, "feasibility_masks": 1, "forward": 2}
 
 
 def test_sampled_act_leaves_its_features_row_unchanged(monkeypatch):
-    # forward runs its hidden layers in place: each of a sampled act's three
+    # forward runs its hidden layers in place: each of a sampled act's two
     # forwards must leave the row it was given, and act returns encode's row
     import spotsched.agent as agent_mod
     unchanged = []
@@ -294,7 +333,7 @@ def test_sampled_act_leaves_its_features_row_unchanged(monkeypatch):
     obs = offer(cluster, [single()])
     agent = MultiActorAgent(cluster, seed=0)
     _, _, features = agent.act(obs, np.random.default_rng(0))
-    assert unchanged == [True, True, True]
+    assert unchanged == [True, True]
     assert features.tobytes() == encode(obs, agent.scaling).tobytes()
 
 
@@ -352,8 +391,8 @@ def _collect_rollout(agent, cluster, wfs, seed):
         fit = obs.fit
         obs, reward, _ = env.step(node_id)
         rows.append((feats, fit, choice.group, choice.node, choice.logp_group,
-                     choice.logp_node, reward, choice.value))
-    return rollout(rows)
+                     choice.logp_node, reward))
+    return rollout(rows, partial(forward, agent.policies.critic))
 
 
 def test_update_reports_and_steps_optimizers():
@@ -374,7 +413,7 @@ def test_update_reports_and_steps_optimizers():
 
 def test_rollout_needs_a_decision():
     with pytest.raises(ValueError):
-        rollout([])
+        rollout([], lambda features: np.zeros(len(features)))
 
 
 def test_each_update_takes_one_episode(monkeypatch):

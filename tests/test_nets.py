@@ -216,6 +216,21 @@ def test_single_row_forward_equals_forward_cache_row(policy_head, sizes):
             assert forward(net, x) == float(out[0])
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 333])
+def test_value_rows_equal_each_rows_forward(n):
+    # the episode's value pass: stacked rows give exactly the per-row values,
+    # where a 2-D gemm (forward_cache) sums in another order
+    rng = np.random.default_rng(n)
+    critic = Mlp([43, 64, 64, 1], rng)
+    opt = Adam(critic.vector, lr=0.01)
+    rows = rng.random((n, 43))
+    for _ in range(4):
+        values = forward(critic, rows)
+        assert values.shape == (n,)
+        assert np.array_equal(values, [forward(critic, x) for x in rows])
+        opt.step(critic.vector, rng.normal(size=critic.vector.size))
+
+
 def test_single_row_forward_errors():
     net = Mlp([3, 4, 2], np.random.default_rng(0), policy_head=True)
     with pytest.raises(NoFeasibleActionError):
@@ -232,6 +247,8 @@ def test_forward_rejects_poisoned_value():
     net.weights[0][0, 0] = np.inf
     with pytest.raises(FloatingPointError):
         forward(net, np.ones(2))
+    with pytest.raises(FloatingPointError):
+        forward(net, np.ones((3, 2)))
 
 
 def test_clip_grad_norm_scales_in_place():
