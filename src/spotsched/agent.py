@@ -100,12 +100,13 @@ def encode(obs: Observation, scaling: ScalingConstants) -> np.ndarray:
     Dead nodes read as saturated: wait 1, alive 0.
     """
     task, s = obs.task, scaling
-    row = [task.cpu_req / s.cpu_norm, task.mem_req / s.mem_norm, task.work / s.work_norm]
+    cpu_norm, mem_norm, wait_norm, cost_norm = s.cpu_norm, s.mem_norm, s.wait_norm, s.cost_norm
+    row = [task.cpu_req / cpu_norm, task.mem_req / mem_norm, task.work / s.work_norm]
     for cpu, mem, wait, cost, alive in zip(obs.cpu_free, obs.mem_free, obs.wait, obs.unit_cost,
                                            obs.alive):
-        row += (cpu / s.cpu_norm, mem / s.mem_norm, min(wait / s.wait_norm, 1.0) if alive else 1.0,
-                cost / s.cost_norm, float(alive))
-    return np.array(row)
+        row += (cpu / cpu_norm, mem / mem_norm, min(wait / wait_norm, 1.0) if alive else 1.0,
+                cost / cost_norm, 1.0 if alive else 0.0)
+    return np.array(row, dtype=float)  # a stated dtype skips numpy's discovery pass
 
 
 def state_dim(node_count: int) -> int:

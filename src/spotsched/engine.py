@@ -11,7 +11,6 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,9 +54,9 @@ class Observation:
     NodeState.can_fit for the task, `wait` is estimated_wait. Each is the
     offer's own copy, so it keeps its values while the environment moves on.
     The `node_ids` and `unit_cost` tuples are shared by all of an
-    environment's offers. Only the agent reads `wait`, so `compute_wait`
-    builds it on first read; SimEnv's raises if that read comes after the
-    environment moved on.
+    environment's offers. Only the agent reads `wait`: `compute_wait` builds it
+    on first read, kept without the lock cached_property takes then (before
+    3.12); SimEnv's raises if that read comes after the environment moved on.
     """
 
     time: float
@@ -70,10 +69,13 @@ class Observation:
     compute_wait: Callable[[], list[float]]
     alive: list[bool]
     fit: list[bool]
+    _wait = None  # unannotated, so no field: __init__ pays nothing until `wait` is read
 
-    @cached_property
+    @property
     def wait(self) -> list[float]:
-        return self.compute_wait()
+        if self._wait is None:
+            self._wait = self.compute_wait()
+        return self._wait
 
 
 @dataclass(frozen=True)
@@ -190,7 +192,7 @@ class SimEnv:
 
         self._offered = None  # the state changes from here on
         shape = (task.cpu_req, task.mem_req)
-        self._queue[shape].remove((run.ready_time[task_id], wf_id, task_id))
+        del self._queue[shape][0]  # _next_offer offers a shape's head, and nothing ran since
         if not self._queue[shape]:
             del self._queue[shape], self._fits[shape]
         reward = -self._place(run, task, node)
@@ -388,9 +390,14 @@ class SimEnv:
             if task_id not in run.completed:
                 self.nodes[node_id].remove(run.spec.id, task_id)
                 self._refresh(node_id)
-        self._queue = {shape: kept for shape, entries in self._queue.items()
-                       if (kept := [e for e in entries if e[1] != run.spec.id])}
-        self._fits = {shape: self._fits[shape] for shape in self._queue}
+        for task_id, ready in run.ready_time.items():
+            if task_id not in run.node_of:  # queued: placing a task unqueues it
+                task = run.spec.task_map[task_id]
+                shape = (task.cpu_req, task.mem_req)
+                queue = self._queue[shape]
+                del queue[bisect.bisect_left(queue, (ready, run.spec.id, task_id))]
+                if not queue:
+                    del self._queue[shape], self._fits[shape]
         self._resolve(run, outcome)
 
     def _resolve(self, run: _Run, outcome: Outcome) -> None:

@@ -277,6 +277,17 @@ def test_wait_read_from_inside_the_next_step_raises():
         env.step("s0")
 
 
+def test_wait_is_built_once(monkeypatch):
+    calls = []
+    estimated_wait = NodeState.estimated_wait
+    monkeypatch.setattr(NodeState, "estimated_wait",
+                        lambda node, now: calls.append(node.spec.id) or estimated_wait(node, now))
+    env = SimEnv(two_nodes(), [chain()], seed=0)
+    obs = env.reset()
+    assert obs.wait is obs.wait
+    assert calls == ["s0", "o0"]
+
+
 def test_invalid_actions_leave_state_unchanged():
     cluster = two_nodes(spot_cpu=1.0)
     env = SimEnv(cluster, [single(cpu=2.0)], seed=0)
@@ -408,6 +419,54 @@ def test_timeout_cancels_running_tasks():
     assert stats.workflows["w"].outcome is Outcome.FAILED_TIMEOUT
     assert stats.workflows["w"].cost == 500.0 * (0.36 / 3600.0)
     assert not env.nodes["s0"].running  # capacity released on failure
+
+
+def test_failure_unqueues_only_its_own_entries():
+    # three workflows' tasks of shapes A (1, 2) and B (1, 4) interleave in two
+    # queues behind a 3-slot cluster; w1 alone has shape C (1, 8), queued
+    # between B and w2's D (1, 16), and times out with one task running
+    def workflow(i, mems, timeout=1e6):
+        tasks = tuple(TaskSpec(id=f"t{j}", cpu_req=1.0, mem_req=m, work=100.0)
+                      for j, m in enumerate(mems))
+        return WorkflowSpec(id=f"w{i}", tasks=tasks, edges=(), arrival_time=float(i),
+                            timeout=timeout)
+
+    env = SimEnv(two_nodes(spot_cpu=2.0, od_cpu=1.0),
+                 [workflow(0, [2.0, 4.0]), workflow(1, [2.0, 4.0, 8.0, 2.0, 4.0], timeout=50.0),
+                  workflow(2, [4.0, 16.0, 2.0, 4.0])], seed=0)
+    fail, seen = env._fail, []
+
+    def checked_fail(run, outcome):
+        before = {shape: queue[:] for shape, queue in env._queue.items()}
+        fail(run, outcome)
+        # the full rebuild of every queue without the failed run's entries
+        want = {shape: kept for shape, entries in before.items()
+                if (kept := [e for e in entries if e[1] != run.spec.id])}
+        assert list(env._queue.items()) == list(want.items())
+        assert list(env._fits) == list(want)
+        seen.append((run.spec.id, len(run.node_of), list(before), list(want)))
+
+    env._fail = checked_fail
+    stats = drive(env, lambda obs: obs.node_ids[obs.fit.index(True)])
+    assert stats.timed_out == 1
+    assert seen == [("w1", 1, [(1.0, 2.0), (1.0, 4.0), (1.0, 8.0), (1.0, 16.0)],
+                     [(1.0, 2.0), (1.0, 4.0), (1.0, 16.0)])]
+
+
+def test_backlog_queues_stay_sorted_without_the_placed_task():
+    cluster = default_cluster(interruption_rate_per_hour=30.0)
+    workflows = generate(WorkloadConfig(count=30, parallelism=(6,),
+                                        interarrival_range=(0.1, 0.3), timeout=120.0, seed=3))
+    env = SimEnv(cluster, workflows, seed=[3])
+    policy = RandomPolicy(cluster, seed=[3, 1])
+    longest, obs = 0, env.reset()
+    while obs is not None:
+        placed = (obs.workflow_id, obs.task.id)
+        obs, _, _ = env.step(policy(obs))
+        for queue in env._queue.values():
+            assert queue == sorted(queue) and placed not in [e[1:] for e in queue]
+            longest = max(longest, len(queue))
+    assert longest > 20 and env.episode_stats().timed_out > 0
 
 
 def test_finish_beats_deadline_at_the_same_instant():

@@ -231,6 +231,30 @@ def test_value_rows_equal_each_rows_forward(n):
         opt.step(critic.vector, rng.normal(size=critic.vector.size))
 
 
+@pytest.mark.parametrize("k", [2, 5, 6, None])
+def test_policy_row_forward_equals_a_matmul_reference(k):
+    # the acting row path multiplies with np.dot: the same gemv as @, bit for
+    # bit, on fresh networks and after Adam steps; k=None draws small sizes
+    rng = np.random.default_rng(k or 0)
+    shapes = ([[58, 64, 64, k]] if k else
+              [rng.integers(1, 20, size=rng.integers(2, 5)).tolist() for _ in range(12)])
+    for shape in shapes:
+        net = Mlp(shape, rng, policy_head=True)
+        opt = Adam(net.vector, lr=0.01)
+
+        def reference(x, mask):
+            for w, b in net.hidden:
+                x = np.tanh(x @ w + b)
+            return masked_softmax_row((x @ net.weights[-1] + net.biases[-1]).tolist(), mask)
+
+        for _ in range(4):
+            for x in rng.normal(size=(25, shape[0])):
+                mask = (rng.random(shape[-1]) < 0.7).tolist()
+                mask[rng.integers(shape[-1])] = True
+                assert np.array_equal(forward(net, x, mask), reference(x, mask))
+            opt.step(net.vector, rng.normal(size=net.vector.size))
+
+
 def test_single_row_forward_errors():
     net = Mlp([3, 4, 2], np.random.default_rng(0), policy_head=True)
     with pytest.raises(NoFeasibleActionError):
@@ -257,6 +281,15 @@ def test_clip_grad_norm_scales_in_place():
     assert raw == 5.0
     total = math.sqrt(sum(float((g ** 2).sum()) for g in grads))
     assert total == pytest.approx(1.0)
+
+
+def test_clip_grad_norm_sums_as_np_sum():
+    # the ufunc reduction is np.sum's, bit for bit, on arrays of every rank used
+    rng = np.random.default_rng(3)
+    for shape in [(7,), (58, 64), (64, 64), (64, 6), (1,)]:
+        grads = [rng.normal(scale=10.0 ** rng.uniform(-6, 3), size=shape) for _ in range(3)]
+        want = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+        assert clip_grad_norm(grads, 0.0) == want
 
 
 def test_clip_grad_norm_leaves_small_gradients_alone():
