@@ -1,6 +1,6 @@
 """Discrete-event cluster simulator and learned scheduler for DAG workflows."""
 
-from .cluster import ClusterSpec, NodeSpec, default_cluster, load_cluster, save_cluster
+from .cluster import ClusterSpec, NodeSpec, default_cluster, load_cluster
 from .engine import EpisodeStats, Observation, SimEnv, run_episode
 from .errors import (
     ConfigError,
@@ -50,6 +50,5 @@ __all__ = [
     "load_cluster",
     "load_workflow",
     "run_episode",
-    "save_cluster",
     "save_workflow",
 ]

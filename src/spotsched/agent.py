@@ -231,18 +231,18 @@ class MultiActorAgent:
             mb = Rollout(*(column[idx] for column in batch))
             group_mask, node_masks = feasibility_masks(mb.fits, self.layout)
             report["critic_loss"].append(
-                critic_step(self.policies.critic, opts["critic"], mb.features, mb.returns)["loss"])
-            stats = actor_step(self.policies.group_actor, opts["group"], mb.features, mb.groups,
-                               mb.logp_groups, mb.advantages, group_mask)
-            for k, v in stats.items():  # the group actor's loss and its diagnostics
-                report["group_loss" if k == "loss" else k].append(v)
+                critic_step(self.policies.critic, opts["critic"], mb.features, mb.returns))
+            loss, diagnostics = actor_step(self.policies.group_actor, opts["group"], mb.features,
+                                           mb.groups, mb.logp_groups, mb.advantages, group_mask)
+            for k, v in {"group_loss": loss, **diagnostics()}.items():
+                report[k].append(v)
             for g, net in enumerate(self.policies.node_actors):
                 rows = np.flatnonzero(mb.groups == g)
                 if not rows.size:
                     continue
-                stats = actor_step(net, opts["nodes"][g], mb.features[rows], mb.nodes[rows],
-                                   mb.logp_nodes[rows], mb.advantages[rows], node_masks[g][rows])
-                report["node_loss"].append(stats["loss"])
+                loss, _ = actor_step(net, opts["nodes"][g], mb.features[rows], mb.nodes[rows],
+                                     mb.logp_nodes[rows], mb.advantages[rows], node_masks[g][rows])
+                report["node_loss"].append(loss)  # its diagnostics go unread, so unreduced
         return {k: float(np.mean(v)) if v else 0.0 for k, v in report.items()}
 
 

@@ -53,7 +53,7 @@ def score_policy(obs: Observation, cluster: ClusterSpec) -> str:
 
 
 class RandomPolicy:
-    def __init__(self, cluster: ClusterSpec, seed: int | Sequence[int] = 0):
+    def __init__(self, seed: int | Sequence[int] = 0):
         self.rng = np.random.default_rng(seed_list(seed))
 
     def __call__(self, obs: Observation) -> str:
@@ -94,7 +94,7 @@ def baseline_cluster(cluster: ClusterSpec, name: str) -> ClusterSpec:
 
 def make_baseline(name: str, cluster: ClusterSpec, seed: int | Sequence[int] = 0):
     if name == "random":
-        return RandomPolicy(cluster, seed)
+        return RandomPolicy(seed)
     if name == "k8-default":
         return K8DefaultPolicy(cluster)
     if name == "on-demand":

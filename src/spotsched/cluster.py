@@ -6,7 +6,6 @@ interruptions that kill whatever they were running.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -287,25 +286,6 @@ def cluster_from_dict(doc: Mapping) -> ClusterSpec:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def cluster_to_dict(cluster: ClusterSpec) -> dict:
-    return {
-        "nodes": [
-            {
-                "id": n.id, "flavor": n.flavor, "cpu": n.cpu, "mem_gb": n.mem_gb,
-                "rate": n.rate, "class": n.pricing_class,
-                "price_per_hour": n.price_per_hour,
-            }
-            for n in cluster.nodes
-        ],
-        "bandwidth_mbps": cluster.bandwidth_mbps,
-        "interruption_rate_per_hour": cluster.interruption_rate_per_hour,
-        "interruption_downtime_s": cluster.interruption_downtime_s,
-    }
-
-
 def load_cluster(path: str | Path) -> ClusterSpec:
     return cluster_from_dict(read_json(path))
 
-
-def save_cluster(cluster: ClusterSpec, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(cluster_to_dict(cluster), indent=2) + "\n", encoding="utf-8")

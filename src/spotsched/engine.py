@@ -146,12 +146,11 @@ class SimEnv:
         self.now = 0.0
         self._heap: list = []
         self._seq = 0
-        # Queued tasks of unresolved workflows, one non-empty sorted list per
-        # task shape (cpu_req, mem_req): fit depends on nothing else.
-        self._queue: dict[tuple[float, float], list[tuple[float, str, str]]] = {}
-        # Per shape in _queue, same keys: one task of it and its can_fit row; with
-        # the per-node lists below, _refresh re-reads a node after each change.
-        self._fits: dict[tuple[float, float], tuple[TaskSpec, list[bool]]] = {}
+        # Per task shape (cpu_req, mem_req), the one thing fit depends on, with tasks of
+        # unresolved workflows queued: (their sorted queue, one task of the shape, its
+        # can_fit row); like the per-node lists below, _refresh re-reads a changed node.
+        self._shapes: dict[tuple[float, float],
+                           tuple[list[tuple[float, str, str]], TaskSpec, list[bool]]] = {}
         self._offered: tuple[str, str] | None = None
         self._total_cost = 0.0
         self._done = False
@@ -192,9 +191,9 @@ class SimEnv:
 
         self._offered = None  # the state changes from here on
         shape = (task.cpu_req, task.mem_req)
-        del self._queue[shape][0]  # _next_offer offers a shape's head, and nothing ran since
-        if not self._queue[shape]:
-            del self._queue[shape], self._fits[shape]
+        del self._shapes[shape][0][0]  # _next_offer offers a shape's head, and nothing ran since
+        if not self._shapes[shape][0]:
+            del self._shapes[shape]
         reward = -self._place(run, task, node)
         obs = self._advance()
         return obs, reward, self._done
@@ -284,8 +283,8 @@ class SimEnv:
         head whose cached fit row has a True: one list read per queued shape.
         """
         best = None
-        for shape, (_task, row) in self._fits.items():
-            head = self._queue[shape][0]
+        for queue, _task, row in self._shapes.values():
+            head = queue[0]
             if (best is None or head < best) and any(row):
                 best = head
         return None if best is None else best[1:]
@@ -304,7 +303,7 @@ class SimEnv:
         # copies of the lists: _refresh keeps rewriting the engine's own after the offer
         return Observation(self.now, wf_id, task, self._node_ids, self._unit_cost,
                            self._cpu_free[:], self._mem_free[:], compute_wait, self._alive[:],
-                           self._fits[task.cpu_req, task.mem_req][1][:])
+                           self._shapes[task.cpu_req, task.mem_req][2][:])
 
     def _process(self, time: float, _prio: int, _seq: int, kind: str, payload: tuple) -> None:
         self.now = time
@@ -394,10 +393,10 @@ class SimEnv:
             if task_id not in run.node_of:  # queued: placing a task unqueues it
                 task = run.spec.task_map[task_id]
                 shape = (task.cpu_req, task.mem_req)
-                queue = self._queue[shape]
+                queue = self._shapes[shape][0]
                 del queue[bisect.bisect_left(queue, (ready, run.spec.id, task_id))]
                 if not queue:
-                    del self._queue[shape], self._fits[shape]
+                    del self._shapes[shape]
         self._resolve(run, outcome)
 
     def _resolve(self, run: _Run, outcome: Outcome) -> None:
@@ -409,9 +408,9 @@ class SimEnv:
         run.ready_time[task_id] = self.now
         task = run.spec.task_map[task_id]
         shape = (task.cpu_req, task.mem_req)
-        if shape not in self._fits:  # the shape's queue was empty, so its row is built afresh
-            self._fits[shape] = (task, [n.can_fit(task) for n in self.nodes.values()])
-        bisect.insort(self._queue.setdefault(shape, []), (self.now, run.spec.id, task_id))
+        if shape not in self._shapes:  # the shape's queue was empty, so its row is built afresh
+            self._shapes[shape] = ([], task, [n.can_fit(task) for n in self.nodes.values()])
+        bisect.insort(self._shapes[shape][0], (self.now, run.spec.id, task_id))
 
     def _refresh(self, node_id: str) -> None:
         """Re-read a node's free figures, liveness and fit per shape after it changed."""
@@ -419,7 +418,7 @@ class SimEnv:
         self._cpu_free[i] = node.cpu_free
         self._mem_free[i] = node.mem_free
         self._alive[i] = node.alive
-        for task, row in self._fits.values():
+        for _, task, row in self._shapes.values():
             row[i] = node.can_fit(task)
 
 

@@ -102,8 +102,8 @@ def advantages(returns: np.ndarray, values: np.ndarray) -> np.ndarray:
 def actor_loss_and_grads(net: Mlp, states, actions, old_logps, advs, masks,
                          epsilon: float, entropy_weight: float):
     """Negated mean clipped surrogate minus entropy bonus (to minimize), its
-    parameter gradients, and the minibatch's diagnostics: the fraction of
-    clipped ratios, the mean entropy and the approx-KL mean(old_logp - logp).
+    parameter gradients, and a function giving the minibatch's diagnostics: the
+    fraction of clipped ratios, the mean entropy and the approx-KL mean(old_logp - logp).
 
     Takes the numpy arrays of one minibatch of a Rollout, and neither
     converts nor re-checks them. The update passes CLIP_EPSILON and
@@ -124,9 +124,6 @@ def actor_loss_and_grads(net: Mlp, states, actions, old_logps, advs, masks,
     logp_live = np.where(masks, logp, 0.0)
     ent = -(p * logp_live).sum(axis=1)
     loss = float(np.mean(-np.minimum(unclipped, clipped) - entropy_weight * ent))
-    # ufunc sums, not .mean(): its Python wrapper costs more than the sum, every step
-    stats = {"clip_fraction": np.count_nonzero(~inside) / n, "entropy": np.add.reduce(ent) / n,
-             "approx_kl": -np.add.reduce(log_ratio) / n}
     # d(surr)/dlogp[a] is ratio*adv on the active unclipped branch,
     # zero when the clamp saturates and wins the min.
     coeff = np.where(inside | (unclipped <= clipped), unclipped, 0.0)
@@ -136,7 +133,12 @@ def actor_loss_and_grads(net: Mlp, states, actions, old_logps, advs, masks,
     dent = np.where(masks, -p * (logp_live + ent[:, None]), 0.0)
     dlogits = np.where(masks, -dsurr - entropy_weight * dent, 0.0)
     grads = net.backward(acts, dlogits / n)
-    return loss, grads, stats
+
+    def diagnostics() -> dict:  # reduced on call: the update reads the group actor's alone
+        # ufunc sums, not .mean(): its Python wrapper costs more than the sum
+        return {"clip_fraction": np.count_nonzero(~inside) / n, "entropy": np.add.reduce(ent) / n,
+                "approx_kl": -np.add.reduce(log_ratio) / n}
+    return loss, grads, diagnostics
 
 
 def critic_loss_and_grads(net: Mlp, states, returns):
@@ -149,17 +151,17 @@ def critic_loss_and_grads(net: Mlp, states, returns):
     return loss, net.backward(acts, dout)
 
 
-def actor_step(net: Mlp, opt: Adam, states, actions, old_logps, advs, masks) -> dict:
-    """One clipped-surrogate ascent step; returns the loss and the diagnostics."""
-    loss, grads, stats = actor_loss_and_grads(
+def actor_step(net: Mlp, opt: Adam, states, actions, old_logps, advs, masks):
+    """One clipped-surrogate ascent step; returns the loss and the diagnostics' function."""
+    loss, grads, diagnostics = actor_loss_and_grads(
         net, states, actions, old_logps, advs, masks, CLIP_EPSILON, ENTROPY_WEIGHT)
     clip_grad_norm(grads, GRAD_CLIP_NORM)
     opt.step(net.vector, np.concatenate([g.ravel() for g in grads]))
-    return {"loss": loss, **stats}
+    return loss, diagnostics
 
 
-def critic_step(net: Mlp, opt: Adam, states, returns) -> dict:
+def critic_step(net: Mlp, opt: Adam, states, returns) -> float:
     loss, grads = critic_loss_and_grads(net, states, returns)
     clip_grad_norm(grads, GRAD_CLIP_NORM)
     opt.step(net.vector, np.concatenate([g.ravel() for g in grads]))
-    return {"loss": loss}
+    return loss

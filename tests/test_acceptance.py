@@ -78,7 +78,7 @@ def test_criterion_1_accounting_identities(builtin_cluster):
                     assert not state.running
 
         env.on_event = conservation_check
-        policy = RandomPolicy(builtin_cluster, seed=[seed, 3])
+        policy = RandomPolicy(seed=[seed, 3])
         obs = env.reset()
         while obs is not None:
             obs, _, _ = env.step(policy(obs))

@@ -117,7 +117,7 @@ def test_encode_equals_the_numpy_formula_bit_for_bit():
     saw_dead = saw_long_wait = 0
     for seed in (1, 2):
         env = SimEnv(cluster, generate(replace(config, seed=seed)), seed=[seed, 2])
-        policy = RandomPolicy(cluster, seed=[seed, 3])
+        policy = RandomPolicy(seed=[seed, 3])
         obs = env.reset()
         while obs is not None:
             assert encode(obs, scaling).tobytes() == numpy_encode(obs, scaling).tobytes()
@@ -188,7 +188,7 @@ def test_masks_and_baselines_match_engine_fit_over_episodes():
     agent = MultiActorAgent(cluster, seed=0)
     rng = np.random.default_rng(3)
     schedulers = {
-        "random": RandomPolicy(cluster, seed=3),
+        "random": RandomPolicy(seed=3),
         "k8-default": K8DefaultPolicy(cluster),
         "on-demand": OnDemandPolicy(cluster),
         "agent": lambda obs: agent.act(obs, rng)[0],

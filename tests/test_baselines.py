@@ -80,9 +80,9 @@ def test_random_no_feasible_node():
 def test_random_policy_seeded_repeatable():
     cluster = default_cluster()
     obs = idle_offer(cluster)
-    one = RandomPolicy(cluster, seed=5)
-    two = RandomPolicy(cluster, seed=5)
-    other = RandomPolicy(cluster, seed=6)
+    one = RandomPolicy(seed=5)
+    two = RandomPolicy(seed=5)
+    other = RandomPolicy(seed=6)
     a = [one(obs) for _ in range(20)]
     b = [two(obs) for _ in range(20)]
     c = [other(obs) for _ in range(20)]

@@ -5,7 +5,6 @@ import pytest
 from click.testing import CliRunner
 
 from spotsched.cli import main
-from spotsched.cluster import ON_DEMAND, SPOT, ClusterSpec, NodeSpec, save_cluster
 from spotsched.workflow import load_workflow
 
 
@@ -169,14 +168,19 @@ def test_compare_checkpoint_cluster_mismatch(tmp_path):
     train_out = tmp_path / "run"
     result = invoke(["train", "--episodes", "1", "--out", str(train_out)])
     assert result.exit_code == 0, result.output
-    other = ClusterSpec(nodes=(
-        NodeSpec(id="s0", flavor="f", cpu=2.0, mem_gb=8.0, rate=2.0,
-                 pricing_class=SPOT, price_per_hour=0.03),
-        NodeSpec(id="o0", flavor="f", cpu=2.0, mem_gb=8.0, rate=2.0,
-                 pricing_class=ON_DEMAND, price_per_hour=0.06),
-    ))
+    other = {
+        "nodes": [
+            {"id": "s0", "flavor": "f", "cpu": 2.0, "mem_gb": 8.0, "rate": 2.0,
+             "class": "spot", "price_per_hour": 0.03},
+            {"id": "o0", "flavor": "f", "cpu": 2.0, "mem_gb": 8.0, "rate": 2.0,
+             "class": "on_demand", "price_per_hour": 0.06},
+        ],
+        "bandwidth_mbps": 100.0,
+        "interruption_rate_per_hour": 0.5,
+        "interruption_downtime_s": 600.0,
+    }
     cluster_file = tmp_path / "small.json"
-    save_cluster(other, cluster_file)
+    cluster_file.write_text(json.dumps(other), encoding="utf-8")
     result = invoke([
         "compare",
         "--cluster", str(cluster_file),

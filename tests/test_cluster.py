@@ -1,5 +1,7 @@
 """Node specs, mutable node state, interruption sampling, and the stock fleet."""
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,11 +17,9 @@ from spotsched.cluster import (
     RunningTask,
     apply_interruption,
     cluster_from_dict,
-    cluster_to_dict,
     default_cluster,
     load_cluster,
     sample_next_interruption,
-    save_cluster,
 )
 from spotsched.errors import ConfigError
 from spotsched.workflow import TaskSpec
@@ -237,15 +237,20 @@ def test_specs_reject_non_finite(make, name, value):
         make(value)
 
 
-def test_cluster_file_round_trip(tmp_path):
-    c = default_cluster()
-    path = tmp_path / "cluster.json"
-    save_cluster(c, path)
-    assert load_cluster(path) == c
+# the built-in layout as a cluster file, the format's documented example
+EXAMPLE_CLUSTER = Path(__file__).resolve().parent.parent / "examples" / "cluster.json"
+
+
+def example_doc():
+    return json.loads(EXAMPLE_CLUSTER.read_text(encoding="utf-8"))
+
+
+def test_example_cluster_file_is_the_default_cluster():
+    assert load_cluster(EXAMPLE_CLUSTER) == default_cluster()
 
 
 def test_cluster_dict_rejects_bad_fields():
-    doc = cluster_to_dict(default_cluster())
+    doc = example_doc()
     extra = dict(doc)
     extra["surprise"] = 1
     with pytest.raises(ConfigError):
@@ -254,7 +259,7 @@ def test_cluster_dict_rejects_bad_fields():
     del missing["bandwidth_mbps"]
     with pytest.raises(ConfigError):
         cluster_from_dict(missing)
-    bad_node = cluster_to_dict(default_cluster())
+    bad_node = example_doc()
     bad_node["nodes"][0]["class"] = "preemptible"
     with pytest.raises(ConfigError):
         cluster_from_dict(bad_node)
@@ -275,7 +280,7 @@ def test_cluster_dict_rejects_bad_fields():
 ], ids=["cpu-null", "rate-str", "nodes-int", "bandwidth-null", "cpu-bool", "mem-str",
         "price-bool", "downtime-str", "bandwidth-huge-int"])
 def test_cluster_dict_bad_values_are_config_errors(edit, where):
-    doc = cluster_to_dict(default_cluster())
+    doc = example_doc()
     edit(doc)
     with pytest.raises(ConfigError, match="^" + where):
         cluster_from_dict(doc)

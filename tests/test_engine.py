@@ -187,8 +187,8 @@ def test_repeated_edge_releases_its_successor_once():
 def test_identical_runs_are_bit_identical():
     cluster = default_cluster()
     wfs = generate(WorkloadConfig(count=5, seed=3))
-    first = run_episode(RandomPolicy(cluster, seed=[5]), cluster, wfs, seed=[9])
-    second = run_episode(RandomPolicy(cluster, seed=[5]), cluster, wfs, seed=[9])
+    first = run_episode(RandomPolicy(seed=[5]), cluster, wfs, seed=[9])
+    second = run_episode(RandomPolicy(seed=[5]), cluster, wfs, seed=[9])
     assert first == second
 
 
@@ -198,7 +198,7 @@ def test_identical_observation_sequences():
 
     def collect():
         env = SimEnv(cluster, wfs, seed=[4])
-        policy = RandomPolicy(cluster, seed=[2])
+        policy = RandomPolicy(seed=[2])
         seen = []
         obs = env.reset()
         while obs is not None:
@@ -235,7 +235,7 @@ def test_observations_are_snapshots():
     workflows = generate(WorkloadConfig(count=20, parallelism=(6,),
                                         interarrival_range=(0.3, 0.6), seed=1))
     env = SimEnv(cluster, workflows, seed=[1, 2])
-    policy = RandomPolicy(cluster, seed=[1, 3])
+    policy = RandomPolicy(seed=[1, 3])
     kept, moved = [], [0, 0, 0, 0]
     obs = env.reset()
     while obs is not None:
@@ -245,7 +245,7 @@ def test_observations_are_snapshots():
         shape = (obs.task.cpu_req, obs.task.mem_req)
         obs, _, _ = env.step(policy(obs))
         # the shape's fit row is gone once its queue emptied
-        row = env._fits[shape][1] if shape in env._fits else at_offer[3]
+        row = env._shapes[shape][2] if shape in env._shapes else at_offer[3]
         for i, now in enumerate([env._cpu_free, env._mem_free, env._alive, row]):
             moved[i] += now != at_offer[i]
     assert all(moved), moved
@@ -315,7 +315,7 @@ def test_rewards_sum_to_negative_total_cost():
     cluster = default_cluster()
     wfs = generate(WorkloadConfig(count=8, seed=11))
     env = SimEnv(cluster, wfs, seed=[3])
-    policy = RandomPolicy(cluster, seed=[8])
+    policy = RandomPolicy(seed=[8])
     obs = env.reset()
     total = 0.0
     while obs is not None:
@@ -329,7 +329,7 @@ def test_rewards_sum_to_negative_total_cost():
 def test_without_interruptions_everything_completes(seed):
     cluster = default_cluster(interruption_rate_per_hour=0.0)
     wfs = generate(WorkloadConfig(count=4, seed=seed, timeout=1e9))
-    stats = run_episode(RandomPolicy(cluster, seed=[seed, 1]), cluster, wfs, seed=[seed, 2])
+    stats = run_episode(RandomPolicy(seed=[seed, 1]), cluster, wfs, seed=[seed, 2])
     assert stats.completed == 4
     assert stats.interrupted == 0 and stats.timed_out == 0
 
@@ -437,13 +437,13 @@ def test_failure_unqueues_only_its_own_entries():
     fail, seen = env._fail, []
 
     def checked_fail(run, outcome):
-        before = {shape: queue[:] for shape, queue in env._queue.items()}
+        before = {shape: queue[:] for shape, (queue, _, _) in env._shapes.items()}
         fail(run, outcome)
         # the full rebuild of every queue without the failed run's entries
         want = {shape: kept for shape, entries in before.items()
                 if (kept := [e for e in entries if e[1] != run.spec.id])}
-        assert list(env._queue.items()) == list(want.items())
-        assert list(env._fits) == list(want)
+        queues = [(shape, queue) for shape, (queue, _, _) in env._shapes.items()]
+        assert queues == list(want.items())
         seen.append((run.spec.id, len(run.node_of), list(before), list(want)))
 
     env._fail = checked_fail
@@ -458,12 +458,12 @@ def test_backlog_queues_stay_sorted_without_the_placed_task():
     workflows = generate(WorkloadConfig(count=30, parallelism=(6,),
                                         interarrival_range=(0.1, 0.3), timeout=120.0, seed=3))
     env = SimEnv(cluster, workflows, seed=[3])
-    policy = RandomPolicy(cluster, seed=[3, 1])
+    policy = RandomPolicy(seed=[3, 1])
     longest, obs = 0, env.reset()
     while obs is not None:
         placed = (obs.workflow_id, obs.task.id)
         obs, _, _ = env.step(policy(obs))
-        for queue in env._queue.values():
+        for queue, _, _ in env._shapes.values():
             assert queue == sorted(queue) and placed not in [e[1:] for e in queue]
             longest = max(longest, len(queue))
     assert longest > 20 and env.episode_stats().timed_out > 0
@@ -538,7 +538,7 @@ def test_event_stream_is_ordered_with_stable_fields():
     cluster = default_cluster()
     wfs = generate(WorkloadConfig(count=6, seed=2))
     events = []
-    run_episode(RandomPolicy(cluster, seed=[1]), cluster, wfs, seed=[6], on_event=events.append)
+    run_episode(RandomPolicy(seed=[1]), cluster, wfs, seed=[6], on_event=events.append)
     times = [e["time"] for e in events]
     assert times == sorted(times)
     for e in events:
@@ -553,7 +553,7 @@ def test_precedence_is_never_violated():
     cluster = default_cluster(interruption_rate_per_hour=0.0)
     wfs = generate(WorkloadConfig(count=6, seed=13))
     env = SimEnv(cluster, wfs, seed=[1])
-    policy = RandomPolicy(cluster, seed=[2])
+    policy = RandomPolicy(seed=[2])
     obs = env.reset()
     while obs is not None:
         obs, _, _ = env.step(policy(obs))
@@ -611,7 +611,7 @@ def test_random_episodes_keep_the_engine_invariants(episode, seed):
 
     def first_fit_in_whole_queue():
         """The offer by a linear scan of the merged, sorted sub-queues."""
-        for _ready, wf_id, task_id in sorted(e for q in env._queue.values() for e in q):
+        for _ready, wf_id, task_id in sorted(e for q, _, _ in env._shapes.values() for e in q):
             task = env.runs[wf_id].spec.task_map[task_id]
             if any(n.can_fit(task) for n in env.nodes.values()):
                 return wf_id, task_id
@@ -628,14 +628,12 @@ def test_random_episodes_keep_the_engine_invariants(episode, seed):
         assert env._cpu_free == [n.cpu_free for n in nodes]
         assert env._mem_free == [n.mem_free for n in nodes]
         assert env._alive == [n.alive for n in nodes]
-        assert set(env._fits) == set(env._queue) and all(env._queue.values())
-        for shape, (task, row) in env._fits.items():
+        for shape, (queue, task, row) in env._shapes.items():
             assert shape == (task.cpu_req, task.mem_req)
             assert row == [n.can_fit(task) for n in nodes]
-        for (cpu, mem), queue in env._queue.items():
-            assert queue == sorted(queue)
+            assert queue and queue == sorted(queue)
             assert all((env.runs[w].spec.task_map[t].cpu_req, env.runs[w].spec.task_map[t].mem_req)
-                       == (cpu, mem) for _, w, t in queue)
+                       == shape for _, w, t in queue)
         assert env._next_offer() == first_fit_in_whole_queue()
         for run in env.runs.values():
             if run.outcome is not None:
@@ -648,7 +646,7 @@ def test_random_episodes_keep_the_engine_invariants(episode, seed):
                 assert set(run.ready_time) == {t for t, n in run.waiting.items() if not n}
 
     env = SimEnv(cluster, workflows, seed=[seed], on_event=state_holds)
-    policy = RandomPolicy(cluster, seed=[seed, 1])
+    policy = RandomPolicy(seed=[seed, 1])
     rewards = []
     obs = env.reset()
     while obs is not None:
