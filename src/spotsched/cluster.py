@@ -115,7 +115,6 @@ class NodeState:
 
     spec: NodeSpec
     alive: bool = True
-    down_until: float = 0.0
     running: dict[tuple[str, str], RunningTask] = field(default_factory=dict, init=False)
     cpu_free: float = field(init=False)
     mem_free: float = field(init=False)
@@ -137,9 +136,16 @@ class NodeState:
         self.running.pop((workflow_id, task_id), None)
         self._resum()
 
-    def kill(self) -> None:
+    def kill(self) -> list[tuple[str, str]]:
+        """Take the node down, dropping every running task; returns their (workflow, task) keys.
+
+        The node stays down and empty until the simulator sets `alive` again.
+        """
+        killed = list(self.running)
         self.running.clear()
+        self.alive = False
         self._resum()
+        return killed
 
     def can_fit(self, task: TaskSpec) -> bool:
         """True when the node is up and has the free cpu and memory for the task.
@@ -189,23 +195,6 @@ def sample_next_interruption(rate_per_hour: float, rng: np.random.Generator) -> 
     return float(rng.exponential(3600.0 / rate_per_hour))
 
 
-def apply_interruption(state: NodeState, now: float, downtime_s: float) -> list[tuple[str, str]]:
-    """Kill everything on a live spot node and take it down for downtime_s.
-
-    Returns the killed (workflow id, task id) pairs.
-    The node revives empty; restoring alive is the caller's job.
-    """
-    if state.spec.pricing_class != SPOT:
-        raise ValueError(f"node {state.spec.id!r} is not interruptible ({state.spec.pricing_class})")
-    if not state.alive:
-        raise ValueError(f"node {state.spec.id!r} is already down")
-    killed = list(state.running)
-    state.kill()
-    state.alive = False
-    state.down_until = now + downtime_s
-    return killed
-
-
 # --- default cluster ------------------------------------------------------
 #
 # Three burstable arm64 flavors in both pricing classes. Rates model one
@@ -228,7 +217,6 @@ _DEFAULT_COUNTS = {
 
 def default_cluster(
     *,
-    bandwidth_mbps: float = 100.0,
     interruption_rate_per_hour: float = 0.5,
     interruption_downtime_s: float = 600.0,
 ) -> ClusterSpec:
@@ -249,7 +237,6 @@ def default_cluster(
             ))
     return ClusterSpec(
         nodes=tuple(nodes),
-        bandwidth_mbps=bandwidth_mbps,
         interruption_rate_per_hour=interruption_rate_per_hour,
         interruption_downtime_s=interruption_downtime_s,
     )

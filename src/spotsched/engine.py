@@ -20,7 +20,6 @@ from .cluster import (
     ClusterSpec,
     NodeState,
     RunningTask,
-    apply_interruption,
     sample_next_interruption,
 )
 from .errors import ConfigError, InvalidActionError
@@ -35,15 +34,19 @@ from .workflow import (
     workflow_stats,
 )
 
-# Event kinds, in tie-break priority order at equal timestamps: completions
-# are credited before a node dies at the same instant, and arrivals land
-# before the deadline that they themselves define.
-FINISH = "finish"
-REVIVE = "revive"
-INTERRUPT = "interrupt"
-ARRIVAL = "arrival"
-TIMEOUT = "timeout"
-_KIND_PRIORITY = {FINISH: 0, REVIVE: 1, INTERRUPT: 2, ARRIVAL: 3, TIMEOUT: 4}
+# Event kinds, each as (on_event record name, payload field names), in
+# tie-break priority order at equal timestamps: completions are credited
+# before a node dies at the same instant, a node revives before its next
+# interruption, and arrivals land before the deadline that they themselves
+# define. A kind is its index here, and SimEnv._HANDLERS follows this order.
+EVENT_KINDS = (
+    ("finish", ("node", "workflow", "task")),
+    ("revive", ("node",)),
+    ("interrupt", ("node",)),
+    ("arrival", ("workflow",)),
+    ("timeout", ("workflow",)),
+)
+FINISH, REVIVE, INTERRUPT, ARRIVAL, TIMEOUT = range(len(EVENT_KINDS))
 
 
 @dataclass(eq=False)
@@ -115,7 +118,7 @@ class SimEnv:
     needs a decision); step(node_id) places the offered task and returns
     (observation | None, reward, done). Rewards are negated dollar costs.
     An optional on_event callable receives one record dict per processed
-    event, with stable field order.
+    event: `time`, `kind`, then the kind's payload fields in EVENT_KINDS.
     """
 
     def __init__(
@@ -225,8 +228,8 @@ class SimEnv:
 
     # -- internals ---------------------------------------------------------
 
-    def _push(self, time: float, kind: str, payload: tuple) -> None:
-        heapq.heappush(self._heap, (time, _KIND_PRIORITY[kind], self._seq, kind, payload))
+    def _push(self, time: float, kind: int, payload: tuple) -> None:
+        heapq.heappush(self._heap, (time, kind, self._seq, payload))
         self._seq += 1
 
     def _place(self, run: _Run, task: TaskSpec, node: NodeState) -> float:
@@ -305,27 +308,12 @@ class SimEnv:
                            self._cpu_free[:], self._mem_free[:], compute_wait, self._alive[:],
                            self._shapes[task.cpu_req, task.mem_req][2][:])
 
-    def _process(self, time: float, _prio: int, _seq: int, kind: str, payload: tuple) -> None:
+    def _process(self, time: float, kind: int, _seq: int, payload: tuple) -> None:
         self.now = time
-        if kind == ARRIVAL:
-            self._on_arrival(*payload)
-        elif kind == FINISH:
-            self._on_finish(*payload)
-        elif kind == INTERRUPT:
-            self._on_interrupt(*payload)
-        elif kind == REVIVE:
-            self._on_revive(*payload)
-        elif kind == TIMEOUT:
-            self._on_timeout(*payload)
+        self._HANDLERS[kind](self, *payload)
         if self.on_event is not None:
-            record = {"time": time, "kind": kind}
-            if kind in (ARRIVAL, TIMEOUT):
-                record["workflow"] = payload[0]
-            elif kind == FINISH:
-                record["node"], record["workflow"], record["task"] = payload
-            else:
-                record["node"] = payload[0]
-            self.on_event(record)
+            name, fields = EVENT_KINDS[kind]
+            self.on_event({"time": time, "kind": name, **dict(zip(fields, payload))})
 
     def _on_arrival(self, wf_id: str) -> None:
         run = self.runs[wf_id]
@@ -352,10 +340,11 @@ class SimEnv:
                 self._enqueue(run, succ)
 
     def _on_interrupt(self, node_id: str) -> None:
-        node = self.nodes[node_id]
-        killed = apply_interruption(node, self.now, self.cluster.interruption_downtime_s)
+        # Only spot nodes get interruptions, each pushed at or after the revival it
+        # follows, which sorts first at a tie: the node is up until kill() here.
+        killed = self.nodes[node_id].kill()
         self._refresh(node_id)
-        revive_at = node.down_until
+        revive_at = self.now + self.cluster.interruption_downtime_s
         self._push(revive_at, REVIVE, (node_id,))
         gap = sample_next_interruption(
             self.cluster.interruption_rate_per_hour, self._int_rng[node_id]
@@ -368,15 +357,17 @@ class SimEnv:
                 self._fail(run, Outcome.FAILED_INTERRUPTED)
 
     def _on_revive(self, node_id: str) -> None:
-        node = self.nodes[node_id]
-        node.alive = True
-        node.down_until = 0.0
+        self.nodes[node_id].alive = True  # kill() left it empty
         self._refresh(node_id)
 
     def _on_timeout(self, wf_id: str) -> None:
         run = self.runs[wf_id]
         if run.outcome is None:
             self._fail(run, Outcome.FAILED_TIMEOUT)
+
+    # one handler per event kind, in EVENT_KINDS order: plain functions on the class,
+    # since a tuple of bound methods kept on each env would make it a reference cycle
+    _HANDLERS = (_on_finish, _on_revive, _on_interrupt, _on_arrival, _on_timeout)
 
     def _fail(self, run: _Run, outcome: Outcome) -> None:
         """Mark failed, cancel whatever is still running and unqueue the rest.

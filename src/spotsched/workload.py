@@ -7,7 +7,7 @@ drawn uniformly; everything is reproducible from the config seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -116,17 +116,9 @@ def generate(config: WorkloadConfig) -> list[WorkflowSpec]:
 # {count, parallelism, work_range, interarrival_range, data_mb, cpu,
 #  mem_gb, timeout, seed}
 
-_CONFIG_KEYS = {
-    "count": "count",
-    "parallelism": "parallelism",
-    "work_range": "work_range",
-    "interarrival_range": "interarrival_range",
-    "data_mb": "data_mb",
-    "cpu": "cpu_req",
-    "mem_gb": "mem_req",
-    "timeout": "timeout",
-    "seed": "seed",
-}
+# file key -> WorkloadConfig field, in field order; the keys are the field names but two
+_CONFIG_KEYS = {{"cpu_req": "cpu", "mem_req": "mem_gb"}.get(f.name, f.name): f.name
+                for f in fields(WorkloadConfig)}
 
 
 def config_from_dict(doc: Mapping) -> WorkloadConfig:

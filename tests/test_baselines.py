@@ -2,7 +2,6 @@
 from collections import Counter
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from spotsched.baselines import (
@@ -12,8 +11,6 @@ from spotsched.baselines import (
     RandomPolicy,
     baseline_cluster,
     make_baseline,
-    random_policy,
-    score_policy,
 )
 from spotsched.cluster import ON_DEMAND, SPOT, ClusterSpec, NodeSpec, default_cluster
 from spotsched.engine import Observation, SimEnv
@@ -55,9 +52,9 @@ def ab_cluster():
 def test_random_uniform_over_feasible_nodes():
     cluster = default_cluster()
     obs = idle_offer(cluster)
-    rng = np.random.default_rng(0)
+    policy = RandomPolicy(seed=0)
     draws = 100_000
-    counts = Counter(random_policy(obs, rng) for _ in range(draws))
+    counts = Counter(policy(obs) for _ in range(draws))
     assert set(counts) == {n.id for n in cluster.nodes}
     for node_id in counts:
         assert abs(counts[node_id] / draws - 1 / 11) <= 0.01
@@ -66,15 +63,15 @@ def test_random_uniform_over_feasible_nodes():
 def test_random_restricted_to_fitting_nodes():
     cluster = default_cluster()
     obs = idle_offer(cluster, cpu=6.0)  # only the two 2xlarge nodes fit
-    rng = np.random.default_rng(1)
-    picks = {random_policy(obs, rng) for _ in range(200)}
+    policy = RandomPolicy(seed=1)
+    picks = {policy(obs) for _ in range(200)}
     assert picks == {"spot-2xlarge-0", "od-2xlarge-0"}
 
 
 def test_random_no_feasible_node():
     obs = manual_obs([view("a", 1.0, 1.0)], cpu=4.0)
     with pytest.raises(NoFeasibleActionError):
-        random_policy(obs, np.random.default_rng(0))
+        RandomPolicy(seed=0)(obs)
 
 
 def test_random_policy_seeded_repeatable():
@@ -93,7 +90,6 @@ def test_random_policy_seeded_repeatable():
 def test_score_prefers_first_node_on_idle_cluster():
     cluster = default_cluster()
     obs = idle_offer(cluster)
-    assert score_policy(obs, cluster) == "spot-large-0"
     assert K8DefaultPolicy(cluster)(obs) == "spot-large-0"
 
 
@@ -101,20 +97,20 @@ def test_score_prefers_emptier_node():
     cluster = ab_cluster()
     half = view("a", 1.0, 8.0)  # half the cores taken
     idle = view("b", 2.0, 8.0)
-    assert score_policy(manual_obs([half, idle]), cluster) == "b"
+    assert K8DefaultPolicy(cluster)(manual_obs([half, idle])) == "b"
 
 
 def test_score_tie_keeps_first():
     cluster = ab_cluster()
     obs = manual_obs([view("a", 2.0, 8.0), view("b", 2.0, 8.0)])
-    assert score_policy(obs, cluster) == "a"
+    assert K8DefaultPolicy(cluster)(obs) == "a"
 
 
 def test_score_skips_dead_and_overfull_nodes():
     cluster = ab_cluster()
     dead = view("a", 2.0, 8.0, alive=False)
     alive = view("b", 1.0, 1.0)
-    assert score_policy(manual_obs([dead, alive]), cluster) == "b"
+    assert K8DefaultPolicy(cluster)(manual_obs([dead, alive])) == "b"
 
 
 def test_score_restriction_to_on_demand():
@@ -122,11 +118,11 @@ def test_score_restriction_to_on_demand():
     od_cluster = baseline_cluster(cluster, "on-demand")
     spot_idle = view("a", 2.0, 8.0)  # a is spot, b on-demand
     od_busy = view("b", 1.0, 4.0)
-    assert score_policy(manual_obs([spot_idle, od_busy]), cluster) == "a"
-    assert score_policy(manual_obs([od_busy]), od_cluster) == "b"
+    assert K8DefaultPolicy(cluster)(manual_obs([spot_idle, od_busy])) == "a"
+    assert K8DefaultPolicy(od_cluster)(manual_obs([od_busy])) == "b"
     assert OnDemandPolicy(cluster)(manual_obs([od_busy])) == "b"
     with pytest.raises(NoFeasibleActionError):
-        score_policy(manual_obs([od_busy], cpu=2.0), od_cluster)
+        K8DefaultPolicy(od_cluster)(manual_obs([od_busy], cpu=2.0))
 
 
 def test_score_rejects_observation_of_another_cluster():

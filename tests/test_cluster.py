@@ -1,6 +1,7 @@
 """Node specs, mutable node state, interruption sampling, and the stock fleet."""
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,6 @@ from spotsched.cluster import (
     NodeSpec,
     NodeState,
     RunningTask,
-    apply_interruption,
     cluster_from_dict,
     default_cluster,
     load_cluster,
@@ -121,25 +121,15 @@ def test_sample_next_interruption_mean():
     assert (slow > 0).all() and (fast > 0).all()
 
 
-def test_apply_interruption_kills_everything():
+def test_kill_takes_the_node_down_with_everything_on_it():
     state = NodeState(spec=node())
     state.add(RunningTask("w", "a", 1, 1, 10, 0))
     state.add(RunningTask("w", "b", 1, 1, 10, 0))
-    killed = apply_interruption(state, now=100.0, downtime_s=600.0)
-    assert sorted(killed) == [("w", "a"), ("w", "b")]
-    assert not state.alive and state.down_until == 700.0
+    assert sorted(state.kill()) == [("w", "a"), ("w", "b")]
+    assert not state.alive
     assert not state.running
-    assert state.cpu_free == state.spec.cpu  # capacity released
-
-
-def test_apply_interruption_idle_and_errors():
-    idle = NodeState(spec=node())
-    assert apply_interruption(idle, 0.0, 60.0) == []
-    with pytest.raises(ValueError):
-        apply_interruption(idle, 0.0, 60.0)  # already down
-    od = NodeState(spec=node(cls=ON_DEMAND))
-    with pytest.raises(ValueError):
-        apply_interruption(od, 0.0, 60.0)
+    assert state.cpu_free == state.spec.cpu and state.mem_free == state.spec.mem_gb  # released
+    assert NodeState(spec=node()).kill() == []  # an idle node drops nothing
 
 
 def test_default_cluster_layout():
@@ -185,9 +175,11 @@ def test_spot_cheaper_than_on_demand_within_flavor():
 
 
 def test_default_cluster_overrides():
-    c = default_cluster(interruption_rate_per_hour=0.0, bandwidth_mbps=250.0)
+    c = default_cluster(interruption_rate_per_hour=0.0, interruption_downtime_s=60.0)
     assert c.interruption_rate_per_hour == 0.0
-    assert c.bandwidth_mbps == 250.0
+    assert c.interruption_downtime_s == 60.0
+    wide = replace(c, bandwidth_mbps=250.0)
+    assert wide.bandwidth_mbps == 250.0 and wide.nodes == c.nodes
 
 
 def test_pricing_groups():

@@ -617,7 +617,17 @@ def test_random_episodes_keep_the_engine_invariants(episode, seed):
                 return wf_id, task_id
         return None
 
-    def state_holds(_record=None):
+    up = {n.id: True for n in cluster.nodes}  # each node's liveness, as its records tell it
+
+    def state_holds(record=None):
+        if record is not None and record["kind"] in ("interrupt", "revive"):
+            # a node's interrupts and revivals alternate, starting with an
+            # interrupt: one takes down a spot node that was up, and leaves it empty
+            node = env.nodes[record["node"]]
+            assert up[node.spec.id] == (record["kind"] == "interrupt")
+            up[node.spec.id] = not up[node.spec.id]
+            if record["kind"] == "interrupt":
+                assert node.spec.pricing_class == SPOT and not node.running
         for node in env.nodes.values():
             # the cached free figures equal a fresh re-sum, bit for bit
             assert node.cpu_free == node.spec.cpu - sum(t.cpu_req for t in node.running.values())
@@ -627,7 +637,7 @@ def test_random_episodes_keep_the_engine_invariants(episode, seed):
         nodes = list(env.nodes.values())
         assert env._cpu_free == [n.cpu_free for n in nodes]
         assert env._mem_free == [n.mem_free for n in nodes]
-        assert env._alive == [n.alive for n in nodes]
+        assert env._alive == [n.alive for n in nodes] == [up[n.spec.id] for n in nodes]
         for shape, (queue, task, row) in env._shapes.items():
             assert shape == (task.cpu_req, task.mem_req)
             assert row == [n.can_fit(task) for n in nodes]
