@@ -22,7 +22,7 @@ import numpy as np
 from .cluster import ON_DEMAND, SPOT, ClusterSpec
 from .engine import Observation, SimEnv
 from .errors import ConfigError, LayoutMismatchError
-from .nets import Adam, Mlp, forward
+from .nets import Adam, Mlp, forward, masked_argmax_row, masked_softmax_row
 from .ppo import (EPOCHS, LEARNING_RATE, MINIBATCH_SIZE, Rollout, TrainConfig, actor_step,
                   critic_step, rollout)
 from .workflow import WorkflowSpec, as_real, check_fields, is_int, read_json, seed_list
@@ -116,8 +116,9 @@ def state_dim(node_count: int) -> int:
 def feasibility_masks(fit: list[bool] | np.ndarray, layout: ActionSpaceLayout):
     """(group mask, per-group node masks) from `fit`; True is alive and fits.
 
-    An observation's `fit` list gives lists, for acting, and a bool array of fit rows arrays,
-    one row each, for the update. An empty group has one node output, always False."""
+    An observation's `fit` list gives lists, for acting. The update's bool array of fit
+    rows gives bool arrays with one row per fit row. An empty group has one node output,
+    always False."""
     if isinstance(fit, list):
         node_masks = [[fit[i] for i in pos] or [False] for pos in layout.group_positions]
         return [any(m) for m in node_masks], node_masks
@@ -157,25 +158,24 @@ class SelectedAction(NamedTuple):
     logp_node: float
 
 
-def _pick(p: list[float], rng: np.random.Generator | None) -> int:
-    """The argmax when rng is None, else the draw Generator.choice(len(p), p=p) makes.
+def _pick(p: list[float], rng: np.random.Generator) -> int:
+    """The draw Generator.choice(len(p), p=p) makes.
 
-    Neither lands on a 0.0: a zero repeats the running sum before it, and the search passes it."""
-    if rng is None:
-        return p.index(max(p))
+    It never lands on a 0.0: a zero repeats the running sum before it, and the search passes it."""
     cdf = list(accumulate(p))
     return bisect_right([c / cdf[-1] for c in cdf], rng.random())
 
 
 def select_action(policies: PolicySet, features: np.ndarray, group_mask, node_masks,
-                  rng: np.random.Generator | None) -> SelectedAction:
-    """Sample the group, then a node within it; the argmax when rng is None.
+                  rng: np.random.Generator) -> SelectedAction:
+    """Sample the group, then a node within it.
 
-    Neither reads the critic: train takes an episode's values in one pass after its last decision.
+    It never reads the critic: train takes an episode's values in one pass after its last
+    decision.
     """
-    p_group = forward(policies.group_actor, features, group_mask)
+    p_group = masked_softmax_row(forward(policies.group_actor, features), group_mask)
     g = _pick(p_group, rng)
-    p_node = forward(policies.node_actors[g], features, node_masks[g])
+    p_node = masked_softmax_row(forward(policies.node_actors[g], features), node_masks[g])
     n = _pick(p_node, rng)
     # math.log is safe: a pick never lands on a 0.0. The update recomputes these
     # log-probabilities in numpy, so its first ratio is 1 within a few ulps.
@@ -204,16 +204,28 @@ class MultiActorAgent:
     # -- acting ------------------------------------------------------------
 
     def act(self, obs: Observation,
-            rng: np.random.Generator | None = None) -> tuple[str, SelectedAction, np.ndarray]:
-        """(node id, choice, features): sampled from rng, greedy without one."""
+            rng: np.random.Generator) -> tuple[str, SelectedAction, np.ndarray]:
+        """(node id, choice, features), the choice sampled from rng."""
         features = encode(obs, self.scaling)
         group_mask, node_masks = feasibility_masks(obs.fit, self.layout)
         choice = select_action(self.policies, features, group_mask, node_masks, rng)
         return self.layout.node_id(choice.group, choice.node), choice, features
 
     def scheduler(self) -> Callable[[Observation], str]:
-        """Greedy policy callback for evaluation episodes."""
-        return lambda obs: self.act(obs)[0]
+        """Greedy policy callback for evaluation episodes: each level's largest live logit.
+
+        It builds no distribution, draws nothing and takes no log-probability, and like
+        act it never reads the critic.
+        """
+        policies, layout, scaling = self.policies, self.layout, self.scaling
+
+        def greedy(obs: Observation) -> str:
+            features = encode(obs, scaling)
+            group_mask, node_masks = feasibility_masks(obs.fit, layout)
+            g = masked_argmax_row(forward(policies.group_actor, features), group_mask)
+            n = masked_argmax_row(forward(policies.node_actors[g], features), node_masks[g])
+            return layout.group_nodes[g][n]
+        return greedy
 
     # -- learning ----------------------------------------------------------
 

@@ -131,10 +131,12 @@ class NodeState:
         self.running[(task.workflow_id, task.task_id)] = task
         self._resum()
 
-    def remove(self, workflow_id: str, task_id: str) -> None:
-        """Release a task's resources; a task no longer here is ignored."""
-        self.running.pop((workflow_id, task_id), None)
+    def remove(self, workflow_id: str, task_id: str) -> bool:
+        """Release a task's resources; False, changing nothing, for a task no longer here."""
+        if self.running.pop((workflow_id, task_id), None) is None:
+            return False
         self._resum()
+        return True
 
     def kill(self) -> list[tuple[str, str]]:
         """Take the node down, dropping every running task; returns their (workflow, task) keys.

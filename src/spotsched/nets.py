@@ -1,7 +1,8 @@
 """Small feed-forward networks with explicit reverse-mode gradients.
 
-Float64 numpy, but one row's policy probabilities are a list of floats.
-Policy heads produce masked softmax distributions; value heads are linear
+Float64 numpy, but one row's policy logits are a list of floats. A policy
+head's logits become a masked softmax distribution only where an action is
+sampled; a greedy pick is their masked argmax. Value heads are linear
 scalars. Gradients are computed by hand to be checked by finite differences.
 """
 from __future__ import annotations
@@ -99,12 +100,8 @@ def masked_log_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return z - (m + np.log(np.add.reduce(np.exp(z - m), axis=-1, keepdims=True)))
 
 
-def masked_softmax_row(logits: list[float], mask: list[bool]) -> list[float]:
-    """One row's probabilities as Python floats, exactly 0.0 where masked out.
-
-    The acting path, where numpy's per-call cost outweighs a short row's arithmetic;
-    within a few ulps of the batch path. fsum, not sum(), whose rounding changed in 3.12.
-    """
+def _live_max(logits: list[float], mask: list[bool]) -> float:
+    """The largest live logit, after the checks both row functions make."""
     if len(mask) != len(logits):
         raise ValueError(f"mask length {len(mask)} != logits length {len(logits)}")
     if not all(map(math.isfinite, logits)):
@@ -112,13 +109,38 @@ def masked_softmax_row(logits: list[float], mask: list[bool]) -> list[float]:
     top = max(compress(logits, mask), default=None)
     if top is None:
         raise NoFeasibleActionError("all actions masked out")
+    return top
+
+
+def masked_softmax_row(logits: list[float], mask: list[bool]) -> list[float]:
+    """One row's probabilities as Python floats, exactly 0.0 where masked out.
+
+    The acting path, where numpy's per-call cost outweighs a short row's arithmetic;
+    within a few ulps of the batch path. fsum, not sum(), whose rounding changed in 3.12.
+    """
+    top = _live_max(logits, mask)
     e = [math.exp(z - top) if m else 0.0 for z, m in zip(logits, mask)]
     total = math.fsum(e)
     return [v / total for v in e]
 
 
-def forward(net: Mlp, x: np.ndarray, mask: list[bool] | None = None):
-    """Inference on one feature row (in,): a list of masked probabilities, or a float value.
+def masked_argmax_row(logits: list[float], mask: list[bool]) -> int:
+    """The first live index of the largest logit: the greedy pick, with no distribution.
+
+    The softmax is monotone, so this is `p.index(max(p))` of masked_softmax_row's `p`,
+    exact ties included, but for live logits so close that their probabilities round to
+    one float: that argmax takes the earlier index, this one the larger logit. It raises
+    what masked_softmax_row raises, on the same inputs.
+    """
+    top = _live_max(logits, mask)
+    i = logits.index(top)
+    while not mask[i]:  # a masked entry with the same logit comes first
+        i = logits.index(top, i + 1)
+    return i
+
+
+def forward(net: Mlp, x: np.ndarray):
+    """Inference on one feature row (in,): a policy head's logits as a list, or a float value.
 
     A value head also takes rows (n, in): values (n,), each bit for bit its row's, as
     stacked (n, 1, in) gemvs like one row's, never the 2-D gemm that sums in another order."""
@@ -131,7 +153,7 @@ def forward(net: Mlp, x: np.ndarray, mask: list[bool] | None = None):
         np.tanh(x, out=x)
     out = mm(x, net.weights[-1]) + net.biases[-1]
     if net.policy_head:
-        return masked_softmax_row(out.tolist(), mask)
+        return out.tolist()
     if np.count_nonzero(np.isfinite(out)) < out.size:
         raise FloatingPointError("non-finite value output")
     return float(out[0]) if out.ndim == 1 else out[:, 0, 0]

@@ -231,8 +231,8 @@ def test_criterion_3_policy_numerics(builtin_cluster, monkeypatch):
         node_mask = [True] * agent.layout.group_sizes[g]
         state = np.zeros(dim)
         state[0] = 0.1 * i
-        p_group = forward(agent.policies.group_actor, state, group_mask)
-        p_node = forward(agent.policies.node_actors[g], state, node_mask)
+        p_group = masked_softmax_row(forward(agent.policies.group_actor, state), group_mask)
+        p_node = masked_softmax_row(forward(agent.policies.node_actors[g], state), node_mask)
         rows.append((state, fit, g, 0, math.log(p_group[g]), math.log(p_node[0]), 0.0))
     monkeypatch.setattr(ppo, "ENTROPY_WEIGHT", 0.0)
     # a zero critic head: values exactly 0.0 against the zero returns

@@ -26,7 +26,7 @@ from spotsched.cluster import ON_DEMAND, SPOT, ClusterSpec, NodeSpec, default_cl
 from spotsched.engine import Observation, SimEnv, run_episode
 from spotsched.errors import ConfigError, LayoutMismatchError
 from spotsched.harness import train_run
-from spotsched.nets import forward, masked_softmax_row
+from spotsched.nets import forward, masked_argmax_row, masked_softmax_row
 from spotsched.ppo import EPOCHS, LEARNING_RATE, TrainConfig, rollout
 from spotsched.workflow import TaskSpec, WorkflowSpec
 from spotsched.workload import WorkloadConfig, generate
@@ -219,7 +219,7 @@ def test_single_feasible_node_is_forced():
     assert node_id == "o0"
     assert feasibility_masks(obs.fit, agent.layout)[0] == [True, False]
     assert choice.logp_group == 0.0 and choice.logp_node == 0.0
-    assert agent.act(obs)[0] == "o0"  # no rng: the greedy pick
+    assert agent.scheduler()(obs) == "o0"  # the greedy pick
 
 
 def test_pick_draws_what_generator_choice_draws():
@@ -232,7 +232,7 @@ def test_pick_draws_what_generator_choice_draws():
         mask[dists.integers(n)] = True
         p = masked_softmax_row(logits.tolist(), mask.tolist())
         assert _pick(p, mine) == int(theirs.choice(n, p=p))
-        assert _pick(p, None) == int(np.argmax(p))
+        assert masked_argmax_row(logits.tolist(), mask.tolist()) == int(np.argmax(p))
     assert mine.random() == theirs.random()  # both streams end at the same place
 
 
@@ -248,19 +248,20 @@ def test_pick_never_lands_on_a_zero_probability():
         zeros += p.count(0.0)
         for _ in range(5):
             assert p[_pick(p, rng)] > 0.0
-        assert p[_pick(p, None)] > 0.0
+        assert p[masked_argmax_row(logits.tolist(), [True] * n)] > 0.0
     assert zeros > 2000
 
 
 def test_greedy_act_skips_the_critic():
-    # neither act reads the critic, so a poisoned one cannot stop either
+    # neither the greedy scheduler nor a sampled act reads the critic, so a
+    # poisoned one cannot stop either
     cluster = default_cluster()
     obs = offer(cluster, [single()])
     agent = MultiActorAgent(cluster, seed=0)
     agent.policies.critic.vector[:] = np.nan
-    for rng in (None, np.random.default_rng(0)):
-        node_id, _, _ = agent.act(obs, rng)
-        assert node_id in obs.node_ids
+    assert agent.scheduler()(obs) in obs.node_ids
+    node_id, _, _ = agent.act(obs, np.random.default_rng(0))
+    assert node_id in obs.node_ids
 
 
 def test_train_rejects_a_nonfinite_critic_before_any_update():
@@ -315,6 +316,66 @@ def test_sampled_act_calls_each_layer_once(monkeypatch):
     obs = offer(cluster, [single()])
     MultiActorAgent(cluster, seed=0).act(obs, np.random.default_rng(0))
     assert calls == {"encode": 1, "feasibility_masks": 1, "forward": 2}
+
+
+def test_greedy_scheduler_calls_each_layer_once_and_builds_no_distribution(monkeypatch):
+    # one greedy decision: one encode, one mask build and two forwards (group,
+    # node), each level's argmax of its logits, and no softmax anywhere
+    import spotsched.agent as agent_mod
+    import spotsched.nets as nets_mod
+    calls = {"encode": 0, "feasibility_masks": 0, "forward": 0, "masked_argmax_row": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(agent_mod, name), **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(agent_mod, name, counted)
+
+    def no_softmax(*args, **kwargs):
+        raise AssertionError("a greedy decision built a distribution")
+    for module in (agent_mod, nets_mod):
+        monkeypatch.setattr(module, "masked_softmax_row", no_softmax)
+    cluster = default_cluster()
+    obs = offer(cluster, [single()])
+    assert MultiActorAgent(cluster, seed=0).scheduler()(obs) in obs.node_ids
+    assert calls == {"encode": 1, "feasibility_masks": 1, "forward": 2, "masked_argmax_row": 2}
+
+
+@pytest.mark.parametrize("scale", [None, 0.3])
+def test_greedy_scheduler_picks_the_softmax_argmax_over_an_episode(scale):
+    # every offer of a 60-interruptions-per-hour episode, with dead and full
+    # nodes among them: the greedy node equals the one that the probabilities'
+    # argmax picks at each level, for the untrained agent (None) and for one
+    # with every parameter redrawn at that scale
+    cluster = default_cluster(interruption_rate_per_hour=60.0, interruption_downtime_s=60.0)
+    workflows = generate(WorkloadConfig(count=40, parallelism=(6,), interarrival_range=(4.0, 8.0),
+                                        work_range=(100.0, 150.0), timeout=60.0, seed=1))
+    agent = MultiActorAgent(cluster, seed=0)
+    policies = agent.policies
+    if scale is not None:
+        rng = np.random.default_rng(5)
+        for net in (policies.group_actor, *policies.node_actors):
+            net.vector[:] = rng.normal(scale=scale, size=net.vector.size)
+    greedy = agent.scheduler()
+    offers, dead, picked = 0, 0, set()
+
+    def checked(obs):
+        nonlocal offers, dead
+        features = encode(obs, agent.scaling)
+        group_mask, node_masks = feasibility_masks(obs.fit, agent.layout)
+        p = masked_softmax_row(forward(policies.group_actor, features), group_mask)
+        g = p.index(max(p))
+        p = masked_softmax_row(forward(policies.node_actors[g], features), node_masks[g])
+        want = agent.layout.node_id(g, p.index(max(p)))
+        node_id = greedy(obs)
+        assert node_id == want
+        offers += 1
+        dead += not all(obs.alive)
+        picked.add(node_id)
+        return node_id
+
+    stats = run_episode(checked, cluster, workflows, seed=[1, 2])
+    assert offers > 100 and dead > 10 and stats.interrupted > 0
+    assert len(picked) > 1
 
 
 def test_sampled_act_leaves_its_features_row_unchanged(monkeypatch):
@@ -520,11 +581,11 @@ def test_loaded_parameters_stay_views_the_optimizers_train(tmp_path):
             assert all(np.shares_memory(p, net.vector) for p in net.params)
     feats = np.full(state_dim(2), 0.5)
     group_mask = [True, True]
-    before = forward(clone.policies.group_actor, feats, group_mask)
+    before = masked_softmax_row(forward(clone.policies.group_actor, feats), group_mask)
     value_before = forward(clone.policies.critic, feats)
     batch = _collect_rollout(clone, cluster, generate(WorkloadConfig(count=3, seed=4)), seed=[1])
     clone.update(batch, np.random.default_rng(0))
-    assert forward(clone.policies.group_actor, feats, group_mask) != before
+    assert masked_softmax_row(forward(clone.policies.group_actor, feats), group_mask) != before
     assert forward(clone.policies.critic, feats) != value_before
 
 

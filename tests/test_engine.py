@@ -453,6 +453,42 @@ def test_failure_unqueues_only_its_own_entries():
                      [(1.0, 2.0), (1.0, 4.0), (1.0, 16.0)])]
 
 
+def test_failure_refreshes_each_released_node_once():
+    # sim-churn's load: 60 interruptions/h with 60 s downtime and 60 s timeouts,
+    # so workflows fail both ways, some with several tasks on one node and some
+    # with tasks that kill() already dropped from a node now down
+    cluster = default_cluster(interruption_rate_per_hour=60.0, interruption_downtime_s=60.0)
+    workflows = generate(WorkloadConfig(count=40, parallelism=(6,), interarrival_range=(4.0, 8.0),
+                                        work_range=(100.0, 150.0), timeout=60.0, seed=1))
+    env = SimEnv(cluster, workflows, seed=[1, 2])
+    fail, refresh = env._fail, env._refresh
+    refreshed, seen = None, []
+
+    def counted_refresh(node_id):
+        if refreshed is not None:
+            refreshed.append(node_id)
+        refresh(node_id)
+
+    def checked_fail(run, outcome):
+        nonlocal refreshed
+        wf_id = run.spec.id
+        started = [t for t in run.node_of if t not in run.completed]
+        holding = [n for t, n in run.node_of.items() if (wf_id, t) in env.nodes[n].running]
+        refreshed = []
+        fail(run, outcome)
+        # each node that released a task, once, and never one that kill() emptied
+        assert sorted(refreshed) == sorted(set(holding))
+        assert all(env.nodes[n].alive for n in refreshed)
+        seen.append((outcome, len(started) > len(holding), len(holding) > len(set(holding))))
+        refreshed = None
+
+    env._refresh, env._fail = counted_refresh, checked_fail
+    stats = drive(env, RandomPolicy(seed=1))
+    assert len(seen) == stats.interrupted + stats.timed_out
+    assert {o for o, _, _ in seen} == {Outcome.FAILED_INTERRUPTED, Outcome.FAILED_TIMEOUT}
+    assert any(killed for _, killed, _ in seen) and any(shared for _, _, shared in seen)
+
+
 def test_backlog_queues_stay_sorted_without_the_placed_task():
     cluster = default_cluster(interruption_rate_per_hour=30.0)
     workflows = generate(WorkloadConfig(count=30, parallelism=(6,),

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from spotsched.errors import NoFeasibleActionError
 from spotsched.nets import (
@@ -11,6 +11,7 @@ from spotsched.nets import (
     Mlp,
     clip_grad_norm,
     forward,
+    masked_argmax_row,
     masked_log_softmax,
     masked_softmax_row,
 )
@@ -53,15 +54,68 @@ def test_masked_softmax_extreme_logits():
     assert p[0] == pytest.approx(1.0)
 
 
+# (logits, mask, error): a masked NaN still means a broken network
+BAD_ROWS = [
+    ([0.0] * 3, [False] * 3, NoFeasibleActionError),
+    ([math.nan, 1.0], [True, True], FloatingPointError),
+    ([math.nan, 1.0], [False, True], FloatingPointError),
+    ([0.0] * 3, [True] * 2, ValueError),
+]
+
+
 def test_masked_softmax_errors():
-    with pytest.raises(NoFeasibleActionError):
-        masked_softmax_row([0.0] * 3, [False] * 3)
-    with pytest.raises(FloatingPointError):
-        masked_softmax_row([math.nan, 1.0], [True, True])
-    with pytest.raises(FloatingPointError):  # a masked NaN still means a broken network
-        masked_softmax_row([math.nan, 1.0], [False, True])
-    with pytest.raises(ValueError):
-        masked_softmax_row([0.0] * 3, [True] * 2)
+    for logits, mask, error in BAD_ROWS:
+        with pytest.raises(error):
+            masked_softmax_row(logits, mask)
+
+
+def test_masked_argmax_raises_what_masked_softmax_raises():
+    for logits, mask, error in BAD_ROWS + [([1.0, math.inf], [True, False], FloatingPointError)]:
+        with pytest.raises(error):
+            masked_argmax_row(logits, mask)
+        with pytest.raises(error):
+            masked_softmax_row(logits, mask)
+
+
+@st.composite
+def tied_logits_and_mask(draw):
+    # logits on a grid of step >= 0.25: equal ones tie exactly, and unequal ones
+    # never round to one probability, the one case where the two argmaxes differ
+    n = draw(st.integers(1, 8))
+    scale = draw(st.sampled_from([0.25, 1.0, 6.0]))
+    logits = [k * scale for k in draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))]
+    mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    if not any(mask):
+        mask[draw(st.integers(0, n - 1))] = True
+    return logits, mask
+
+
+@given(tied_logits_and_mask())
+@example(([1.0, 1.0, 0.0], [True, True, True]))
+@example(([3.0, 3.0, 3.0], [False, False, True]))
+@example(([0.0, -0.0], [True, True]))
+def test_masked_argmax_is_the_softmax_argmax(case):
+    logits, mask = case
+    p = masked_softmax_row(logits, mask)
+    assert masked_argmax_row(logits, mask) == p.index(max(p))
+
+
+def test_masked_argmax_never_picks_a_masked_entry():
+    # masked entries hold the row's largest logits, or equal the live maximum
+    # ahead of it; the pick is always the first live entry of the live maximum
+    rng = np.random.default_rng(11)
+    for trial in range(2000):
+        n = int(rng.integers(1, 12))
+        logits = rng.normal(size=n) * 40.0
+        if trial % 2:
+            logits = np.round(logits / 40.0)  # a few values: ties everywhere
+        mask = rng.random(n) < 0.5
+        mask[rng.integers(n)] = True
+        logits[~mask] += 100.0 * (trial % 3 == 0)
+        i = masked_argmax_row(logits.tolist(), mask.tolist())
+        live = np.flatnonzero(mask)
+        assert mask[i] and i == live[np.argmax(logits[live])]
+    assert masked_argmax_row([5.0, 2.0, 5.0, 5.0], [False, True, False, True]) == 3
 
 
 def test_masked_log_softmax_masked_entries():
@@ -173,7 +227,9 @@ def test_backward_matches_finite_differences():
 def test_forward_policy_and_value():
     rng = np.random.default_rng(4)
     policy = Mlp([3, 4], rng, policy_head=True)
-    p = forward(policy, np.zeros(3), [True, False, True, True])
+    logits = forward(policy, np.zeros(3))
+    assert isinstance(logits, list) and len(logits) == 4
+    p = masked_softmax_row(logits, [True, False, True, True])
     assert isinstance(p, list) and len(p) == 4
     assert p[1] == 0.0
     assert math.fsum(p) == pytest.approx(1.0)
@@ -207,7 +263,7 @@ def test_single_row_forward_equals_forward_cache_row(policy_head, sizes):
         mask = rng.random(sizes[-1]) < 0.7
         mask[rng.integers(sizes[-1])] = True
         if policy_head:
-            p = forward(net, x, mask.tolist())
+            p = masked_softmax_row(forward(net, x), mask.tolist())
             logp = masked_log_softmax(out, mask)
             assert np.abs(np.array(p) - batch_probs(out, mask)).max() <= 4 * EPS
             for i in np.flatnonzero(mask):
@@ -251,19 +307,23 @@ def test_policy_row_forward_equals_a_matmul_reference(k):
             for x in rng.normal(size=(25, shape[0])):
                 mask = (rng.random(shape[-1]) < 0.7).tolist()
                 mask[rng.integers(shape[-1])] = True
-                assert np.array_equal(forward(net, x, mask), reference(x, mask))
+                assert np.array_equal(masked_softmax_row(forward(net, x), mask),
+                                      reference(x, mask))
             opt.step(net.vector, rng.normal(size=net.vector.size))
 
 
 def test_single_row_forward_errors():
+    # a policy head's logits raise at either row function, sampled or greedy
     net = Mlp([3, 4, 2], np.random.default_rng(0), policy_head=True)
-    with pytest.raises(NoFeasibleActionError):
-        forward(net, np.ones(3), [False, False])
-    with pytest.raises(ValueError):
-        forward(net, np.ones(3), [True])
+    for row in (masked_softmax_row, masked_argmax_row):
+        with pytest.raises(NoFeasibleActionError):
+            row(forward(net, np.ones(3)), [False, False])
+        with pytest.raises(ValueError):
+            row(forward(net, np.ones(3)), [True])
     net.weights[1][0, 0] = np.nan
-    with pytest.raises(FloatingPointError):
-        forward(net, np.ones(3), [True, True])
+    for row in (masked_softmax_row, masked_argmax_row):
+        with pytest.raises(FloatingPointError):
+            row(forward(net, np.ones(3)), [True, True])
 
 
 def test_forward_rejects_poisoned_value():

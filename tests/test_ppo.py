@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spotsched.nets import Adam, Mlp, forward, masked_log_softmax
+from spotsched.nets import Adam, Mlp, forward, masked_log_softmax, masked_softmax_row
 from spotsched.ppo import (
     CLIP_EPSILON,
     DISCOUNT,
@@ -264,11 +264,11 @@ def test_actor_step_raises_probability_of_good_action():
     state = np.zeros((1, 3))
     mask = np.ones((1, 3), dtype=bool)
     action = np.array([2])
-    before = forward(net, state[0], mask[0])[2]
+    before = masked_softmax_row(forward(net, state[0]), mask[0])[2]
     for _ in range(40):
         old = _live_logps(net, state, action, mask)
         loss, diagnostics = actor_step(net, opt, state, action, old, np.array([1.0]), mask)
-    after = forward(net, state[0], mask[0])[2]
+    after = masked_softmax_row(forward(net, state[0]), mask[0])[2]
     assert after > before
     assert isinstance(loss, float)
     assert set(diagnostics()) == {"clip_fraction", "entropy", "approx_kl"}
