@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
@@ -25,7 +24,7 @@ from .errors import ConfigError, LayoutMismatchError
 from .nets import Adam, Mlp, forward, masked_argmax_row, masked_softmax_row
 from .ppo import (EPOCHS, LEARNING_RATE, MINIBATCH_SIZE, Rollout, TrainConfig, actor_step,
                   critic_step, rollout)
-from .workflow import WorkflowSpec, as_real, check_fields, is_int, read_json, seed_list
+from .workflow import WorkflowSpec, as_real, check_fields, check_real, is_int, read_json, seed_list
 
 GROUP_ORDER = (ON_DEMAND, SPOT)
 HIDDEN_SIZES = (64, 64)
@@ -77,10 +76,10 @@ class ScalingConstants:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-            # the float bound, not inf: a huge int passes `< math.inf` but not float()
-            if not (numeric and 0 < value <= sys.float_info.max):
-                raise ValueError(f"{f.name} must be a finite number > 0, got {value!r}")
+            # save_checkpoint writes these with json, which cannot write a numpy scalar
+            if not isinstance(value, (int, float)):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
+            check_real(value, f.name)
 
     @classmethod
     def from_cluster(cls, cluster: ClusterSpec) -> "ScalingConstants":

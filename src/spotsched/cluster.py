@@ -15,7 +15,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .workflow import TaskSpec, as_real, check_fields, duplicates, read_json
+from .workflow import TaskSpec, as_real, check_fields, check_real, duplicates, read_json
 
 SPOT = "spot"
 ON_DEMAND = "on_demand"
@@ -44,17 +44,15 @@ class NodeSpec:
     price_per_hour: float
 
     def __post_init__(self):
-        if not (0 < self.cpu < math.inf and 0 < self.mem_gb < math.inf):
-            raise ValueError(f"node {self.id!r}: capacities must be finite and > 0")
-        if not 0 < self.rate < math.inf:
-            raise ValueError(f"node {self.id!r}: rate must be finite and > 0")
+        check_real(self.cpu, f"node {self.id!r}: capacities")
+        check_real(self.mem_gb, f"node {self.id!r}: capacities")
+        check_real(self.rate, f"node {self.id!r}: rate")
         if self.pricing_class not in PRICING_CLASSES:
             raise ValueError(
                 f"node {self.id!r}: pricing_class must be one of {PRICING_CLASSES}, "
                 f"got {self.pricing_class!r}"
             )
-        if not 0 <= self.price_per_hour < math.inf:
-            raise ValueError(f"node {self.id!r}: price_per_hour must be finite and >= 0")
+        check_real(self.price_per_hour, f"node {self.id!r}: price_per_hour", positive=False)
 
     @property
     def unit_cost(self) -> float:
@@ -78,12 +76,9 @@ class ClusterSpec:
         dupes = duplicates(n.id for n in self.nodes)
         if dupes:
             raise ValueError(f"duplicate node ids {dupes}")
-        if not 0 < self.bandwidth_mbps < math.inf:
-            raise ValueError("bandwidth_mbps must be finite and > 0")
-        if not 0 <= self.interruption_rate_per_hour < math.inf:
-            raise ValueError("interruption_rate_per_hour must be finite and >= 0")
-        if not 0 < self.interruption_downtime_s < math.inf:
-            raise ValueError("interruption_downtime_s must be finite and > 0")
+        check_real(self.bandwidth_mbps, "bandwidth_mbps")
+        check_real(self.interruption_rate_per_hour, "interruption_rate_per_hour", positive=False)
+        check_real(self.interruption_downtime_s, "interruption_downtime_s")
 
     def pricing_groups(self) -> dict[str, list[NodeSpec]]:
         """Nodes keyed by pricing class, both keys always present."""
@@ -131,12 +126,14 @@ class NodeState:
         self.running[(task.workflow_id, task.task_id)] = task
         self._resum()
 
-    def remove(self, workflow_id: str, task_id: str) -> bool:
-        """Release a task's resources; False, changing nothing, for a task no longer here."""
-        if self.running.pop((workflow_id, task_id), None) is None:
-            return False
-        self._resum()
-        return True
+    def remove(self, workflow_id: str, *task_ids: str) -> bool:
+        """Release tasks at one re-sum; False, changing nothing, when none is still here."""
+        released = False
+        for task_id in task_ids:
+            released |= self.running.pop((workflow_id, task_id), None) is not None
+        if released:
+            self._resum()
+        return released
 
     def kill(self) -> list[tuple[str, str]]:
         """Take the node down, dropping every running task; returns their (workflow, task) keys.

@@ -372,17 +372,15 @@ class SimEnv:
     def _fail(self, run: _Run, outcome: Outcome) -> None:
         """Mark failed, cancel whatever is still running and unqueue the rest.
 
-        Started tasks keep their timing records: consumed compute is billed
-        whether or not the workflow survives. Every kill fails its workflow,
-        so each started, unfinished task is running or already killed; only
-        a node that released a task changed, and each is refreshed once.
+        Started tasks keep their timing records, as consumed compute is billed.
         """
-        released = {}  # a dict, not a set: each node once, in a fixed order
+        on_node = {}  # node -> the run's started, unfinished tasks, in a fixed node order
         for task_id, node_id in run.node_of.items():
-            if task_id not in run.completed and self.nodes[node_id].remove(run.spec.id, task_id):
-                released[node_id] = None
-        for node_id in released:
-            self._refresh(node_id)
+            if task_id not in run.completed:
+                on_node.setdefault(node_id, []).append(task_id)
+        for node_id, task_ids in on_node.items():
+            if self.nodes[node_id].remove(run.spec.id, *task_ids):  # False if kill() emptied it
+                self._refresh(node_id)
         for task_id, ready in run.ready_time.items():
             if task_id not in run.node_of:  # queued: placing a task unqueues it
                 task = run.spec.task_map[task_id]

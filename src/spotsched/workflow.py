@@ -36,8 +36,9 @@ class TaskSpec:
     work: float
 
     def __post_init__(self):
-        # Bounded ranges reject infinities, and NaN, which fails every
-        # comparison, here and in every spec below.
+        # check_real's rule, inline, here and in the two specs below; a bounded range
+        # also refuses NaN. generate builds these specs by the thousand, and a call per
+        # field made a generated batch about 1.5 times as slow.
         if not 0 < self.cpu_req < math.inf:
             raise ValueError(f"task {self.id!r}: cpu_req must be finite and > 0")
         if not 0 < self.mem_req < math.inf:
@@ -164,19 +165,22 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def is_real(value) -> bool:
-    """An int, float or numpy real scalar, and not a bool."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-
-
 def as_real(value, name: str) -> float:
     """A real, non-bool number as a float; anything else is a ValueError naming `name`."""
-    if not is_real(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
         raise ValueError(f"{name} is too large for a float") from None
+
+
+def check_real(value, name: str, *, positive: bool = True) -> float:
+    """as_real, then finite and > 0 (>= 0 when not `positive`): the specs' one number rule."""
+    x = as_real(value, name)
+    if not (0 < x < math.inf if positive else 0 <= x < math.inf):
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0")
+    return x
 
 
 def seed_list(seed: int | Iterable[int]) -> list[int]:
@@ -209,7 +213,9 @@ def check_fields(obj: Mapping, allowed: set[str], where: str) -> None:
 
 
 def read_json(path: str | Path):
-    """Parse a JSON input file; bad syntax, NaN or Infinity raise ConfigError."""
+    """Parse a JSON input file. Any file that is not readable JSON raises ConfigError: bad
+    syntax, NaN or Infinity, a path that cannot be read (a directory, say), bytes that are
+    not UTF-8, an int past Python's digit limit, or nesting past the recursion limit."""
     def constant(name: str):
         # Python's json accepts NaN, Infinity and -Infinity, none of which
         # is JSON; the specs would reject them later with a vaguer message.
@@ -217,7 +223,9 @@ def read_json(path: str | Path):
 
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=constant)
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot be read: {exc.strerror or exc}") from exc
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError too
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
 
 

@@ -6,7 +6,7 @@ drawn uniformly; everything is reproducible from the config seed.
 """
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -14,8 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .workflow import (EdgeSpec, TaskSpec, WorkflowSpec, as_real, is_int, is_real, read_json,
-                       seed_list)
+from .workflow import EdgeSpec, TaskSpec, WorkflowSpec, check_real, is_int, read_json, seed_list
 
 # Fork/join anchor tasks are deliberately near-free so they never compete
 # with map tasks for resources or dominate cost.
@@ -32,14 +31,6 @@ def _ints(value, name: str) -> tuple[int, ...]:
     return tuple(int(v) for v in values)
 
 
-def _real(value, name: str) -> float:
-    """as_real, failing with a ConfigError: a non-number or an int too large for a float."""
-    try:
-        return as_real(value, name)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 @dataclass(frozen=True)
 class WorkloadConfig:
     count: int = 20
@@ -54,27 +45,30 @@ class WorkloadConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "parallelism", _ints(self.parallelism, "parallelism"))
-        for name in ("work_range", "interarrival_range"):
-            pair = getattr(self, name)
-            if not (isinstance(pair, Sequence) and len(pair) == 2 and all(map(is_real, pair))):
-                raise ConfigError(f"{name} must be a pair of numbers, got {pair!r}")
-            lo, hi = (_real(v, name) for v in pair)
-            if not 0 < lo <= hi < math.inf:
-                raise ConfigError(f"{name} must satisfy 0 < lo <= hi < inf, got ({lo}, {hi})")
-            object.__setattr__(self, name, (lo, hi))
+        if not self.parallelism or any(p < 1 for p in self.parallelism):
+            raise ConfigError("parallelism must be positive")
         if not is_int(self.count) or self.count < 1:
             raise ConfigError(f"count must be an integer >= 1, got {self.count!r}")
         _ints(self.seed, "seed")
-        for name in ("data_mb", "cpu_req", "mem_req", "timeout"):
-            _real(getattr(self, name), name)
-        if not self.parallelism or any(p < 1 for p in self.parallelism):
-            raise ConfigError("parallelism must be positive")
-        if not 0 <= self.data_mb < math.inf:
-            raise ConfigError("data_mb must be finite and >= 0")
-        if not (0 < self.cpu_req < math.inf and 0 < self.mem_req < math.inf):
-            raise ConfigError("cpu_req and mem_req must be finite and > 0")
-        if not 0 < self.timeout < math.inf:
-            raise ConfigError("timeout must be finite and > 0")
+        try:
+            for name in ("work_range", "interarrival_range"):
+                pair = getattr(self, name)
+                if not (isinstance(pair, Sequence) and len(pair) == 2):
+                    raise ValueError(f"{name} must be a pair of numbers, got {pair!r}")
+                lo, hi = (check_real(v, name) for v in pair)
+                if lo > hi:
+                    raise ValueError(f"{name} must satisfy lo <= hi, got ({lo}, {hi})")
+                object.__setattr__(self, name, (lo, hi))
+            # generate's last arrival is up to count * hi, which must be a finite float; the
+            # first test keeps a count too large for a float from raising OverflowError
+            hi = self.interarrival_range[1]
+            if self.count > sys.float_info.max or self.count * hi > sys.float_info.max:
+                raise ValueError(f"interarrival_range: count * hi must be finite, got hi {hi}")
+            check_real(self.data_mb, "data_mb", positive=False)
+            for name in ("cpu_req", "mem_req", "timeout"):
+                check_real(getattr(self, name), name)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def generate(config: WorkloadConfig) -> list[WorkflowSpec]:

@@ -25,6 +25,18 @@ settings.load_profile("suite")
 EVAL_SEEDS = [1, 2, 3, 4, 5]
 
 
+@pytest.fixture
+def unreadable_json(tmp_path):
+    """By kind, a path that no reader can parse as JSON, each alone in its own directory."""
+    paths = {kind: tmp_path / kind / "x.json" for kind in ("not-utf8", "too-deep", "directory")}
+    for path in paths.values():
+        path.parent.mkdir()
+    paths["not-utf8"].write_bytes(b"\xff\xfe{}")
+    paths["too-deep"].write_bytes(b"[" * 200_000)  # past the parser's recursion limit
+    paths["directory"].mkdir()
+    return paths
+
+
 @pytest.fixture(scope="session")
 def builtin_cluster():
     return default_cluster()

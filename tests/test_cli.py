@@ -159,6 +159,25 @@ def test_negative_seed_is_a_one_line_error(tmp_path, args):
     assert result.output == "Error: seed must be an integer >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("args, kind", [
+    (["compare", "--cluster", "{file}"], "not-utf8"),
+    (["compare", "--cluster", "{file}"], "too-deep"),
+    (["generate", "--config", "{file}"], "not-utf8"),
+    (["generate", "--config", "{file}"], "too-deep"),
+    (["compare", "--workload", "{dir}"], "not-utf8"),
+    (["compare", "--workload", "{dir}"], "too-deep"),
+    (["compare", "--workload", "{dir}"], "directory"),
+], ids=["cluster-not-utf8", "cluster-too-deep", "config-not-utf8", "config-too-deep",
+        "workload-dir-not-utf8", "workload-dir-too-deep", "workload-dir-directory"])
+def test_unreadable_file_is_a_one_line_error(tmp_path, unreadable_json, args, kind):
+    path = unreadable_json[kind]
+    args = [a.replace("{file}", str(path)).replace("{dir}", str(path.parent)) for a in args]
+    result = invoke([*args, "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not an escaped decode or OS error
+    assert result.output.startswith(f"Error: {path}: ") and result.output.count("\n") == 1
+
+
 def test_missing_cluster_file_is_a_usage_error(tmp_path):
     result = invoke(["train", "--cluster", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
     assert result.exit_code == 2

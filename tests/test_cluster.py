@@ -1,6 +1,7 @@
 """Node specs, mutable node state, interruption sampling, and the stock fleet."""
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -66,6 +67,16 @@ def test_can_fit_tracks_running_tasks():
     assert state.can_fit(task(cpu=2, mem=8))
     state.remove("w", "a")  # already released: a no-op
     assert (state.cpu_free, state.mem_free) == (2, 8)
+
+
+def test_remove_releases_several_tasks_at_once():
+    state = NodeState(spec=node(cpu=4, mem=8))
+    for t in ("a", "b", "c"):
+        state.add(RunningTask("w", t, cpu_req=1, mem_req=2, compute=10, exec_start=0))
+    assert state.remove("w", "a", "b", "gone") is True  # any one still here is enough
+    assert list(state.running) == [("w", "c")] and (state.cpu_free, state.mem_free) == (3, 6)
+    assert state.remove("w", "a", "gone") is False
+    assert (state.cpu_free, state.mem_free) == (3, 6)
 
 
 def test_estimated_wait():
@@ -229,6 +240,21 @@ def test_specs_reject_non_finite(make, name, value):
         make(value)
 
 
+@pytest.mark.parametrize("value, message", [
+    (True, "must be a number"), ("8", "must be a number"), (10**400, "is too large for a float"),
+])
+@pytest.mark.parametrize("make, name", [
+    (lambda v: node(mem=v), "capacities"),
+    (lambda v: node(price=v), "price_per_hour"),
+    (lambda v: ClusterSpec(nodes=(node(),), interruption_rate_per_hour=v),
+     "interruption_rate_per_hour"),
+], ids=["mem", "price", "interruption-rate"])
+def test_specs_reject_what_is_not_a_real_number(make, name, value, message):
+    # the specs' own check, the same rule their file reader applies first
+    with pytest.raises(ValueError, match=f"{name} {message}"):
+        make(value)
+
+
 # the built-in layout as a cluster file, the format's documented example
 EXAMPLE_CLUSTER = Path(__file__).resolve().parent.parent / "examples" / "cluster.json"
 
@@ -278,8 +304,11 @@ def test_cluster_dict_bad_values_are_config_errors(edit, where):
         cluster_from_dict(doc)
 
 
-def test_load_cluster_bad_json(tmp_path):
+def test_load_cluster_bad_json(tmp_path, unreadable_json):
     path = tmp_path / "c.json"
     path.write_text("[", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_cluster(path)
+    for path in unreadable_json.values():
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: "):
+            load_cluster(path)

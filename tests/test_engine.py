@@ -489,6 +489,27 @@ def test_failure_refreshes_each_released_node_once():
     assert any(killed for _, killed, _ in seen) and any(shared for _, _, shared in seen)
 
 
+def test_failure_resums_a_node_once_for_all_its_tasks():
+    # two independent tasks, both still running on s0 when the deadline fires
+    tasks = tuple(TaskSpec(id=t, cpu_req=1, mem_req=2, work=100.0) for t in ("a", "b"))
+    env = SimEnv(two_nodes(), [WorkflowSpec(id="w", tasks=tasks, edges=(), timeout=50.0)], seed=0)
+    fail, resums = env._fail, []
+
+    def checked_fail(run, outcome):
+        node = env.nodes["s0"]
+        assert set(node.running) == {("w", "a"), ("w", "b")}
+        resum = node._resum
+        node._resum = lambda: (resums.append(set(node.running)), resum())
+        fail(run, outcome)
+        del node._resum
+        assert (node.cpu_free, node.mem_free) == (4.0, 16.0)
+
+    env._fail = checked_fail
+    stats = drive(env, lambda obs: "s0")
+    assert stats.workflows["w"].outcome is Outcome.FAILED_TIMEOUT
+    assert resums == [set()]  # one re-sum, after both tasks left
+
+
 def test_backlog_queues_stay_sorted_without_the_placed_task():
     cluster = default_cluster(interruption_rate_per_hour=30.0)
     workflows = generate(WorkloadConfig(count=30, parallelism=(6,),

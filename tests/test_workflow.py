@@ -1,6 +1,7 @@
 """Spec validation, DAG checks, per-workflow stats and the workflow file format."""
 import json
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -196,11 +197,14 @@ def test_workflow_dict_validates_dag():
         workflow_from_dict(doc)
 
 
-def test_load_workflow_bad_json(tmp_path):
+def test_load_workflow_bad_json(tmp_path, unreadable_json):
     path = tmp_path / "x.json"
     path.write_text("{", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_workflow(path)
+    for path in unreadable_json.values():
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: "):
+            load_workflow(path)
 
 
 def test_load_workflow_rejects_nan(tmp_path):

@@ -1,6 +1,7 @@
 """Synthetic fork-join workload generation."""
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -121,13 +122,17 @@ def test_config_file_round_trip(tmp_path):
     {"interarrival_range": ["5", "30"]}, {"work_range": 5}, {"interarrival_range": "12"},
     {"work_range": [1, 2, 3]}, {"timeout": 10**400}, {"work_range": [1, 10**400]},
     {"interarrival_range": [10**400, 10**401]},
+    # generate's last arrival, up to count * hi, would overflow to inf
+    {"interarrival_range": [1e308, 1e308], "count": 3},
+    {"interarrival_range": [5e-324, 5e-324], "count": 10**400},
 ], ids=["count-str", "parallelism-str", "work-range-short", "timeout-null",
         "count-float", "count-bool", "seed-str", "seed-float", "seed-list-str",
         "seed-list-bool", "seed-null", "parallelism-digits", "parallelism-float",
         "parallelism-bool", "parallelism-list-bool", "timeout-bool", "cpu-bool",
         "mem-bool", "data-mb-bool", "timeout-str", "work-range-bool", "interarrival-str",
         "work-range-scalar", "interarrival-digits", "work-range-long",
-        "timeout-huge-int", "work-range-huge-int", "interarrival-huge-int"])
+        "timeout-huge-int", "work-range-huge-int", "interarrival-huge-int",
+        "interarrival-overflow", "interarrival-count-past-floats"])
 def test_config_dict_bad_values_are_config_errors(doc):
     # each bad value is refused, naming its field, rather than coerced
     with pytest.raises(ConfigError, match="^workload config: ") as info:
@@ -137,10 +142,13 @@ def test_config_dict_bad_values_are_config_errors(doc):
     assert field in str(info.value)
 
 
-def test_config_file_rejects_unknown_and_bad_json(tmp_path):
+def test_config_file_rejects_unknown_and_bad_json(tmp_path, unreadable_json):
     with pytest.raises(ConfigError):
         config_from_dict({"workflows": 3})
     path = tmp_path / "wl.json"
     path.write_text("{nope", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_config(path)
+    for path in unreadable_json.values():
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: "):
+            load_config(path)
