@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, make_dataclass
 from functools import partial
 from itertools import accumulate
 from pathlib import Path
@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .cluster import ON_DEMAND, SPOT, ClusterSpec
-from .engine import Observation, SimEnv
+from .engine import ROW_FIELDS, Observation, SimEnv
 from .errors import ConfigError, LayoutMismatchError
 from .nets import Adam, Mlp, forward, masked_argmax_row, masked_softmax_row
 from .ppo import (EPOCHS, LEARNING_RATE, MINIBATCH_SIZE, Rollout, TrainConfig, actor_step,
@@ -260,21 +260,12 @@ class MultiActorAgent:
 # -- training driver -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EpisodeRecord:
-    episode: int
-    total_reward: float
-    total_cost: float
-    mean_execution_time: float
-    completed: int
-    interrupted: int
-    timed_out: int
-    critic_loss: float
-    group_loss: float
-    node_loss: float
-    clip_fraction: float
-    entropy: float
-    approx_kl: float
+# one training episode: its index and reward, what it reports, then its update report
+# (__module__ as for harness.MetricsRow)
+EpisodeRecord = make_dataclass(
+    "EpisodeRecord",
+    [("episode", int), ("total_reward", float), *ROW_FIELDS, *((k, float) for k in UPDATE_STATS)],
+    frozen=True, namespace={"__module__": __name__})
 
 
 def train(agent: MultiActorAgent,
@@ -306,17 +297,8 @@ def train(agent: MultiActorAgent,
         # the critic's values after the last decision: only update changes the critic
         report = (agent.update(rollout(rows, partial(forward, agent.policies.critic)), update_rng)
                   if rows else dict.fromkeys(UPDATE_STATS, 0.0))
-        stats = env.episode_stats()
-        curve.append(EpisodeRecord(
-            episode=episode,
-            total_reward=total_reward,
-            total_cost=stats.total_cost,
-            mean_execution_time=stats.mean_execution_time,
-            completed=stats.completed,
-            interrupted=stats.interrupted,
-            timed_out=stats.timed_out,
-            **report,
-        ))
+        curve.append(EpisodeRecord(episode=episode, total_reward=total_reward,
+                                   **env.episode_stats().row(), **report))
     return curve
 
 
@@ -410,6 +392,12 @@ def load_checkpoint(path: str | Path, cluster: ClusterSpec) -> MultiActorAgent:
         scaling = ScalingConstants(**doc["scaling"])
     except ValueError as exc:
         raise ConfigError(f"{path}: checkpoint scaling: {exc}") from exc
+    for node in cluster.nodes:  # encode divides each node's figures by these norms
+        for norm, figure in (("cpu_norm", node.cpu), ("mem_norm", node.mem_gb),
+                             ("cost_norm", node.unit_cost)):
+            if not math.isfinite(figure / getattr(scaling, norm)):
+                raise ConfigError(f"{path}: checkpoint scaling: {norm} {getattr(scaling, norm)!r} "
+                                  f"makes node {node.id!r}'s feature infinite")
     nets = doc["networks"]
     check_fields(nets, _NETWORKS_FIELDS, f"{path}: checkpoint networks")
     policies = PolicySet.build(state_dim(len(cluster.nodes)), layout, np.random.default_rng(0))

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
@@ -26,9 +25,6 @@ EPS = 1e-9
 
 # estimated_wait() sentinel for nodes that are down.
 DEAD_NODE_WAIT = 1e9
-
-# NodeState._resum's field reads: a C-level getter sums faster than a generator.
-_cpu_req, _mem_req = attrgetter("cpu_req"), attrgetter("mem_req")
 
 
 @dataclass(frozen=True)
@@ -118,9 +114,14 @@ class NodeState:
         self._resum()
 
     def _resum(self) -> None:
-        running = self.running.values()
-        self.cpu_free = self.spec.cpu - sum(map(_cpu_req, running))
-        self.mem_free = self.spec.mem_gb - sum(map(_mem_req, running))
+        # running totals, added left to right on every Python (from 3.12 on,
+        # builtin sum() compensates its rounding)
+        cpu = mem = 0
+        for task in self.running.values():
+            cpu += task.cpu_req
+            mem += task.mem_req
+        self.cpu_free = self.spec.cpu - cpu
+        self.mem_free = self.spec.mem_gb - mem
 
     def add(self, task: RunningTask) -> None:
         self.running[(task.workflow_id, task.task_id)] = task

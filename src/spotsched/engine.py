@@ -10,7 +10,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,7 +31,6 @@ from .workflow import (
     WorkflowStats,
     duplicates,
     seed_list,
-    workflow_stats,
 )
 
 # Event kinds, each as (on_event record name, payload field names), in
@@ -96,6 +95,15 @@ class EpisodeStats:
     def submitted(self) -> int:
         return self.completed + self.interrupted + self.timed_out
 
+    def row(self) -> dict:
+        """The reported fields by name, to build a per-episode row from."""
+        return {name: getattr(self, name) for name, _ in ROW_FIELDS}
+
+
+# (name, type) of every field but `workflows`: what each per-episode row reports of it,
+# harness.MetricsRow and agent.EpisodeRecord alike
+ROW_FIELDS = tuple((f.name, f.type) for f in fields(EpisodeStats) if f.name != "workflows")
+
 
 class _Run:
     """Mutable per-workflow bookkeeping; the graph tables are the spec's."""
@@ -109,6 +117,8 @@ class _Run:
         self.node_of: dict[str, str] = {}
         self.timings: dict = {}
         self.outcome: Outcome | None = None
+        self.cost = 0  # kept by _place, as is makespan; int 0 until the first placement
+        self.makespan = 0.0
 
 
 class SimEnv:
@@ -205,13 +215,13 @@ class SimEnv:
         if not self._done:
             raise RuntimeError("episode still in progress")
         per_wf = {
-            wf_id: workflow_stats(run.timings, run.outcome)
+            wf_id: WorkflowStats(makespan=run.makespan, cost=run.cost, outcome=run.outcome)
             for wf_id, run in self.runs.items()
         }
         durations = [
             # zero-task workflows complete on arrival; never count negative time
-            max(0.0, per_wf[wf_id].makespan - run.spec.arrival_time)
-            for wf_id, run in self.runs.items()
+            max(0.0, run.makespan - run.spec.arrival_time)
+            for run in self.runs.values()
             if run.outcome is Outcome.COMPLETED
         ]
         counts = {o: 0 for o in Outcome}
@@ -247,14 +257,17 @@ class SimEnv:
         start = run.ready_time[task.id]
         wait = now - start
         delay = compute + wait + max_transfer
+        finish = start + delay
         cost = compute * spec.unit_cost
-        run.timings[task.id] = TaskTiming(start, compute, wait, max_transfer, delay,
-                                          start + delay, cost)
+        run.timings[task.id] = TaskTiming(start, compute, wait, max_transfer, delay, finish, cost)
         run.node_of[task.id] = spec.id
+        run.cost += cost  # left to right in placement order, on every Python
+        if finish > run.makespan:
+            run.makespan = finish
         node.add(RunningTask(run.spec.id, task.id, task.cpu_req, task.mem_req, compute, now))
         self._refresh(spec.id)
         self._total_cost += cost
-        self._push(start + delay, FINISH, (spec.id, run.spec.id, task.id))
+        self._push(finish, FINISH, (spec.id, run.spec.id, task.id))
         return cost
 
     def _advance(self) -> Observation | None:

@@ -8,7 +8,7 @@ scheduling decisions.
 from __future__ import annotations
 
 import csv
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, make_dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -17,7 +17,7 @@ import numpy as np
 from .agent import EpisodeRecord, MultiActorAgent, train
 from .baselines import BASELINE_NAMES, baseline_cluster, make_baseline
 from .cluster import ClusterSpec
-from .engine import run_episode
+from .engine import ROW_FIELDS, run_episode
 from .errors import ConfigError
 from .workflow import WorkflowSpec, duplicates, load_workflow, seed_list
 from .workload import WorkloadConfig, generate, load_config
@@ -28,15 +28,10 @@ SCHEDULER_NAMES = (AGENT_NAME,) + BASELINE_NAMES
 WorkloadSource = WorkloadConfig | Sequence[WorkflowSpec]
 
 
-@dataclass(frozen=True)
-class MetricsRow:
-    scheduler: str
-    seed: int
-    total_cost: float
-    mean_execution_time: float
-    completed: int
-    interrupted: int
-    timed_out: int
+# one evaluation episode: its scheduler and seed, then what it reports (make_dataclass
+# sets __module__ itself only from Python 3.12 on)
+MetricsRow = make_dataclass("MetricsRow", [("scheduler", str), ("seed", int), *ROW_FIELDS],
+                            frozen=True, namespace={"__module__": __name__})
 
 
 @dataclass(frozen=True)
@@ -96,15 +91,7 @@ def evaluate_rows(name: str, cluster: ClusterSpec, source: WorkloadSource,
     for seed in seeds:
         policy = _policy_for(name, cluster, seed, agent)
         stats = run_episode(policy, run_cluster, workload_for_seed(source, seed), seed=[seed, 2])
-        rows.append(MetricsRow(
-            scheduler=name,
-            seed=seed,
-            total_cost=stats.total_cost,
-            mean_execution_time=stats.mean_execution_time,
-            completed=stats.completed,
-            interrupted=stats.interrupted,
-            timed_out=stats.timed_out,
-        ))
+        rows.append(MetricsRow(scheduler=name, seed=seed, **stats.row()))
     return rows
 
 

@@ -161,7 +161,10 @@ def forward(net: Mlp, x: np.ndarray):
 
 def clip_grad_norm(grads: list[np.ndarray], max_norm: float) -> float:
     """Scale grads in place to a global L2 norm cap; returns the raw norm."""
-    total = math.sqrt(sum(float(np.add.reduce(g * g, axis=None)) for g in grads))
+    squares = 0  # left to right on every Python: builtin sum() compensates from 3.12 on
+    for g in grads:
+        squares += float(np.add.reduce(g * g, axis=None))
+    total = math.sqrt(squares)
     if max_norm > 0 and total > max_norm:
         scale = max_norm / total
         for g in grads:

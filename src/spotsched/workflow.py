@@ -150,13 +150,6 @@ class WorkflowStats:
     outcome: Outcome
 
 
-def workflow_stats(timings: Mapping[str, TaskTiming], outcome: Outcome) -> WorkflowStats:
-    """Aggregate task records: makespan = max finish, cost = sum of costs."""
-    makespan = max((t.finish for t in timings.values()), default=0.0)
-    cost = sum(t.cost for t in timings.values())
-    return WorkflowStats(makespan=makespan, cost=cost, outcome=outcome)
-
-
 # --- helpers shared by every module ----------------------------------------
 
 

@@ -22,6 +22,11 @@ ANCHOR_WORK = 0.1
 ANCHOR_CPU = 0.1
 ANCHOR_MEM = 0.1
 
+# The largest fan-out and batch a config may ask for, far above any workload here; the
+# bounds keep generate's arrays and loops finite.
+MAX_PARALLELISM = 1_000
+MAX_COUNT = 100_000
+
 
 def _ints(value, name: str) -> tuple[int, ...]:
     """An integer or a sequence of integers as a tuple; a string or a bool is neither."""
@@ -47,6 +52,9 @@ class WorkloadConfig:
         object.__setattr__(self, "parallelism", _ints(self.parallelism, "parallelism"))
         if not self.parallelism or any(p < 1 for p in self.parallelism):
             raise ConfigError("parallelism must be positive")
+        if max(self.parallelism) > MAX_PARALLELISM:
+            raise ConfigError(f"parallelism must be at most {MAX_PARALLELISM}, "
+                              f"got {max(self.parallelism)}")
         if not is_int(self.count) or self.count < 1:
             raise ConfigError(f"count must be an integer >= 1, got {self.count!r}")
         _ints(self.seed, "seed")
@@ -64,6 +72,8 @@ class WorkloadConfig:
             hi = self.interarrival_range[1]
             if self.count > sys.float_info.max or self.count * hi > sys.float_info.max:
                 raise ValueError(f"interarrival_range: count * hi must be finite, got hi {hi}")
+            if self.count > MAX_COUNT:
+                raise ValueError(f"count must be at most {MAX_COUNT}, got {self.count}")
             check_real(self.data_mb, "data_mb", positive=False)
             for name in ("cpu_req", "mem_req", "timeout"):
                 check_real(getattr(self, name), name)

@@ -678,6 +678,19 @@ def test_checkpoint_rejects_bad_scaling(tmp_path, norm, value, message):
         ScalingConstants(**doc["scaling"])
 
 
+@pytest.mark.parametrize("norm", ["cpu_norm", "mem_norm", "cost_norm"])
+def test_checkpoint_refuses_a_norm_that_makes_a_node_feature_infinite(tmp_path, norm):
+    # a valid norm on its own, but the cluster's figures divided by it overflow to inf
+    cluster = small_cluster()
+    path = tmp_path / "ck.json"
+    save_checkpoint(MultiActorAgent(cluster, seed=0), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["scaling"][norm] = 5e-324
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"checkpoint scaling: {norm} 5e-324 makes node 's0'"):
+        load_checkpoint(path, cluster)
+
+
 def _damage_layer_count(nets):
     del nets["critic"]["weights"][-1]
     del nets["critic"]["biases"][-1]

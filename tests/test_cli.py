@@ -4,7 +4,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from spotsched.agent import MultiActorAgent, save_checkpoint
 from spotsched.cli import main
+from spotsched.cluster import default_cluster
 from spotsched.workflow import load_workflow
 
 
@@ -176,6 +178,35 @@ def test_unreadable_file_is_a_one_line_error(tmp_path, unreadable_json, args, ki
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # not an escaped decode or OS error
     assert result.output.startswith(f"Error: {path}: ") and result.output.count("\n") == 1
+
+
+@pytest.mark.parametrize("config, count, message", [
+    ({"parallelism": [2**70]}, "2", f"parallelism must be at most 1000, got {2**70}"),
+    ({}, "100001", "count must be at most 100000, got 100001"),
+], ids=["parallelism", "count"])
+def test_workload_past_its_bounds_is_a_one_line_error(tmp_path, config, count, message):
+    cfg = tmp_path / "p.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    result = invoke(["generate", "--config", str(cfg), "--count", count,
+                     "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not numpy's "maximum dimension" error
+    assert result.output.startswith("Error: ") and result.output.count("\n") == 1
+    assert message in result.output
+
+
+def test_checkpoint_norm_past_the_cluster_is_a_one_line_error(tmp_path):
+    ck = tmp_path / "ck.json"
+    save_checkpoint(MultiActorAgent(default_cluster(), seed=0), ck)
+    doc = json.loads(ck.read_text(encoding="utf-8"))
+    doc["scaling"]["cpu_norm"] = 5e-324
+    ck.write_text(json.dumps(doc), encoding="utf-8")
+    result = invoke(["compare", "--schedulers", "agent", "--checkpoint", str(ck), "--seeds", "1",
+                     "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not a FloatingPointError mid-run
+    assert result.output.startswith(f"Error: {ck}: checkpoint scaling: cpu_norm 5e-324 ")
+    assert result.output.count("\n") == 1 and not (tmp_path / "o").exists()
 
 
 def test_missing_cluster_file_is_a_usage_error(tmp_path):

@@ -79,6 +79,16 @@ def test_remove_releases_several_tasks_at_once():
     assert (state.cpu_free, state.mem_free) == (3, 6)
 
 
+def test_free_capacity_is_summed_left_to_right():
+    # compensated summation, builtin sum() from Python 3.12 on, gives 1.8 here
+    state = NodeState(spec=node(cpu=8.0, mem=32.0))
+    state.add(RunningTask("w", "map", cpu_req=1.0, mem_req=2.0, compute=10, exec_start=0))
+    for i in range(8):
+        state.add(RunningTask("w", f"anchor-{i}", cpu_req=0.1, mem_req=0.1, compute=1,
+                              exec_start=0))
+    assert state.cpu_free == 8.0 - 1.8000000000000007
+
+
 def test_estimated_wait():
     state = NodeState(spec=node(rate=2.0))
     assert state.estimated_wait(now=0.0) == 0.0

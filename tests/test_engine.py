@@ -1,5 +1,7 @@
 """Event-driven episode mechanics: placement, timing, failures, determinism."""
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -487,6 +489,28 @@ def test_failure_refreshes_each_released_node_once():
     assert len(seen) == stats.interrupted + stats.timed_out
     assert {o for o, _, _ in seen} == {Outcome.FAILED_INTERRUPTED, Outcome.FAILED_TIMEOUT}
     assert any(killed for _, killed, _ in seen) and any(shared for _, _, shared in seen)
+
+
+def test_workflow_totals_are_its_placements_in_order():
+    # sim-churn's load again, so some workflows fail with only part of their tasks placed
+    cluster = default_cluster(interruption_rate_per_hour=60.0, interruption_downtime_s=60.0)
+    workflows = generate(WorkloadConfig(count=40, parallelism=(6,), interarrival_range=(4.0, 8.0),
+                                        work_range=(100.0, 150.0), timeout=60.0, seed=1))
+    env = SimEnv(cluster, workflows, seed=[1, 2])
+    policy, placed = RandomPolicy(seed=1), {wf.id: [] for wf in workflows}
+    obs = env.reset()
+    while obs is not None:
+        placed[obs.workflow_id].append(obs.task.id)
+        obs, _, _ = env.step(policy(obs))
+    stats = env.episode_stats()
+    assert stats.completed and stats.interrupted and stats.timed_out
+    for wf_id, w in stats.workflows.items():
+        timings = env.runs[wf_id].timings
+        assert list(timings) == placed[wf_id]
+        # the left-to-right sum from int 0, in placement order
+        assert repr(w.cost) == repr(reduce(operator.add, (t.cost for t in timings.values()), 0))
+        assert w.makespan == max((t.finish for t in timings.values()), default=0.0)
+        assert w.outcome is env.runs[wf_id].outcome
 
 
 def test_failure_resums_a_node_once_for_all_its_tasks():

@@ -1,5 +1,7 @@
 """Numerics for the tiny policy/value networks."""
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -348,8 +350,18 @@ def test_clip_grad_norm_sums_as_np_sum():
     rng = np.random.default_rng(3)
     for shape in [(7,), (58, 64), (64, 64), (64, 6), (1,)]:
         grads = [rng.normal(scale=10.0 ** rng.uniform(-6, 3), size=shape) for _ in range(3)]
-        want = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+        want = math.sqrt(reduce(operator.add, (float(np.sum(g * g)) for g in grads), 0))
         assert clip_grad_norm(grads, 0.0) == want
+
+
+def test_clip_grad_norm_adds_squared_norms_left_to_right():
+    # ten squares below half an ulp of 1.0: each vanishes added in order, while
+    # compensated summation (builtin sum() from Python 3.12 on) keeps them
+    grads = [np.array([1.0])] + [np.array([1e-8]) for _ in range(10)]
+    squares = [float(g[0] * g[0]) for g in grads]
+    in_order = reduce(operator.add, squares, 0)
+    assert in_order == 1.0 and math.fsum(squares) != in_order
+    assert clip_grad_norm(grads, 0.0) == math.sqrt(in_order)
 
 
 def test_clip_grad_norm_leaves_small_gradients_alone():

@@ -1,4 +1,4 @@
-"""Spec validation, DAG checks, per-workflow stats and the workflow file format."""
+"""Spec validation, DAG checks, outcomes and the workflow file format."""
 import json
 import math
 import re
@@ -11,13 +11,11 @@ from spotsched.workflow import (
     EdgeSpec,
     Outcome,
     TaskSpec,
-    TaskTiming,
     WorkflowSpec,
     load_workflow,
     save_workflow,
     seed_list,
     workflow_from_dict,
-    workflow_stats,
     workflow_to_dict,
 )
 
@@ -31,19 +29,6 @@ def diamond():
         EdgeSpec("c", "d", 5),
     )
     return WorkflowSpec(id="wf", tasks=tasks, edges=edges)
-
-
-def test_workflow_stats_aggregates():
-    a = TaskTiming(start=0.0, compute=5.0, wait=0.0, max_transfer=0.0, delay=5.0,
-                   finish=5.0, cost=1.5)
-    b = TaskTiming(start=5.0, compute=3.0, wait=1.0, max_transfer=2.0, delay=6.0,
-                   finish=11.0, cost=0.5)
-    stats = workflow_stats({"a": a, "b": b}, Outcome.COMPLETED)
-    assert stats.makespan == 11.0
-    assert stats.cost == 2.0
-    assert stats.outcome is Outcome.COMPLETED
-    empty = workflow_stats({}, Outcome.FAILED_TIMEOUT)
-    assert empty.makespan == 0.0 and empty.cost == 0.0
 
 
 def test_validate_dag_accepts_diamond():

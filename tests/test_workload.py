@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from spotsched.errors import ConfigError
-from spotsched.workload import WorkloadConfig, config_from_dict, generate, load_config
+from spotsched.workload import (MAX_COUNT, MAX_PARALLELISM, WorkloadConfig, config_from_dict,
+                                generate, load_config)
 
 
 def test_generate_counts_and_shape():
@@ -125,6 +126,8 @@ def test_config_file_round_trip(tmp_path):
     # generate's last arrival, up to count * hi, would overflow to inf
     {"interarrival_range": [1e308, 1e308], "count": 3},
     {"interarrival_range": [5e-324, 5e-324], "count": 10**400},
+    # past the stated bounds: numpy cannot build a 2**70-long array
+    {"parallelism": [2**70]}, {"count": MAX_COUNT + 1},
 ], ids=["count-str", "parallelism-str", "work-range-short", "timeout-null",
         "count-float", "count-bool", "seed-str", "seed-float", "seed-list-str",
         "seed-list-bool", "seed-null", "parallelism-digits", "parallelism-float",
@@ -132,7 +135,8 @@ def test_config_file_round_trip(tmp_path):
         "mem-bool", "data-mb-bool", "timeout-str", "work-range-bool", "interarrival-str",
         "work-range-scalar", "interarrival-digits", "work-range-long",
         "timeout-huge-int", "work-range-huge-int", "interarrival-huge-int",
-        "interarrival-overflow", "interarrival-count-past-floats"])
+        "interarrival-overflow", "interarrival-count-past-floats", "parallelism-huge",
+        "count-past-bound"])
 def test_config_dict_bad_values_are_config_errors(doc):
     # each bad value is refused, naming its field, rather than coerced
     with pytest.raises(ConfigError, match="^workload config: ") as info:
@@ -140,6 +144,11 @@ def test_config_dict_bad_values_are_config_errors(doc):
     key = next(iter(doc))
     field = {"cpu": "cpu_req", "mem_gb": "mem_req"}.get(key, key)
     assert field in str(info.value)
+
+
+def test_config_bounds_are_accepted():
+    config = WorkloadConfig(count=MAX_COUNT, parallelism=(1, MAX_PARALLELISM))
+    assert (config.count, config.parallelism) == (MAX_COUNT, (1, MAX_PARALLELISM))
 
 
 def test_config_file_rejects_unknown_and_bad_json(tmp_path, unreadable_json):
