@@ -184,16 +184,12 @@ def select_action(policies: PolicySet, features: np.ndarray, group_mask, node_ma
 class MultiActorAgent:
     """Bundles the layout, scaling, networks and optimizers for one cluster."""
 
-    def __init__(self, cluster: ClusterSpec, seed: int | Sequence[int] = 0, *,
-                 scaling: ScalingConstants | None = None,
-                 policies: PolicySet | None = None):
+    def __init__(self, cluster: ClusterSpec, seed: int | Sequence[int] = 0):
         self.cluster = cluster
         self.layout = ActionSpaceLayout.from_cluster(cluster)
-        self.scaling = scaling or ScalingConstants.from_cluster(cluster)
-        init_rng = np.random.default_rng(seed_list(seed) + [0])
-        self.policies = policies or PolicySet.build(
-            state_dim(len(cluster.nodes)), self.layout, init_rng
-        )
+        self.scaling = ScalingConstants.from_cluster(cluster)
+        self.policies = PolicySet.build(state_dim(len(cluster.nodes)), self.layout,
+                                        np.random.default_rng(seed_list(seed) + [0]))
         self._optimizers = {
             "group": Adam(self.policies.group_actor.vector, LEARNING_RATE),
             "nodes": [Adam(net.vector, LEARNING_RATE) for net in self.policies.node_actors],
@@ -325,7 +321,7 @@ def _reals(x):
 
 
 def _load_net(doc: dict, net: Mlp, where: str) -> None:
-    """Copy stored parameters into `net`, a network PolicySet.build made for the cluster."""
+    """Copy stored parameters into `net`, a network of the agent built for the cluster."""
     check_fields(doc, _NET_FIELDS, where)
     sizes, head = doc["sizes"], doc["policy_head"]
     if not (isinstance(sizes, list) and all(map(is_int, sizes))):
@@ -370,7 +366,9 @@ def save_checkpoint(agent: MultiActorAgent, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path, cluster: ClusterSpec) -> MultiActorAgent:
-    """Rebuild an agent; refuses checkpoints for a different cluster layout."""
+    """The agent MultiActorAgent(cluster) builds, with the stored scaling and parameters.
+
+    Refuses checkpoints for a different cluster layout."""
     doc = read_json(path)
     check_fields(doc, _CHECKPOINT_FIELDS, f"{path}: checkpoint")
     version = doc["format_version"]
@@ -380,12 +378,12 @@ def load_checkpoint(path: str | Path, cluster: ClusterSpec) -> MultiActorAgent:
     for name in GROUP_ORDER:
         if not isinstance(doc["groups"][name], list):
             raise ConfigError(f"{path}: checkpoint groups: {name} must be a list of node ids")
-    layout = ActionSpaceLayout.from_cluster(cluster)
+    agent = MultiActorAgent(cluster)
     stored = tuple(tuple(doc["groups"][name]) for name in GROUP_ORDER)
-    if stored != layout.group_nodes:
+    if stored != agent.layout.group_nodes:
         raise LayoutMismatchError(
             f"{path}: checkpoint groups {stored} do not match cluster layout "
-            f"{layout.group_nodes}"
+            f"{agent.layout.group_nodes}"
         )
     check_fields(doc["scaling"], _SCALING_FIELDS, f"{path}: checkpoint scaling")
     try:
@@ -398,9 +396,9 @@ def load_checkpoint(path: str | Path, cluster: ClusterSpec) -> MultiActorAgent:
             if not math.isfinite(figure / getattr(scaling, norm)):
                 raise ConfigError(f"{path}: checkpoint scaling: {norm} {getattr(scaling, norm)!r} "
                                   f"makes node {node.id!r}'s feature infinite")
-    nets = doc["networks"]
+    agent.scaling = scaling
+    nets, policies = doc["networks"], agent.policies
     check_fields(nets, _NETWORKS_FIELDS, f"{path}: checkpoint networks")
-    policies = PolicySet.build(state_dim(len(cluster.nodes)), layout, np.random.default_rng(0))
     node_docs = nets["node_actors"]
     if not isinstance(node_docs, list) or len(node_docs) != len(policies.node_actors):
         raise LayoutMismatchError(
@@ -410,4 +408,4 @@ def load_checkpoint(path: str | Path, cluster: ClusterSpec) -> MultiActorAgent:
                               [nets["group_actor"], *node_docs, nets["critic"]],
                               [policies.group_actor, *policies.node_actors, policies.critic]):
         _load_net(doc, net, f"{path}: checkpoint network {name}")
-    return MultiActorAgent(cluster, scaling=scaling, policies=policies)
+    return agent

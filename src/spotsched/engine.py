@@ -47,6 +47,11 @@ EVENT_KINDS = (
 )
 FINISH, REVIVE, INTERRUPT, ARRIVAL, TIMEOUT = range(len(EVENT_KINDS))
 
+# The most spot interruption and revival events a run may expect before its last
+# deadline. The benchmark's workloads expect under 1,000 and the largest test case about
+# 33,000; an idle cluster ticks through every one of them.
+MAX_INTERRUPTION_EVENTS = 10**6
+
 
 @dataclass(eq=False)
 class Observation:
@@ -143,6 +148,7 @@ class SimEnv:
         dupes = duplicates(wf.id for wf in workload)
         if dupes:
             raise ConfigError(f"duplicate workflow ids {dupes}")
+        check_bounded(cluster, workload)
         self.cluster = cluster
         self._node_ids = tuple(n.id for n in cluster.nodes)
         self._index = {node_id: i for i, node_id in enumerate(self._node_ids)}
@@ -425,6 +431,52 @@ class SimEnv:
         self._alive[i] = node.alive
         for _, task, row in self._shapes.values():
             row[i] = node.can_fit(task)
+
+
+def check_bounded(cluster: ClusterSpec, workload: Sequence[WorkflowSpec]) -> None:
+    """Refuse a run that could reach a time or cost past the floats, or that expects more
+    than MAX_INTERRUPTION_EVENTS interruptions and revivals.
+
+    Every workflow resolves by its deadline, so no task starts, and no node is
+    interrupted, after the latest one; a task ends at most its compute time and slowest
+    transfer after its start. Division and multiplication by a positive number keep order
+    in floats, so the largest work and data size bound every task's figures.
+    """
+    # lists: max over one takes about two thirds of its time over a generator
+    works = [t.work for wf in workload for t in wf.tasks]
+    work = max(works, default=0.0)
+    data_mb = max([e.data_mb for wf in workload for e in wf.edges], default=0.0)
+    deadline = max(wf.arrival_time + wf.timeout for wf in workload)
+    compute = cost = 0.0
+    for node in cluster.nodes:
+        node_compute = work / node.rate
+        if node_compute == math.inf:
+            raise ConfigError(f"node {node.id!r}: task work {work!r} at rate {node.rate!r} "
+                              f"takes a compute time that is not finite")
+        node_cost = node_compute * node.unit_cost
+        if node_cost == math.inf:
+            raise ConfigError(f"node {node.id!r}: a compute time of {node_compute!r} s at "
+                              f"price_per_hour {node.price_per_hour!r} costs more than is finite")
+        compute, cost = max(compute, node_compute), max(cost, node_cost)
+    transfer = data_mb / cluster.bandwidth_mbps
+    if transfer == math.inf:
+        raise ConfigError(f"edge data_mb {data_mb!r} at bandwidth_mbps "
+                          f"{cluster.bandwidth_mbps!r} takes a transfer time that is not finite")
+    # times the workflow count: the sum that mean_execution_time divides
+    if (deadline + compute + transfer) * len(workload) == math.inf:
+        raise ConfigError(f"the last deadline, {deadline!r} s, plus the longest compute time "
+                          f"{compute!r} s and transfer {transfer!r} s, summed over "
+                          f"{len(workload)} workflows, is not finite")
+    if cost * len(works) == math.inf:
+        raise ConfigError(f"{len(works)} tasks at up to {cost!r} each give a total cost that "
+                          f"is not finite")
+    spot = sum(n.pricing_class == SPOT for n in cluster.nodes)
+    events = deadline / 3600.0 * cluster.interruption_rate_per_hour * 2 * spot
+    if events > MAX_INTERRUPTION_EVENTS:
+        raise ConfigError(
+            f"the last deadline, {deadline!r} s, is too far: {spot} spot nodes at "
+            f"{cluster.interruption_rate_per_hour!r} interruptions/h expect {events:.3g} "
+            f"interruption and revival events by then, more than {MAX_INTERRUPTION_EVENTS:,}")
 
 
 def run_episode(

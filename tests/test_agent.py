@@ -556,17 +556,26 @@ def test_greedy_scheduler_drives_episodes():
 
 
 def test_checkpoint_round_trip(tmp_path):
+    # the loader fills in the agent MultiActorAgent(cluster) builds, with seed 0 and the
+    # cluster's scaling; a saved seed and norm other than those show that it copies both
     cluster = small_cluster()
-    agent = MultiActorAgent(cluster, seed=0)
+    agent = MultiActorAgent(cluster, seed=3)
     path = tmp_path / "ck.json"
     save_checkpoint(agent, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["scaling"]["wait_norm"] = 500.0
+    path.write_text(json.dumps(doc), encoding="utf-8")
     clone = load_checkpoint(path, cluster)
+    built = MultiActorAgent(cluster)
     nets = lambda p: [p.group_actor, *p.node_actors, p.critic]
-    for mine, theirs in zip(nets(agent.policies), nets(clone.policies)):
+    for mine, theirs, fresh in zip(nets(agent.policies), nets(clone.policies),
+                                   nets(built.policies)):
         assert mine.sizes == theirs.sizes
         for a, b in zip(mine.params, theirs.params):
             assert np.array_equal(a, b)
-    assert clone.scaling == agent.scaling
+        assert not np.array_equal(theirs.vector, fresh.vector)
+    assert clone.scaling == replace(agent.scaling, wait_norm=500.0)
+    assert clone.scaling != built.scaling
     assert clone.layout == agent.layout
 
 

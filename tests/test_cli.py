@@ -1,5 +1,6 @@
 """End-user command behavior via the click runner."""
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -7,7 +8,10 @@ from click.testing import CliRunner
 from spotsched.agent import MultiActorAgent, save_checkpoint
 from spotsched.cli import main
 from spotsched.cluster import default_cluster
-from spotsched.workflow import load_workflow
+from spotsched.workflow import load_workflow, workflow_to_dict
+from spotsched.workload import WorkloadConfig, generate
+
+EXAMPLE_CLUSTER = Path(__file__).resolve().parent.parent / "examples" / "cluster.json"
 
 
 def invoke(args):
@@ -207,6 +211,43 @@ def test_checkpoint_norm_past_the_cluster_is_a_one_line_error(tmp_path):
     assert isinstance(result.exception, SystemExit)  # not a FloatingPointError mid-run
     assert result.output.startswith(f"Error: {ck}: checkpoint scaling: cpu_norm 5e-324 ")
     assert result.output.count("\n") == 1 and not (tmp_path / "o").exists()
+
+
+def _unbounded_input(tmp_path, kind):
+    """compare arguments for an input the simulator refuses, by kind."""
+    if kind in ("fits-no-node", "far-arrivals"):
+        config = ({"count": 1, "cpu": 100.0, "timeout": 1e15} if kind == "fits-no-node"
+                  else {"count": 3, "interarrival_range": [1e12, 1e12]})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        return ["--workload", str(path), "--schedulers", "random"]
+    if kind == "far-arrival-file":
+        doc = workflow_to_dict(generate(WorkloadConfig(count=1))[0])
+        doc["arrival_time"] = 1e308
+        (tmp_path / "wl").mkdir()
+        (tmp_path / "wl" / "wf.json").write_text(json.dumps(doc), encoding="utf-8")
+        return ["--workload", str(tmp_path / "wl"), "--schedulers", "random"]
+    doc = json.loads(EXAMPLE_CLUSTER.read_text(encoding="utf-8"))
+    doc["nodes"][0]["rate"] = 5e-324
+    path = tmp_path / "cluster.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return ["--cluster", str(path), "--schedulers", "random,k8-default"]
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("fits-no-node", "Error: the last deadline, 1000000000000026.2 s, is too far: "),
+    ("far-arrivals", "Error: the last deadline, 3000000003600.0 s, is too far: "),
+    ("far-arrival-file", "Error: the last deadline, 1e+308 s, is too far: "),
+    ("tiny-rate", "Error: node 'spot-large-0': task work "),
+], ids=["fits-no-node", "far-arrivals", "far-arrival-file", "tiny-rate"])
+def test_unbounded_run_is_a_one_line_error(tmp_path, kind, message):
+    # each of these ran for hours or printed inf and nan before the simulator refused it
+    result = invoke(["compare", *_unbounded_input(tmp_path, kind), "--seeds", "1",
+                     "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith(message) and result.output.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_cluster_file_is_a_usage_error(tmp_path):

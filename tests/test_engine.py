@@ -1,6 +1,8 @@
 """Event-driven episode mechanics: placement, timing, failures, determinism."""
 import math
 import operator
+import re
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -600,6 +602,45 @@ def test_env_validates_workload():
     # a cyclic workflow never reaches the environment: building its spec fails
     with pytest.raises(DagCycleError):
         WorkflowSpec(id="c", tasks=tasks, edges=(EdgeSpec("a", "b"), EdgeSpec("b", "a")))
+
+
+def many(count, work=100.0, arrival=0.0, timeout=3600.0):
+    tasks = tuple(TaskSpec(id=f"t{i}", cpu_req=1.0, mem_req=1.0, work=work) for i in range(count))
+    return WorkflowSpec(id="many", tasks=tasks, edges=(), arrival_time=arrival, timeout=timeout)
+
+
+def priced(price_per_hour):
+    spot, od = two_nodes().nodes
+    return replace(two_nodes(), nodes=(spot, replace(od, price_per_hour=price_per_hour)))
+
+
+@pytest.mark.parametrize("cluster, workload, message", [
+    (two_nodes(spot_rate=5e-324), [single()],
+     "node 's0': task work 100.0 at rate 5e-324 takes a compute time that is not finite"),
+    (priced(1e308), [single(work=1e5)],
+     "node 'o0': a compute time of 100000.0 s at price_per_hour 1e+308 costs more than"),
+    (replace(two_nodes(), bandwidth_mbps=1e-3), [chain(data_mb=1e306)],
+     "edge data_mb 1e+306 at bandwidth_mbps 0.001 takes a transfer time that is not finite"),
+    (two_nodes(), [single(arrival=1e308, timeout=1e308)], "the last deadline, inf s, "),
+    # each duration is finite, the sum that mean_execution_time divides is not
+    (two_nodes(), [single(f"w{i}", work=5e307, timeout=1e308) for i in range(4)],
+     "the last deadline, 1e+308 s, plus the longest compute time 5e+307 s and transfer 0.0 s, "
+     "summed over 4 workflows, is not finite"),
+    # each task's cost is finite, their sum is not
+    (priced(1e308), [many(100)], "100 tasks at up to 2.7777777777777777e+306 each"),
+    (two_nodes(rate_per_hour=60.0), [single(timeout=3.1e7)],
+     "the last deadline, 31000000.0 s, is too far: 1 spot nodes at 60.0 interruptions/h "
+     "expect 1.03e+06 interruption and revival events by then, more than 1,000,000"),
+], ids=["compute", "cost", "transfer", "deadline", "deadline-summed", "total-cost", "horizon"])
+def test_env_refuses_unbounded_runs(cluster, workload, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        SimEnv(cluster, workload)
+
+
+def test_env_takes_runs_just_inside_the_bounds():
+    SimEnv(two_nodes(rate_per_hour=60.0), [single(timeout=2.9e7)])  # 9.7e5 expected events
+    SimEnv(priced(1e308), [many(60)])  # a total cost of 1.7e308
+    SimEnv(two_nodes(), [single(arrival=1e308)])  # no spot interruptions at rate 0
 
 
 def test_empty_workflow_resolves_on_arrival():

@@ -1,10 +1,13 @@
 """The input boundary: each reader returns or raises ConfigError, and nothing else.
 
 Each example starts from a valid document, makes one mutation at a drawn
-place in it, and runs the document's reader. It only loads documents; no
-episode runs.
+place in it, and runs the document's reader. A cluster, workflow or
+workload-config document that loads then runs one random-policy episode,
+which must end in finite stats unless the simulator refuses its inputs with
+a ConfigError. Checkpoints are only loaded.
 """
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -12,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from spotsched import agent
 from spotsched.agent import MultiActorAgent, load_checkpoint, save_checkpoint
+from spotsched.baselines import RandomPolicy
 from spotsched.cluster import cluster_from_dict, default_cluster
+from spotsched.engine import SimEnv
 from spotsched.errors import ConfigError
 from spotsched.workflow import workflow_from_dict, workflow_to_dict
 from spotsched.workload import WorkloadConfig, config_from_dict, generate
@@ -59,10 +64,43 @@ def loads_or_refuses(read, doc):
         pass
 
 
+def episode_is_finite(env):
+    """Run one random-policy episode; assert that its stats are finite.
+
+    Each task is offered at most once, so a count bounds the decisions; an episode
+    that asks for more fails here rather than running on."""
+    policy = RandomPolicy(seed=[0])
+    decisions = sum(len(wf.tasks) for wf in env.workload)
+    obs = env.reset()
+    while obs is not None:
+        assert decisions > 0, "more decisions than tasks"
+        decisions -= 1
+        obs = env.step(policy(obs))[0]
+    stats = env.episode_stats()
+    values = [stats.total_cost, stats.mean_execution_time,
+              *(x for w in stats.workflows.values() for x in (w.cost, w.makespan))]
+    assert all(map(math.isfinite, values)), values
+
+
+def runs_or_refuses(read, episode_inputs, doc):
+    """Load doc, build its episode's environment, and run it to finite stats; or refuse."""
+    try:
+        env = SimEnv(*episode_inputs(read(doc)), seed=[0])
+    except ConfigError:
+        return
+    episode_is_finite(env)
+
+
+BATCH = generate(WorkloadConfig(count=3))
+
+# (reader, valid document, the (cluster, workload) of an episode over what it read)
 DOCUMENTS = [
-    (cluster_from_dict, EXAMPLE_CLUSTER.read_text(encoding="utf-8")),
-    (workflow_from_dict, json.dumps(workflow_to_dict(generate(WorkloadConfig(count=1))[0]))),
-    (config_from_dict, json.dumps(CONFIG_DOC)),
+    (cluster_from_dict, EXAMPLE_CLUSTER.read_text(encoding="utf-8"),
+     lambda cluster: (cluster, BATCH)),
+    (workflow_from_dict, json.dumps(workflow_to_dict(generate(WorkloadConfig(count=1))[0])),
+     lambda workflow: (default_cluster(), [workflow])),
+    (config_from_dict, json.dumps(CONFIG_DOC),
+     lambda config: (default_cluster(), generate(config))),
 ]
 
 
@@ -86,16 +124,18 @@ def read_checkpoint(path):
 
 
 def test_the_starting_documents_load(checkpoint):
-    for read, text in DOCUMENTS:
-        read(json.loads(text))
+    for read, text, episode_inputs in DOCUMENTS:
+        episode_is_finite(SimEnv(*episode_inputs(read(json.loads(text))), seed=[0]))
     read_checkpoint(checkpoint[0])
 
 
-@pytest.mark.parametrize("read, text", DOCUMENTS, ids=["cluster", "workflow", "workload-config"])
-@settings(max_examples=300)
+# no per-example deadline: the task count bounds each episode, and Tier-1 times nothing
+@pytest.mark.parametrize("read, text, episode_inputs", DOCUMENTS,
+                         ids=["cluster", "workflow", "workload-config"])
+@settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_mutated_documents_load_or_raise_config_error(read, text, data):
-    loads_or_refuses(read, mutate(data, json.loads(text)))
+def test_mutated_documents_load_or_raise_config_error(read, text, episode_inputs, data):
+    runs_or_refuses(read, episode_inputs, mutate(data, json.loads(text)))
 
 
 @settings(max_examples=300)
