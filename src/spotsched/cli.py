@@ -43,7 +43,19 @@ def _parse_csv_list(value: str, what: str) -> list[str]:
     return items
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; any command's SpotSchedError ends the run as a one-line error."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except LayoutMismatchError as exc:
+            raise click.ClickException(f"checkpoint does not match cluster: {exc}")
+        except SpotSchedError as exc:
+            raise click.ClickException(str(exc))
+
+
+@click.group(cls=_Main)
 def main():
     """Simulate DAG workflows on a spot/on-demand cluster and schedule them."""
 
@@ -59,14 +71,11 @@ def main():
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
 def train(cluster_path, workload_path, episodes, seed, out_dir):
     """Train the scheduling agent; writes checkpoint.json and training_curve.csv."""
-    try:
-        cluster = _load_cluster(cluster_path)
-        source = _load_workload(workload_path)
-        config = TrainConfig(seed=seed) if episodes is None else TrainConfig(
-            seed=seed, episodes=episodes)
-        agent, curve = train_run(cluster, source, config)
-    except SpotSchedError as exc:
-        raise click.ClickException(str(exc))
+    cluster = _load_cluster(cluster_path)
+    source = _load_workload(workload_path)
+    config = TrainConfig(seed=seed) if episodes is None else TrainConfig(
+        seed=seed, episodes=episodes)
+    agent, curve = train_run(cluster, source, config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(agent, out / "checkpoint.json")
@@ -99,15 +108,10 @@ def compare_cmd(cluster_path, workload_path, schedulers, checkpoint_path, seeds,
         raise click.UsageError(f"--seeds must be integers: {exc}")
     if AGENT_NAME in names and checkpoint_path is None:
         raise click.UsageError("--checkpoint is required when 'agent' is listed")
-    try:
-        cluster = _load_cluster(cluster_path)
-        source = _load_workload(workload_path)
-        agent = load_checkpoint(checkpoint_path, cluster) if checkpoint_path else None
-        rows, summaries = compare(names, cluster, source, seed_list, agent)
-    except LayoutMismatchError as exc:
-        raise click.ClickException(f"checkpoint does not match cluster: {exc}")
-    except SpotSchedError as exc:
-        raise click.ClickException(str(exc))
+    cluster = _load_cluster(cluster_path)
+    source = _load_workload(workload_path)
+    agent = load_checkpoint(checkpoint_path, cluster) if checkpoint_path else None
+    rows, summaries = compare(names, cluster, source, seed_list, agent)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(MetricsRow, rows, out / "comparison.csv")
@@ -126,18 +130,15 @@ def compare_cmd(cluster_path, workload_path, schedulers, checkpoint_path, seeds,
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), required=True)
 def generate_cmd(config_path, count, seed, out_dir):
     """Generate workflow files from a workload config."""
-    try:
-        config = load_config(config_path) if config_path else WorkloadConfig()
-        overrides = {}
-        if count is not None:
-            overrides["count"] = count
-        if seed is not None:
-            overrides["seed"] = seed
-        if overrides:
-            config = replace(config, **overrides)
-        workflows = generate(config)
-    except SpotSchedError as exc:
-        raise click.ClickException(str(exc))
+    config = load_config(config_path) if config_path else WorkloadConfig()
+    overrides = {}
+    if count is not None:
+        overrides["count"] = count
+    if seed is not None:
+        overrides["seed"] = seed
+    if overrides:
+        config = replace(config, **overrides)
+    workflows = generate(config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for wf in workflows:

@@ -8,6 +8,7 @@ scheduling decisions.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import astuple, dataclass, fields, make_dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -19,7 +20,7 @@ from .baselines import BASELINE_NAMES, baseline_cluster, make_baseline
 from .cluster import ClusterSpec
 from .engine import ROW_FIELDS, run_episode
 from .errors import ConfigError
-from .workflow import WorkflowSpec, duplicates, load_workflow, seed_list
+from .workflow import WorkflowSpec, duplicates, load_workflow
 from .workload import WorkloadConfig, generate, load_config
 
 AGENT_NAME = "agent"
@@ -40,7 +41,6 @@ class SchedulerSummary:
     mean_cost: float
     std_cost: float
     mean_execution_time: float
-    std_execution_time: float
     mean_completed: float
     mean_interrupted: float
     mean_timed_out: float
@@ -53,7 +53,7 @@ def workload_for_seed(source: WorkloadSource, seed: int) -> list[WorkflowSpec]:
     workflow list replays unchanged for every seed.
     """
     if isinstance(source, WorkloadConfig):
-        return generate(replace(source, seed=tuple(seed_list(source.seed) + [seed, 1])))
+        return generate(replace(source, seed=(*source.seed, seed, 1)))
     return list(source)
 
 
@@ -73,43 +73,41 @@ def load_workload_source(path: str | Path) -> WorkloadSource:
     return load_config(p)
 
 
-def _policy_for(name: str, cluster: ClusterSpec, seed: int,
-                agent: MultiActorAgent | None):
-    if name == AGENT_NAME:
-        if agent is None:
-            raise ConfigError("scheduler 'agent' requires a checkpoint")
-        return agent.scheduler()
-    return make_baseline(name, cluster, seed=[seed, 3])
-
-
 def evaluate_rows(name: str, cluster: ClusterSpec, source: WorkloadSource,
                   seeds: Sequence[int], agent: MultiActorAgent | None = None,
                   ) -> list[MetricsRow]:
     """One metrics row per evaluation seed for a named scheduler."""
+    if name == AGENT_NAME and agent is None:
+        raise ConfigError("scheduler 'agent' requires a checkpoint")
     run_cluster = baseline_cluster(cluster, name)
     rows = []
     for seed in seeds:
-        policy = _policy_for(name, cluster, seed, agent)
+        policy = (agent.scheduler() if name == AGENT_NAME
+                  else make_baseline(name, cluster, seed=[seed, 3]))
         stats = run_episode(policy, run_cluster, workload_for_seed(source, seed), seed=[seed, 2])
         rows.append(MetricsRow(scheduler=name, seed=seed, **stats.row()))
     return rows
 
 
 def summarize(rows: Sequence[MetricsRow]) -> SchedulerSummary:
+    """One scheduler's means over its rows; a figure past the floats is a ConfigError."""
     if not rows:
         raise ValueError("no rows to summarize")
     costs = np.array([r.total_cost for r in rows])
-    times = np.array([r.mean_execution_time for r in rows])
-    return SchedulerSummary(
-        scheduler=rows[0].scheduler,
-        mean_cost=float(costs.mean()),
-        std_cost=float(costs.std()),
-        mean_execution_time=float(times.mean()),
-        std_execution_time=float(times.std()),
-        mean_completed=float(np.mean([r.completed for r in rows])),
-        mean_interrupted=float(np.mean([r.interrupted for r in rows])),
-        mean_timed_out=float(np.mean([r.timed_out for r in rows])),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # each figure is checked below
+        summary = SchedulerSummary(
+            scheduler=rows[0].scheduler,
+            mean_cost=float(costs.mean()),
+            std_cost=float(costs.std()),
+            mean_execution_time=float(np.mean([r.mean_execution_time for r in rows])),
+            mean_completed=float(np.mean([r.completed for r in rows])),
+            mean_interrupted=float(np.mean([r.interrupted for r in rows])),
+            mean_timed_out=float(np.mean([r.timed_out for r in rows])),
+        )
+    for f in fields(summary)[1:]:
+        if not math.isfinite(getattr(summary, f.name)):
+            raise ConfigError(f"scheduler {summary.scheduler!r}: {f.name} overflows a float")
+    return summary
 
 
 def compare(schedulers: Sequence[str], cluster: ClusterSpec, source: WorkloadSource,
@@ -170,13 +168,8 @@ def format_summary_table(summaries: Sequence[SchedulerSummary]) -> str:
 
 
 def make_training_workloads(config: WorkloadConfig, seed) -> Callable[[int], list[WorkflowSpec]]:
-    """Per-episode workload factory keyed by the training seed."""
-    base = seed_list(seed)
-
-    def factory(episode: int) -> list[WorkflowSpec]:
-        return generate(replace(config, seed=tuple(base + [1, episode])))
-
-    return factory
+    """Per-episode workload factory keyed by the training seed, which `generate` checks."""
+    return lambda episode: generate(replace(config, seed=(seed, 1, episode)))
 
 
 def train_run(cluster: ClusterSpec, workload_source, train_config,

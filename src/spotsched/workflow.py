@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Hashable, Iterable, Mapping, NamedTuple
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -176,12 +176,20 @@ def check_real(value, name: str, *, positive: bool = True) -> float:
     return x
 
 
-def seed_list(seed: int | Iterable[int]) -> list[int]:
+def ints(value, name: str) -> tuple[int, ...]:
+    """An integer or a sequence of integers as a tuple; a string or a bool is neither."""
+    values = (value,) if is_int(value) else value
+    if isinstance(values, str) or not isinstance(values, Sequence) or not all(map(is_int, values)):
+        raise ConfigError(f"{name} must be an integer or a sequence of integers, got {value!r}")
+    return tuple(int(v) for v in values)
+
+
+def seed_list(seed: int | Sequence[int]) -> list[int]:
     """A seed or seed sequence as a list of ints, ready to extend with a stream key.
 
     numpy seeds only from non-negative integers, so a negative one is a ConfigError.
     """
-    seeds = [int(seed)] if isinstance(seed, (int, np.integer)) else [int(s) for s in seed]
+    seeds = list(ints(seed, "seed"))
     for s in seeds:
         if s < 0:
             raise ConfigError(f"seed must be an integer >= 0, got {s}")

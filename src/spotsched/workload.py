@@ -14,7 +14,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .workflow import EdgeSpec, TaskSpec, WorkflowSpec, check_real, is_int, read_json, seed_list
+from .workflow import (EdgeSpec, TaskSpec, WorkflowSpec, check_real, ints, is_int, read_json,
+                       seed_list)
 
 # Fork/join anchor tasks are deliberately near-free so they never compete
 # with map tasks for resources or dominate cost.
@@ -26,14 +27,6 @@ ANCHOR_MEM = 0.1
 # bounds keep generate's arrays and loops finite.
 MAX_PARALLELISM = 1_000
 MAX_COUNT = 100_000
-
-
-def _ints(value, name: str) -> tuple[int, ...]:
-    """An integer or a sequence of integers as a tuple; a string or a bool is neither."""
-    values = (value,) if is_int(value) else value
-    if isinstance(values, str) or not isinstance(values, Sequence) or not all(map(is_int, values)):
-        raise ConfigError(f"{name} must be an integer or a sequence of integers, got {value!r}")
-    return tuple(int(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -49,7 +42,7 @@ class WorkloadConfig:
     seed: int | tuple[int, ...] = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "parallelism", _ints(self.parallelism, "parallelism"))
+        object.__setattr__(self, "parallelism", ints(self.parallelism, "parallelism"))
         if not self.parallelism or any(p < 1 for p in self.parallelism):
             raise ConfigError("parallelism must be positive")
         if max(self.parallelism) > MAX_PARALLELISM:
@@ -57,7 +50,7 @@ class WorkloadConfig:
                               f"got {max(self.parallelism)}")
         if not is_int(self.count) or self.count < 1:
             raise ConfigError(f"count must be an integer >= 1, got {self.count!r}")
-        _ints(self.seed, "seed")
+        object.__setattr__(self, "seed", ints(self.seed, "seed"))
         try:
             for name in ("work_range", "interarrival_range"):
                 pair = getattr(self, name)
@@ -120,7 +113,7 @@ def generate(config: WorkloadConfig) -> list[WorkflowSpec]:
 # {count, parallelism, work_range, interarrival_range, data_mb, cpu,
 #  mem_gb, timeout, seed}
 
-# file key -> WorkloadConfig field, in field order; the keys are the field names but two
+# file key -> WorkloadConfig field; the keys are the field names but two
 _CONFIG_KEYS = {{"cpu_req": "cpu", "mem_req": "mem_gb"}.get(f.name, f.name): f.name
                 for f in fields(WorkloadConfig)}
 
@@ -131,15 +124,8 @@ def config_from_dict(doc: Mapping) -> WorkloadConfig:
     unknown = set(doc) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"workload config: unknown fields {sorted(unknown)}")
-    kwargs = {}
-    for key, attr in _CONFIG_KEYS.items():
-        if key in doc:
-            value = doc[key]
-            if isinstance(value, list):
-                value = tuple(value)
-            kwargs[attr] = value
     try:
-        return WorkloadConfig(**kwargs)
+        return WorkloadConfig(**{_CONFIG_KEYS[key]: value for key, value in doc.items()})
     except (ConfigError, TypeError, ValueError) as exc:
         raise ConfigError(f"workload config: {exc}") from exc
 

@@ -15,6 +15,7 @@ from spotsched.baselines import (
 from spotsched.cluster import ON_DEMAND, SPOT, ClusterSpec, NodeSpec, default_cluster
 from spotsched.engine import Observation, SimEnv
 from spotsched.errors import ConfigError, NoFeasibleActionError
+from spotsched.harness import evaluate_rows
 from spotsched.workflow import TaskSpec, WorkflowSpec
 
 
@@ -154,6 +155,23 @@ def test_baseline_cluster():
     spot_only = ClusterSpec(nodes=cluster.pricing_groups()[SPOT])
     with pytest.raises(ConfigError, match="no on-demand nodes"):
         baseline_cluster(spot_only, "on-demand")
+
+
+def test_on_demand_times_out_a_task_only_a_spot_node_fits():
+    # the on-demand baseline runs on the on-demand nodes alone, so a task that only a spot
+    # node fits waits there until its deadline, where k8-default places it
+    cluster = ClusterSpec(nodes=(
+        NodeSpec(id="spot", flavor="f", cpu=8.0, mem_gb=32.0, rate=8.0,
+                 pricing_class=SPOT, price_per_hour=0.16),
+        NodeSpec(id="od", flavor="f", cpu=4.0, mem_gb=16.0, rate=4.0,
+                 pricing_class=ON_DEMAND, price_per_hour=0.13),
+    ), interruption_rate_per_hour=0.0)
+    task = TaskSpec(id="t", cpu_req=6.0, mem_req=2.0, work=100.0)
+    workload = [WorkflowSpec(id="w", tasks=(task,), edges=(), timeout=600.0)]
+    k8, od = (evaluate_rows(name, cluster, workload, seeds=[1])[0]
+              for name in ("k8-default", "on-demand"))
+    assert (k8.completed, k8.timed_out) == (1, 0)
+    assert (od.completed, od.timed_out, od.total_cost) == (0, 1, 0.0)
 
 
 def test_make_baseline():

@@ -165,6 +165,21 @@ def test_negative_seed_is_a_one_line_error(tmp_path, args):
     assert result.output == "Error: seed must be an integer >= 0, got -1\n"
 
 
+def test_summary_past_the_floats_is_a_one_line_error(tmp_path):
+    # each episode's cost is finite, but the spread of three is not; pytest turns a numpy
+    # overflow warning into an exception, which would escape the runner
+    doc = json.loads(EXAMPLE_CLUSTER.read_text(encoding="utf-8"))
+    for node in doc["nodes"]:
+        node["price_per_hour"] = 1e306
+    cluster = tmp_path / "cluster.json"
+    cluster.write_text(json.dumps(doc), encoding="utf-8")
+    result = invoke(["compare", "--cluster", str(cluster), "--schedulers", "random,k8-default",
+                     "--seeds", "1,2,3", "--out", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == "Error: scheduler 'random': std_cost overflows a float\n"
+
+
 @pytest.mark.parametrize("args, kind", [
     (["compare", "--cluster", "{file}"], "not-utf8"),
     (["compare", "--cluster", "{file}"], "too-deep"),

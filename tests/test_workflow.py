@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import pytest
 
+from spotsched.cluster import default_cluster
+from spotsched.engine import SimEnv
 from spotsched.errors import ConfigError, DagCycleError, DagReferenceError
 from spotsched.workflow import (
     EdgeSpec,
@@ -115,6 +117,15 @@ def test_seed_list_refuses_negative_seeds():
     for seed in (-1, (4, -1), [-1]):
         with pytest.raises(ConfigError, match="seed must be an integer >= 0, got -1"):
             seed_list(seed)
+
+
+@pytest.mark.parametrize("seed", [True, [1.5, 2], "12"])
+def test_seed_list_refuses_non_integers(seed):
+    # a bool is not a seed, a float is not truncated, and a string is not a digit sequence
+    with pytest.raises(ConfigError, match="seed must be an integer or a sequence of integers"):
+        seed_list(seed)
+    with pytest.raises(ConfigError, match="seed must be an integer or a sequence of integers"):
+        SimEnv(default_cluster(), [diamond()], seed=seed)
 
 
 def test_outcome_labels():

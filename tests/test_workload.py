@@ -114,6 +114,12 @@ def test_config_file_round_trip(tmp_path):
     assert cfg.work_range == (50.0, 200.0)  # defaults fill the rest
 
 
+def test_config_seed_is_a_tuple():
+    cfg = config_from_dict({"seed": [3, 4]})
+    assert cfg.seed == (3, 4) and WorkloadConfig(seed=7).seed == (7,)
+    assert hash(cfg) == hash(WorkloadConfig(seed=[3, 4])) == hash(WorkloadConfig(seed=(3, 4)))
+
+
 @pytest.mark.parametrize("doc", [
     {"count": "x"}, {"parallelism": ["a"]}, {"work_range": [1.0]}, {"timeout": None},
     {"count": 2.5}, {"count": True}, {"seed": "x"}, {"seed": 1.5}, {"seed": [1, "x"]},
