@@ -59,9 +59,6 @@ class ActionSpaceLayout:
     def group_sizes(self) -> tuple[int, ...]:
         return tuple(len(g) for g in self.group_nodes)
 
-    def node_id(self, group: int, node: int) -> str:
-        return self.group_nodes[group][node]
-
 
 @dataclass(frozen=True)
 class ScalingConstants:
@@ -204,7 +201,7 @@ class MultiActorAgent:
         features = encode(obs, self.scaling)
         group_mask, node_masks = feasibility_masks(obs.fit, self.layout)
         choice = select_action(self.policies, features, group_mask, node_masks, rng)
-        return self.layout.node_id(choice.group, choice.node), choice, features
+        return self.layout.group_nodes[choice.group][choice.node], choice, features
 
     def scheduler(self) -> Callable[[Observation], str]:
         """Greedy policy callback for evaluation episodes: each level's largest live logit.

@@ -26,7 +26,6 @@ from .errors import ConfigError, InvalidActionError
 from .workflow import (
     Outcome,
     TaskSpec,
-    TaskTiming,
     WorkflowSpec,
     WorkflowStats,
     duplicates,
@@ -120,7 +119,6 @@ class _Run:
         self.completed: set[str] = set()
         self.ready_time: dict[str, float] = {}
         self.node_of: dict[str, str] = {}
-        self.timings: dict = {}
         self.outcome: Outcome | None = None
         self.cost = 0  # kept by _place, as is makespan; int 0 until the first placement
         self.makespan = 0.0
@@ -134,6 +132,10 @@ class SimEnv:
     (observation | None, reward, done). Rewards are negated dollar costs.
     An optional on_event callable receives one record dict per processed
     event: `time`, `kind`, then the kind's payload fields in EVENT_KINDS.
+    It also receives one `place` record per placement, once the task runs:
+    `time`, `kind`, `workflow`, `task`, `node`, `compute`, `max_transfer`,
+    `finish` and `cost`, where finish is the task's ready time plus its wait,
+    compute and slowest transfer, and cost its compute time x unit cost.
     """
 
     def __init__(
@@ -265,7 +267,6 @@ class SimEnv:
         delay = compute + wait + max_transfer
         finish = start + delay
         cost = compute * spec.unit_cost
-        run.timings[task.id] = TaskTiming(start, compute, wait, max_transfer, delay, finish, cost)
         run.node_of[task.id] = spec.id
         run.cost += cost  # left to right in placement order, on every Python
         if finish > run.makespan:
@@ -274,6 +275,10 @@ class SimEnv:
         self._refresh(spec.id)
         self._total_cost += cost
         self._push(finish, FINISH, (spec.id, run.spec.id, task.id))
+        if self.on_event is not None:
+            self.on_event({"time": now, "kind": "place", "workflow": run.spec.id, "task": task.id,
+                           "node": spec.id, "compute": compute, "max_transfer": max_transfer,
+                           "finish": finish, "cost": cost})
         return cost
 
     def _advance(self) -> Observation | None:
@@ -391,7 +396,7 @@ class SimEnv:
     def _fail(self, run: _Run, outcome: Outcome) -> None:
         """Mark failed, cancel whatever is still running and unqueue the rest.
 
-        Started tasks keep their timing records, as consumed compute is billed.
+        Started tasks stay in the run's cost, as consumed compute is billed.
         """
         on_node = {}  # node -> the run's started, unfinished tasks, in a fixed node order
         for task_id, node_id in run.node_of.items():

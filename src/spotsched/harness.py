@@ -168,7 +168,7 @@ def format_summary_table(summaries: Sequence[SchedulerSummary]) -> str:
 
 
 def make_training_workloads(config: WorkloadConfig, seed) -> Callable[[int], list[WorkflowSpec]]:
-    """Per-episode workload factory keyed by the training seed, which `generate` checks."""
+    """Per-episode workload factory keyed by the training seed, which `WorkloadConfig` checks."""
     return lambda episode: generate(replace(config, seed=(seed, 1, episode)))
 
 

@@ -13,7 +13,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .nets import Adam, Mlp, clip_grad_norm, masked_log_softmax
-from .workflow import is_int
+from .errors import ConfigError
+from .workflow import is_int, seed_list
 
 _NORM_EPS = 1e-8
 
@@ -37,9 +38,10 @@ class TrainConfig:
 
     def __post_init__(self):
         if not is_int(self.episodes) or self.episodes < 1:
-            raise ValueError(f"episodes must be an integer >= 1, got {self.episodes!r}")
-        if not is_int(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+            raise ConfigError(f"episodes must be an integer >= 1, got {self.episodes!r}")
+        if not is_int(self.seed):  # one integer; a run keys its streams on [seed, ...]
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        seed_list(self.seed)
 
 
 class Rollout(NamedTuple):

@@ -1,9 +1,9 @@
-"""Workflow DAGs, the per-task timing record and per-workflow stats.
+"""Workflow DAGs and per-workflow stats.
 
 The specs here are immutable and reject bad values on construction; the
-simulator owns all mutable state and builds the timing records. The module
-also holds the few helpers every other module shares: seed lists,
-duplicate ids, field checks and JSON input files.
+simulator owns all mutable state. The module also holds the few helpers
+every other module shares: seed lists, duplicate ids, field checks and
+JSON input files.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -124,23 +124,6 @@ class WorkflowSpec:
         object.__setattr__(self, "task_map", task_map)
         object.__setattr__(self, "preds", preds)
         object.__setattr__(self, "succs", succs)
-
-
-class TaskTiming(NamedTuple):
-    """Realized timing and cost record of one executed task.
-
-    delay = compute + wait + max_transfer and finish = start + delay hold
-    by construction; `SimEnv._place` builds every instance, by position,
-    once per placement.
-    """
-
-    start: float
-    compute: float
-    wait: float
-    max_transfer: float
-    delay: float
-    finish: float
-    cost: float = 0.0
 
 
 @dataclass(frozen=True)

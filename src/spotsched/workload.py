@@ -50,7 +50,7 @@ class WorkloadConfig:
                               f"got {max(self.parallelism)}")
         if not is_int(self.count) or self.count < 1:
             raise ConfigError(f"count must be an integer >= 1, got {self.count!r}")
-        object.__setattr__(self, "seed", ints(self.seed, "seed"))
+        object.__setattr__(self, "seed", tuple(seed_list(self.seed)))
         try:
             for name in ("work_range", "interarrival_range"):
                 pair = getattr(self, name)
@@ -79,7 +79,7 @@ def generate(config: WorkloadConfig) -> list[WorkflowSpec]:
 
     Per workflow, in draw order: arrival gap, fan-out P, then P map sizes.
     """
-    rng = np.random.default_rng(seed_list(config.seed))
+    rng = np.random.default_rng(list(config.seed))
     lo_w, hi_w = config.work_range
     lo_a, hi_a = config.interarrival_range
     workflows = []

@@ -23,8 +23,9 @@ link that rests on a premise asserts that premise too:
   realized interruption counts are decided by where the seeded
   interruptions fall. The abstract promises no such count. The test
   compares instead how long each scheduler holds tasks on spot nodes
-  (placement to recorded finish), which follows from the schedule, and
-  asserts that its reruns are the very episodes of the comparison.
+  (placement to recorded finish, read from the episodes' `place` records),
+  which follows from the schedule, and asserts that its reruns are the very
+  episodes of the comparison.
 - criterion 7, execution time: the abstract does not rank the agent's
   execution time against the benchmarks. The fastest node on the stock
   cluster is also a spot node that is cheaper per unit of work than every
@@ -65,8 +66,11 @@ def test_criterion_1_accounting_identities(builtin_cluster):
     for seed in range(100):
         workload = workload_for_seed(WorkloadConfig(), seed)
         env = SimEnv(builtin_cluster, workload, seed=[seed, 2])
+        placed = {wf.id: [] for wf in workload}  # each workflow's place records
 
-        def conservation_check(record, env=env):
+        def conservation_check(record, env=env, placed=placed):
+            if record["kind"] == "place":
+                placed[record["workflow"]].append(record)
             for state in env.nodes.values():
                 used_cpu = sum(t.cpu_req for t in state.running.values())
                 used_mem = sum(t.mem_req for t in state.running.values())
@@ -89,12 +93,12 @@ def test_criterion_1_accounting_identities(builtin_cluster):
             wf_stats = stats.workflows[wf_id]
             cost = 0.0
             makespan = 0.0
-            for task_id, t in run.timings.items():
-                cost += t.cost
-                makespan = max(makespan, t.finish)
-                if task_id in run.completed:
-                    lhs = t.finish
-                    rhs = t.start + t.compute + t.wait + t.max_transfer
+            for p in placed[wf_id]:
+                cost += p["cost"]
+                makespan = max(makespan, p["finish"])
+                if p["task"] in run.completed:
+                    lhs = p["finish"]
+                    rhs = p["time"] + p["compute"] + p["max_transfer"]
                     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
             assert abs(wf_stats.makespan - makespan) <= 1e-9 * max(1.0, makespan)
             assert abs(wf_stats.cost - cost) <= 1e-9 * max(1.0, cost)
@@ -297,24 +301,23 @@ def test_criterion_5_cost_ordering(builtin_cluster, comparison):
 
 def _spot_exposure(cluster, agent, name, seed):
     """Rerun one evaluation episode of the comparison; returns the task-seconds
-    held on spot nodes (placement to recorded finish) and the episode stats."""
+    held on spot nodes (placement to recorded finish), summed over its `place`
+    records, and the episode stats."""
     if name == "agent":
         policy = agent.scheduler()
     else:
         policy = make_baseline(name, cluster, seed=[seed, 3])
-    env = SimEnv(baseline_cluster(cluster, name), workload_for_seed(WorkloadConfig(), seed),
-                 seed=[seed, 2])
-    obs = env.reset()
-    while obs is not None:
-        obs, _, _ = env.step(policy(obs))
     spot = {n.id for n in cluster.pricing_groups()[SPOT]}
-    held = sum(
-        t.finish - (t.start + t.wait)
-        for run in env.runs.values()
-        for task_id, t in run.timings.items()
-        if run.node_of[task_id] in spot
-    )
-    return held, env.episode_stats()
+    held = 0.0
+
+    def hold(record):
+        nonlocal held
+        if record["kind"] == "place" and record["node"] in spot:
+            held += record["finish"] - record["time"]
+
+    stats = run_episode(policy, baseline_cluster(cluster, name),
+                        workload_for_seed(WorkloadConfig(), seed), seed=[seed, 2], on_event=hold)
+    return held, stats
 
 
 def test_criterion_6_interruption_ordering(builtin_cluster, trained, comparison):

@@ -59,7 +59,7 @@ def test_layout_orders_on_demand_first():
     assert all(i.startswith("od-") for i in layout.group_nodes[0])
     assert all(i.startswith("spot-") for i in layout.group_nodes[1])
     assert layout.group_sizes == (5, 6)
-    assert layout.node_id(1, 3) == "spot-xlarge-1"
+    assert layout.group_nodes[1][3] == "spot-xlarge-1"
 
 
 def test_scaling_constants_from_cluster():
@@ -365,7 +365,7 @@ def test_greedy_scheduler_picks_the_softmax_argmax_over_an_episode(scale):
         p = masked_softmax_row(forward(policies.group_actor, features), group_mask)
         g = p.index(max(p))
         p = masked_softmax_row(forward(policies.node_actors[g], features), node_masks[g])
-        want = agent.layout.node_id(g, p.index(max(p)))
+        want = agent.layout.group_nodes[g][p.index(max(p))]
         node_id = greedy(obs)
         assert node_id == want
         offers += 1

@@ -154,15 +154,17 @@ def test_compare_bad_seeds(tmp_path):
     ["train", "--seed", "-1", "--episodes", "1"],
     ["compare", "--seeds", "2,-1"],
     ["generate", "--config", "{config}"],
-], ids=["generate", "train", "compare", "config-file"])
+    ["train", "--workload", "{config}", "--episodes", "1"],
+], ids=["generate", "train", "compare", "config-file", "train-config-file"])
 def test_negative_seed_is_a_one_line_error(tmp_path, args):
     cfg = tmp_path / "wl.json"
     cfg.write_text(json.dumps({"seed": -1}), encoding="utf-8")
+    where = "workload config: " if "{config}" in args else ""  # the reader names the file's field
     args = [a.replace("{config}", str(cfg)) for a in args]
     result = invoke([*args, "--out", str(tmp_path / "o")])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # not an escaped numpy ValueError
-    assert result.output == "Error: seed must be an integer >= 0, got -1\n"
+    assert result.output == f"Error: {where}seed must be an integer >= 0, got -1\n"
 
 
 def test_summary_past_the_floats_is_a_one_line_error(tmp_path):

@@ -64,6 +64,11 @@ def drive(env, policy):
     return env.episode_stats()
 
 
+def places(records):
+    """The `place` records among an episode's on_event records, by (workflow, task)."""
+    return {(r["workflow"], r["task"]): r for r in records if r["kind"] == "place"}
+
+
 def test_reset_offers_first_task_at_time_zero():
     env = SimEnv(two_nodes(), [single()], seed=0)
     obs = env.reset()
@@ -148,25 +153,21 @@ def test_single_task_episode_stats():
 
 
 def test_cross_node_transfer_adds_delay():
-    placements = iter(["s0", "o0"])
-    env = SimEnv(two_nodes(), [chain()], seed=0)
-    obs = env.reset()
-    while obs is not None:
-        obs, _, _ = env.step(next(placements))
-    timing = env.runs["w"].timings["b"]
-    assert timing.max_transfer == 2.0  # 200 MB at 100 MB/s
-    assert timing.start == 10.0  # ready the moment a finishes
-    assert timing.finish == 22.0
+    placements, records = iter(["s0", "o0"]), []
+    drive(SimEnv(two_nodes(), [chain()], seed=0, on_event=records.append),
+          lambda obs: next(placements))
+    place = places(records)["w", "b"]
+    assert place["max_transfer"] == 2.0  # 200 MB at 100 MB/s
+    assert place["time"] == 10.0  # placed the moment a finishes
+    assert place["finish"] == 22.0
 
 
 def test_same_node_transfer_is_free():
-    env = SimEnv(two_nodes(), [chain()], seed=0)
-    obs = env.reset()
-    while obs is not None:
-        obs, _, _ = env.step("s0")
-    timing = env.runs["w"].timings["b"]
-    assert timing.max_transfer == 0.0
-    assert timing.finish == 20.0
+    records = []
+    drive(SimEnv(two_nodes(), [chain()], seed=0, on_event=records.append), lambda obs: "s0")
+    place = places(records)["w", "b"]
+    assert place["max_transfer"] == 0.0
+    assert place["finish"] == 20.0
 
 
 def test_fifo_order_among_ready_tasks():
@@ -276,7 +277,7 @@ def test_wait_read_from_inside_the_next_step_raises():
     held = []
     env = SimEnv(two_nodes(), [chain()], seed=0, on_event=lambda _record: [o.wait for o in held])
     held.append(env.reset())
-    # the finish event fires after the placement has changed the nodes
+    # the place record fires once the step has taken the offer and changed the nodes
     with pytest.raises(RuntimeError, match="moved on"):
         env.step("s0")
 
@@ -498,7 +499,8 @@ def test_workflow_totals_are_its_placements_in_order():
     cluster = default_cluster(interruption_rate_per_hour=60.0, interruption_downtime_s=60.0)
     workflows = generate(WorkloadConfig(count=40, parallelism=(6,), interarrival_range=(4.0, 8.0),
                                         work_range=(100.0, 150.0), timeout=60.0, seed=1))
-    env = SimEnv(cluster, workflows, seed=[1, 2])
+    records = []
+    env = SimEnv(cluster, workflows, seed=[1, 2], on_event=records.append)
     policy, placed = RandomPolicy(seed=1), {wf.id: [] for wf in workflows}
     obs = env.reset()
     while obs is not None:
@@ -507,12 +509,18 @@ def test_workflow_totals_are_its_placements_in_order():
     stats = env.episode_stats()
     assert stats.completed and stats.interrupted and stats.timed_out
     for wf_id, w in stats.workflows.items():
-        timings = env.runs[wf_id].timings
-        assert list(timings) == placed[wf_id]
+        run = env.runs[wf_id]
+        own = [r for r in records if r["kind"] == "place" and r["workflow"] == wf_id]
+        assert [r["task"] for r in own] == placed[wf_id]
+        for r in own:
+            # the finish by the engine's own sum, from the ready time: (time - ready) is the
+            # wait; at this load, a finish summed from `time` differs in its last bit for some tasks
+            ready = run.ready_time[r["task"]]
+            assert r["finish"] == ready + (r["compute"] + (r["time"] - ready) + r["max_transfer"])
         # the left-to-right sum from int 0, in placement order
-        assert repr(w.cost) == repr(reduce(operator.add, (t.cost for t in timings.values()), 0))
-        assert w.makespan == max((t.finish for t in timings.values()), default=0.0)
-        assert w.outcome is env.runs[wf_id].outcome
+        assert repr(w.cost) == repr(reduce(operator.add, (r["cost"] for r in own), 0))
+        assert w.makespan == max((r["finish"] for r in own), default=0.0)
+        assert w.outcome is run.outcome
 
 
 def test_failure_resums_a_node_once_for_all_its_tasks():
@@ -565,21 +573,23 @@ def test_full_cluster_defers_the_offer():
     )
     cluster = ClusterSpec(nodes=(only,))
     wfs = [single("w1", cpu=2.0, work=20.0), single("w2", cpu=2.0, work=10.0, arrival=1.0)]
-    env = SimEnv(cluster, wfs, seed=0)
+    records = []
+    env = SimEnv(cluster, wfs, seed=0, on_event=records.append)
     env.reset()
     obs, _, _ = env.step("only")
     assert obs.time == 20.0  # w2 had to wait for w1 to release the node
     env.step("only")
-    timing = env.runs["w2"].timings["t"]
-    assert (timing.start, timing.wait) == (1.0, 19.0)
-    assert timing.finish == timing.start + timing.compute + timing.wait + timing.max_transfer
+    place = places(records)["w2", "t"]
+    assert (env.runs["w2"].ready_time["t"], place["time"]) == (1.0, 20.0)  # a 19 s wait
+    assert place["finish"] == place["time"] + place["compute"] + place["max_transfer"] == 30.0
 
 
 def test_eligible_subset_defers_until_a_listed_node_frees():
     # The on-demand baseline's cluster holds o0 alone.
     cluster = baseline_cluster(two_nodes(od_cpu=1.0), "on-demand")
     wfs = [single("w1", work=20.0), single("w2", work=10.0, arrival=1.0)]
-    env = SimEnv(cluster, wfs, seed=0)
+    records = []
+    env = SimEnv(cluster, wfs, seed=0, on_event=records.append)
     obs = env.reset()
     assert obs.workflow_id == "w1" and obs.node_ids == ("o0",)
     obs, _, _ = env.step("o0")
@@ -589,7 +599,7 @@ def test_eligible_subset_defers_until_a_listed_node_frees():
         env.step("s0")
     _, _, done = env.step("o0")
     assert done
-    assert env.runs["w2"].timings["t"].wait == 19.0
+    assert places(records)["w2", "t"]["time"] - env.runs["w2"].ready_time["t"] == 19.0
     assert env.episode_stats().completed == 2
 
 
@@ -663,10 +673,14 @@ def test_event_stream_is_ordered_with_stable_fields():
     run_episode(RandomPolicy(seed=[1]), cluster, wfs, seed=[6], on_event=events.append)
     times = [e["time"] for e in events]
     assert times == sorted(times)
+    assert places(events)
     for e in events:
         assert list(e)[:2] == ["time", "kind"]
         if e["kind"] == "finish":
             assert list(e) == ["time", "kind", "node", "workflow", "task"]
+        if e["kind"] == "place":
+            assert list(e) == ["time", "kind", "workflow", "task", "node", "compute",
+                               "max_transfer", "finish", "cost"]
         if e["kind"] in ("interrupt", "revive"):
             assert "node" in e
 
@@ -674,21 +688,16 @@ def test_event_stream_is_ordered_with_stable_fields():
 def test_precedence_is_never_violated():
     cluster = default_cluster(interruption_rate_per_hour=0.0)
     wfs = generate(WorkloadConfig(count=6, seed=13))
-    env = SimEnv(cluster, wfs, seed=[1])
-    policy = RandomPolicy(seed=[2])
-    obs = env.reset()
-    while obs is not None:
-        obs, _, _ = env.step(policy(obs))
-    for run in env.runs.values():
-        preds = run.spec.preds
-        for task_id, timing in run.timings.items():
-            # transfers happen before compute: effective start = finish - compute
-            exec_start = timing.finish - timing.compute
-            for edge in preds[task_id]:
-                upstream = run.timings[edge.src]
-                same_node = run.node_of[edge.src] == run.node_of[task_id]
-                tt = 0.0 if same_node else edge.data_mb / cluster.bandwidth_mbps
-                assert exec_start + 1e-9 >= upstream.finish + tt
+    records, specs = [], {wf.id: wf for wf in wfs}
+    drive(SimEnv(cluster, wfs, seed=[1], on_event=records.append), RandomPolicy(seed=[2]))
+    placed = places(records)
+    for (wf_id, task_id), place in placed.items():
+        # transfers happen before compute: effective start = finish - compute
+        exec_start = place["finish"] - place["compute"]
+        for edge in specs[wf_id].preds[task_id]:
+            upstream = placed[wf_id, edge.src]
+            tt = 0.0 if upstream["node"] == place["node"] else edge.data_mb / cluster.bandwidth_mbps
+            assert exec_start + 1e-9 >= upstream["finish"] + tt
 
 
 @st.composite
@@ -740,8 +749,11 @@ def test_random_episodes_keep_the_engine_invariants(episode, seed):
         return None
 
     up = {n.id: True for n in cluster.nodes}  # each node's liveness, as its records tell it
+    placed = []  # the place records, in placement order
 
     def state_holds(record=None):
+        if record is not None and record["kind"] == "place":
+            placed.append(record)
         if record is not None and record["kind"] in ("interrupt", "revive"):
             # a node's interrupts and revivals alternate, starting with an
             # interrupt: one takes down a spot node that was up, and leaves it empty
@@ -788,7 +800,7 @@ def test_random_episodes_keep_the_engine_invariants(episode, seed):
         assert np.array(obs.wait).tobytes() == wait.tobytes()
         run = env.runs[obs.workflow_id]
         assert run.outcome is None
-        assert obs.task.id not in run.timings
+        assert obs.task.id not in run.node_of
         assert all(e.src in run.completed for e in run.spec.preds[obs.task.id])
         task, now = obs.task, env.now
         node_id = policy(obs)
@@ -806,12 +818,13 @@ def test_random_episodes_keep_the_engine_invariants(episode, seed):
         start = run.ready_time[task.id]
         wait = now - start
         delay = compute + wait + max_transfer
-        timing = run.timings[task.id]
-        assert (timing.start, timing.compute, timing.wait, timing.max_transfer) == (
-            start, compute, wait, max_transfer)
-        assert (timing.delay, timing.finish) == (delay, start + delay)
-        assert timing.cost == compute * spec.unit_cost == -reward
-        assert min(start, compute, wait, max_transfer, timing.cost) >= 0
+        assert len(placed) == len(rewards)
+        place = placed[-1]
+        assert place == {"time": now, "kind": "place", "workflow": run.spec.id, "task": task.id,
+                         "node": node_id, "compute": compute, "max_transfer": max_transfer,
+                         "finish": start + delay, "cost": compute * spec.unit_cost}
+        assert place["cost"] == -reward
+        assert min(start, compute, wait, max_transfer, place["cost"]) >= 0
     stats = env.episode_stats()
     assert env.now <= max(wf.arrival_time + wf.timeout for wf in workflows)
     assert len(rewards) <= sum(len(wf.tasks) for wf in workflows)
@@ -819,3 +832,8 @@ def test_random_episodes_keep_the_engine_invariants(episode, seed):
     assert -sum(rewards) == stats.total_cost
     assert math.isclose(stats.total_cost, math.fsum(w.cost for w in stats.workflows.values()),
                         rel_tol=1e-9, abs_tol=1e-12)
+    for wf_id, w in stats.workflows.items():
+        # each workflow's totals, from its place records alone
+        own = [r for r in placed if r["workflow"] == wf_id]
+        assert repr(w.cost) == repr(reduce(operator.add, (r["cost"] for r in own), 0))
+        assert w.makespan == max((r["finish"] for r in own), default=0.0)

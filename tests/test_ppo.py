@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from spotsched.errors import ConfigError
 from spotsched.nets import Adam, Mlp, forward, masked_log_softmax, masked_softmax_row
 from spotsched.ppo import (
     CLIP_EPSILON,
@@ -36,9 +37,9 @@ def test_train_config_defaults():
 def test_train_config_validation():
     # each bad value fails at construction, naming its field, not deep in training
     for field, value in [("episodes", 0), ("episodes", 2.5), ("episodes", True), ("episodes", "3"),
-                         ("seed", 1.0), ("seed", True),
+                         ("seed", 1.0), ("seed", True), ("seed", -1),
                          ("seed", "1"), ("seed", (1, 2))]:
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value})
 
 
