@@ -1,10 +1,4 @@
-"""Experiment drivers: seeded evaluation, scheduler comparison, training runs.
-
-Comparisons are fair by construction: for a given evaluation seed every
-scheduler sees the identical workflow batch and the identical per-node
-interruption timeline, because both derive from the seed and never from
-scheduling decisions.
-"""
+"""Experiment drivers: seeded evaluation, scheduler comparison, training runs."""
 from __future__ import annotations
 
 import csv
@@ -73,20 +67,20 @@ def load_workload_source(path: str | Path) -> WorkloadSource:
     return load_config(p)
 
 
-def evaluate_rows(name: str, cluster: ClusterSpec, source: WorkloadSource,
-                  seeds: Sequence[int], agent: MultiActorAgent | None = None,
-                  ) -> list[MetricsRow]:
-    """One metrics row per evaluation seed for a named scheduler."""
-    if name == AGENT_NAME and agent is None:
-        raise ConfigError("scheduler 'agent' requires a checkpoint")
-    run_cluster = baseline_cluster(cluster, name)
-    rows = []
-    for seed in seeds:
-        policy = (agent.scheduler() if name == AGENT_NAME
-                  else make_baseline(name, cluster, seed=[seed, 3]))
-        stats = run_episode(policy, run_cluster, workload_for_seed(source, seed), seed=[seed, 2])
-        rows.append(MetricsRow(scheduler=name, seed=seed, **stats.row()))
-    return rows
+def evaluation_inputs(name: str, cluster: ClusterSpec, source: WorkloadSource, seed: int,
+                      agent: MultiActorAgent | None = None,
+                      ) -> tuple[Callable, ClusterSpec, list[WorkflowSpec], list[int]]:
+    """`run_episode`'s arguments for a named scheduler at one evaluation seed:
+    `(policy, run_cluster, workflows, env_seed)`.
+
+    Comparisons are fair by construction: for a given evaluation seed every
+    scheduler sees the identical workflow batch and the identical per-node
+    interruption timeline, because both derive from the seed and never from
+    scheduling decisions.
+    """
+    policy = (agent.scheduler() if name == AGENT_NAME
+              else make_baseline(name, cluster, seed=[seed, 3]))
+    return policy, baseline_cluster(cluster, name), workload_for_seed(source, seed), [seed, 2]
 
 
 def summarize(rows: Sequence[MetricsRow]) -> SchedulerSummary:
@@ -125,10 +119,16 @@ def compare(schedulers: Sequence[str], cluster: ClusterSpec, source: WorkloadSou
     dupes = duplicates(seeds)
     if dupes:
         raise ConfigError(f"duplicate seeds {dupes}")
+    if AGENT_NAME in schedulers and agent is None:
+        raise ConfigError("scheduler 'agent' requires a checkpoint")
     rows: list[MetricsRow] = []
     summaries: list[SchedulerSummary] = []
     for name in schedulers:
-        scheduler_rows = evaluate_rows(name, cluster, source, seeds, agent)
+        scheduler_rows = [
+            MetricsRow(scheduler=name, seed=seed,
+                       **run_episode(*evaluation_inputs(name, cluster, source, seed, agent)).row())
+            for seed in seeds
+        ]
         rows.extend(scheduler_rows)
         summaries.append(summarize(scheduler_rows))
     summaries.sort(key=lambda s: s.mean_cost)
@@ -180,8 +180,6 @@ def train_run(cluster: ClusterSpec, workload_source, train_config,
         factory = make_training_workloads(workload_source, train_config.seed)
     else:
         fixed = list(workload_source)
-        if not fixed:
-            raise ConfigError("training workload is empty")
         factory = lambda episode: fixed
     curve = train(agent, factory, train_config)
     return agent, curve

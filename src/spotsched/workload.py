@@ -23,10 +23,9 @@ ANCHOR_WORK = 0.1
 ANCHOR_CPU = 0.1
 ANCHOR_MEM = 0.1
 
-# The largest fan-out and batch a config may ask for, far above any workload here; the
-# bounds keep generate's arrays and loops finite.
-MAX_PARALLELISM = 1_000
-MAX_COUNT = 100_000
+# The most task specs a config may ask for (count workflows of up to max(parallelism) + 2
+# tasks), far above any workload here: about 600 MB of specs, and generate's loops finite.
+MAX_TASKS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -45,9 +44,6 @@ class WorkloadConfig:
         object.__setattr__(self, "parallelism", ints(self.parallelism, "parallelism"))
         if not self.parallelism or any(p < 1 for p in self.parallelism):
             raise ConfigError("parallelism must be positive")
-        if max(self.parallelism) > MAX_PARALLELISM:
-            raise ConfigError(f"parallelism must be at most {MAX_PARALLELISM}, "
-                              f"got {max(self.parallelism)}")
         if not is_int(self.count) or self.count < 1:
             raise ConfigError(f"count must be an integer >= 1, got {self.count!r}")
         object.__setattr__(self, "seed", tuple(seed_list(self.seed)))
@@ -65,8 +61,10 @@ class WorkloadConfig:
             hi = self.interarrival_range[1]
             if self.count > sys.float_info.max or self.count * hi > sys.float_info.max:
                 raise ValueError(f"interarrival_range: count * hi must be finite, got hi {hi}")
-            if self.count > MAX_COUNT:
-                raise ValueError(f"count must be at most {MAX_COUNT}, got {self.count}")
+            tasks = self.count * (max(self.parallelism) + 2)
+            if tasks > MAX_TASKS:
+                raise ValueError(f"count * (max(parallelism) + 2) must be at most {MAX_TASKS} "
+                                 f"tasks, got {tasks}")
             check_real(self.data_mb, "data_mb", positive=False)
             for name in ("cpu_req", "mem_req", "timeout"):
                 check_real(getattr(self, name), name)

@@ -44,11 +44,10 @@ from click.testing import CliRunner
 
 from spotsched import ppo
 from spotsched.agent import MultiActorAgent, state_dim
-from spotsched.baselines import RandomPolicy, baseline_cluster, make_baseline
 from spotsched.cli import main
 from spotsched.cluster import ON_DEMAND, SPOT, ClusterSpec, NodeSpec
 from spotsched.engine import SimEnv, run_episode
-from spotsched.harness import workload_for_seed
+from spotsched.harness import evaluation_inputs, workload_for_seed
 from spotsched.nets import Mlp, forward, masked_log_softmax, masked_softmax_row
 from spotsched.ppo import actor_loss_and_grads, critic_loss_and_grads, rollout
 from spotsched.workflow import EdgeSpec, TaskSpec, WorkflowSpec
@@ -64,8 +63,9 @@ def _report(number, ok, detail):
 def test_criterion_1_accounting_identities(builtin_cluster):
     start = time.perf_counter()
     for seed in range(100):
-        workload = workload_for_seed(WorkloadConfig(), seed)
-        env = SimEnv(builtin_cluster, workload, seed=[seed, 2])
+        policy, cluster, workload, env_seed = evaluation_inputs(
+            "random", builtin_cluster, WorkloadConfig(), seed)
+        env = SimEnv(cluster, workload, seed=env_seed)
         placed = {wf.id: [] for wf in workload}  # each workflow's place records
 
         def conservation_check(record, env=env, placed=placed):
@@ -82,7 +82,6 @@ def test_criterion_1_accounting_identities(builtin_cluster):
                     assert not state.running
 
         env.on_event = conservation_check
-        policy = RandomPolicy(seed=[seed, 3])
         obs = env.reset()
         while obs is not None:
             obs, _, _ = env.step(policy(obs))
@@ -303,10 +302,6 @@ def _spot_exposure(cluster, agent, name, seed):
     """Rerun one evaluation episode of the comparison; returns the task-seconds
     held on spot nodes (placement to recorded finish), summed over its `place`
     records, and the episode stats."""
-    if name == "agent":
-        policy = agent.scheduler()
-    else:
-        policy = make_baseline(name, cluster, seed=[seed, 3])
     spot = {n.id for n in cluster.pricing_groups()[SPOT]}
     held = 0.0
 
@@ -315,8 +310,8 @@ def _spot_exposure(cluster, agent, name, seed):
         if record["kind"] == "place" and record["node"] in spot:
             held += record["finish"] - record["time"]
 
-    stats = run_episode(policy, baseline_cluster(cluster, name),
-                        workload_for_seed(WorkloadConfig(), seed), seed=[seed, 2], on_event=hold)
+    stats = run_episode(*evaluation_inputs(name, cluster, WorkloadConfig(), seed, agent),
+                        on_event=hold)
     return held, stats
 
 

@@ -15,7 +15,7 @@ from spotsched.baselines import (
 from spotsched.cluster import ON_DEMAND, SPOT, ClusterSpec, NodeSpec, default_cluster
 from spotsched.engine import Observation, SimEnv
 from spotsched.errors import ConfigError, NoFeasibleActionError
-from spotsched.harness import evaluate_rows
+from spotsched.harness import compare
 from spotsched.workflow import TaskSpec, WorkflowSpec
 
 
@@ -168,8 +168,8 @@ def test_on_demand_times_out_a_task_only_a_spot_node_fits():
     ), interruption_rate_per_hour=0.0)
     task = TaskSpec(id="t", cpu_req=6.0, mem_req=2.0, work=100.0)
     workload = [WorkflowSpec(id="w", tasks=(task,), edges=(), timeout=600.0)]
-    k8, od = (evaluate_rows(name, cluster, workload, seeds=[1])[0]
-              for name in ("k8-default", "on-demand"))
+    rows, _ = compare(["k8-default", "on-demand"], cluster, workload, [1])
+    k8, od = rows
     assert (k8.completed, k8.timed_out) == (1, 0)
     assert (od.completed, od.timed_out, od.total_cost) == (0, 1, 0.0)
 

@@ -202,8 +202,9 @@ def test_unreadable_file_is_a_one_line_error(tmp_path, unreadable_json, args, ki
 
 
 @pytest.mark.parametrize("config, count, message", [
-    ({"parallelism": [2**70]}, "2", f"parallelism must be at most 1000, got {2**70}"),
-    ({}, "100001", "count must be at most 100000, got 100001"),
+    ({"parallelism": [2**70]}, "2", "count * (max(parallelism) + 2) must be at most 1000000 "
+                                    f"tasks, got {2 * (2**70 + 2)}"),
+    ({}, "100001", "count * (max(parallelism) + 2) must be at most 1000000 tasks, got 1000010"),
 ], ids=["parallelism", "count"])
 def test_workload_past_its_bounds_is_a_one_line_error(tmp_path, config, count, message):
     cfg = tmp_path / "p.json"

@@ -22,11 +22,11 @@ from dataclasses import asdict
 import pytest
 from click.testing import CliRunner
 
-from spotsched.baselines import BASELINE_NAMES, baseline_cluster, make_baseline
+from spotsched.baselines import BASELINE_NAMES
 from spotsched.cli import main
 from spotsched.cluster import default_cluster
 from spotsched.engine import run_episode
-from spotsched.harness import workload_for_seed
+from spotsched.harness import evaluation_inputs
 from spotsched.workload import WorkloadConfig
 
 WORKLOADS = {
@@ -166,19 +166,15 @@ def sha256(data: bytes) -> str:
 def episode_digests(name: str, workload: str, rate: float) -> tuple[str, str]:
     """Digests of one baseline's event records and stats over SEEDS.
 
-    Each episode is the one `compare` runs for that evaluation seed.
+    Each episode is the one `compare` runs for that evaluation seed, by
+    construction: both take its inputs from `harness.evaluation_inputs`.
     """
     cluster = default_cluster(interruption_rate_per_hour=rate)
     records, stats = [], []
     for seed in SEEDS:
         events = []
-        episode = run_episode(
-            make_baseline(name, cluster, seed=[seed, 3]),
-            baseline_cluster(cluster, name),
-            workload_for_seed(WORKLOADS[workload], seed),
-            seed=[seed, 2],
-            on_event=events.append,
-        )
+        episode = run_episode(*evaluation_inputs(name, cluster, WORKLOADS[workload], seed),
+                              on_event=events.append)
         # heap events only; test_engine recomputes every place record field by field
         records.append([e for e in events if e["kind"] != "place"])
         stats.append(asdict(episode))

@@ -11,7 +11,6 @@ from spotsched.harness import (
     MetricsRow,
     SCHEDULER_NAMES,
     compare,
-    evaluate_rows,
     format_summary_table,
     load_workload_source,
     make_training_workloads,
@@ -77,9 +76,9 @@ def test_load_workload_source_config_file(tmp_path):
     assert src.count == 2
 
 
-def test_evaluate_rows_and_summary():
+def test_compare_rows_and_summary():
     cluster = tiny_cluster()
-    rows = evaluate_rows("k8-default", cluster, WorkloadConfig(count=3), [1, 2])
+    rows, _ = compare(["k8-default"], cluster, WorkloadConfig(count=3), [1, 2])
     assert [r.seed for r in rows] == [1, 2]
     assert all(r.scheduler == "k8-default" for r in rows)
     assert all(r.completed == 3 for r in rows)
@@ -93,8 +92,8 @@ def test_evaluate_rows_and_summary():
 
 def test_evaluate_is_deterministic_per_seed():
     cluster = tiny_cluster()
-    one = evaluate_rows("random", cluster, WorkloadConfig(count=2), [4, 5])
-    two = evaluate_rows("random", cluster, WorkloadConfig(count=2), [4, 5])
+    one = compare(["random"], cluster, WorkloadConfig(count=2), [4, 5])
+    two = compare(["random"], cluster, WorkloadConfig(count=2), [4, 5])
     assert one == two
 
 
@@ -114,7 +113,16 @@ def test_compare_orders_by_cost_and_validates():
     with pytest.raises(ConfigError):
         compare(["random"], cluster, WorkloadConfig(count=1), [])
     with pytest.raises(ConfigError):
-        evaluate_rows("agent", cluster, WorkloadConfig(count=1), [1])  # no checkpoint
+        compare(["agent"], cluster, WorkloadConfig(count=1), [1])  # no checkpoint
+
+
+def test_compare_refuses_a_missing_agent_before_any_episode(monkeypatch):
+    def no_episode(*args, **kwargs):
+        raise AssertionError("an episode ran before the missing agent was refused")
+
+    monkeypatch.setattr("spotsched.harness.run_episode", no_episode)
+    with pytest.raises(ConfigError, match="requires a checkpoint"):
+        compare(["random", "agent"], default_cluster(), WorkloadConfig(count=1), [1])
 
 
 def test_compare_rejects_duplicate_schedulers():
@@ -194,5 +202,5 @@ def test_train_run_on_fixed_workload_list():
     agent, curve = train_run(cluster, fixed, TrainConfig(episodes=2, seed=1))
     assert len(curve) == 2
     assert agent.cluster is cluster
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="at least one workflow"):
         train_run(cluster, [], TrainConfig(episodes=1))

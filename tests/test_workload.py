@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from spotsched.errors import ConfigError
-from spotsched.workload import (MAX_COUNT, MAX_PARALLELISM, WorkloadConfig, config_from_dict,
-                                generate, load_config)
+from spotsched.workload import MAX_TASKS, WorkloadConfig, config_from_dict, generate, load_config
 
 
 def test_generate_counts_and_shape():
@@ -132,8 +131,11 @@ def test_config_seed_is_a_tuple():
     # generate's last arrival, up to count * hi, would overflow to inf
     {"interarrival_range": [1e308, 1e308], "count": 3},
     {"interarrival_range": [5e-324, 5e-324], "count": 10**400},
-    # past the stated bounds: numpy cannot build a 2**70-long array
-    {"parallelism": [2**70]}, {"count": MAX_COUNT + 1},
+    # just past the task budget, count * (max(parallelism) + 2), at the default count 20
+    # and the default parallelism (4, 8)
+    {"parallelism": [MAX_TASKS // 20 - 1]}, {"count": MAX_TASKS // 10 + 1},
+    # each value modest alone, together 1000 * (1000 + 2) task specs
+    {"count": 1000, "parallelism": [1000]},
 ], ids=["count-str", "parallelism-str", "work-range-short", "timeout-null",
         "count-float", "count-bool", "seed-str", "seed-float", "seed-list-str",
         "seed-list-bool", "seed-null", "parallelism-digits", "parallelism-float",
@@ -142,7 +144,7 @@ def test_config_seed_is_a_tuple():
         "work-range-scalar", "interarrival-digits", "work-range-long",
         "timeout-huge-int", "work-range-huge-int", "interarrival-huge-int",
         "interarrival-overflow", "interarrival-count-past-floats", "parallelism-huge",
-        "count-past-bound"])
+        "count-past-bound", "count-and-parallelism-past-bound"])
 def test_config_dict_bad_values_are_config_errors(doc):
     # each bad value is refused, naming its field, rather than coerced
     with pytest.raises(ConfigError, match="^workload config: ") as info:
@@ -153,8 +155,8 @@ def test_config_dict_bad_values_are_config_errors(doc):
 
 
 def test_config_bounds_are_accepted():
-    config = WorkloadConfig(count=MAX_COUNT, parallelism=(1, MAX_PARALLELISM))
-    assert (config.count, config.parallelism) == (MAX_COUNT, (1, MAX_PARALLELISM))
+    config = WorkloadConfig(count=MAX_TASKS // 10, parallelism=(1, 8))  # exactly MAX_TASKS
+    assert (config.count, config.parallelism) == (MAX_TASKS // 10, (1, 8))
 
 
 def test_config_file_rejects_unknown_and_bad_json(tmp_path, unreadable_json):
