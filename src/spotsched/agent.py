@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, field, fields, make_dataclass
+from dataclasses import asdict, dataclass, fields, make_dataclass
 from functools import partial
 from itertools import accumulate
 from pathlib import Path
@@ -34,30 +34,6 @@ CHECKPOINT_VERSION = 1
 # What MultiActorAgent.update reports, each a mean over the update's steps;
 # the clip fraction, entropy and approx-KL are the group actor's.
 UPDATE_STATS = ("critic_loss", "group_loss", "node_loss", "clip_fraction", "entropy", "approx_kl")
-
-
-@dataclass(frozen=True)
-class ActionSpaceLayout:
-    """Maps joint actions (group, node-in-group) to node ids.
-
-    `group_positions` holds the same nodes' positions in cluster order, the
-    order of an observation's lists.
-    """
-
-    group_nodes: tuple[tuple[str, ...], ...]
-    group_positions: tuple[tuple[int, ...], ...] = field(compare=False)
-
-    @classmethod
-    def from_cluster(cls, cluster: ClusterSpec) -> "ActionSpaceLayout":
-        groups = cluster.pricing_groups()
-        position = {n.id: i for i, n in enumerate(cluster.nodes)}
-        group_nodes = tuple(tuple(n.id for n in groups[g]) for g in GROUP_ORDER)
-        return cls(group_nodes=group_nodes, group_positions=tuple(
-            tuple(position[i] for i in ids) for ids in group_nodes))
-
-    @property
-    def group_sizes(self) -> tuple[int, ...]:
-        return tuple(len(g) for g in self.group_nodes)
 
 
 @dataclass(frozen=True)
@@ -109,40 +85,20 @@ def state_dim(node_count: int) -> int:
     return 3 + 5 * node_count
 
 
-def feasibility_masks(fit: list[bool] | np.ndarray, layout: ActionSpaceLayout):
-    """(group mask, per-group node masks) from `fit`; True is alive and fits.
+def feasibility_masks(fit: list[bool] | np.ndarray, positions: tuple[tuple[int, ...], ...]):
+    """(group mask, per-group node masks) from `fit`, each group's nodes at their
+    `positions` in it; True is alive and fits.
 
     An observation's `fit` list gives lists, for acting. The update's bool array of fit
     rows gives bool arrays with one row per fit row. An empty group has one node output,
     always False."""
     if isinstance(fit, list):
-        node_masks = [[fit[i] for i in pos] or [False] for pos in layout.group_positions]
+        node_masks = [[fit[i] for i in pos] or [False] for pos in positions]
         return [any(m) for m in node_masks], node_masks
     # take and a ufunc reduce cost two thirds of what fit[:, pos] and .any() do
     node_masks = [fit.take(pos, axis=-1) if pos else np.zeros((len(fit), 1), dtype=bool)
-                  for pos in layout.group_positions]
+                  for pos in positions]
     return np.array([np.logical_or.reduce(m, axis=-1) for m in node_masks]).T, node_masks
-
-
-@dataclass
-class PolicySet:
-    """Group actor, one node actor per group, and the shared critic."""
-
-    group_actor: Mlp
-    node_actors: tuple[Mlp, ...]
-    critic: Mlp
-
-    @classmethod
-    def build(cls, n_features: int, layout: ActionSpaceLayout,
-              rng: np.random.Generator) -> "PolicySet":
-        hidden = list(HIDDEN_SIZES)
-        group = Mlp([n_features, *hidden, len(layout.group_nodes)], rng, policy_head=True)
-        nodes = tuple(
-            Mlp([n_features, *hidden, max(1, size)], rng, policy_head=True)
-            for size in layout.group_sizes
-        )
-        critic = Mlp([n_features, *hidden, 1], rng)
-        return cls(group_actor=group, node_actors=nodes, critic=critic)
 
 
 class SelectedAction(NamedTuple):
@@ -162,16 +118,16 @@ def _pick(p: list[float], rng: np.random.Generator) -> int:
     return bisect_right([c / cdf[-1] for c in cdf], rng.random())
 
 
-def select_action(policies: PolicySet, features: np.ndarray, group_mask, node_masks,
+def select_action(agent: MultiActorAgent, features: np.ndarray, group_mask, node_masks,
                   rng: np.random.Generator) -> SelectedAction:
     """Sample the group, then a node within it.
 
     It never reads the critic: train takes an episode's values in one pass after its last
     decision.
     """
-    p_group = masked_softmax_row(forward(policies.group_actor, features), group_mask)
+    p_group = masked_softmax_row(forward(agent.group_actor, features), group_mask)
     g = _pick(p_group, rng)
-    p_node = masked_softmax_row(forward(policies.node_actors[g], features), node_masks[g])
+    p_node = masked_softmax_row(forward(agent.node_actors[g], features), node_masks[g])
     n = _pick(p_node, rng)
     # math.log is safe: a pick never lands on a 0.0. The update recomputes these
     # log-probabilities in numpy, so its first ratio is 1 within a few ulps.
@@ -179,18 +135,31 @@ def select_action(policies: PolicySet, features: np.ndarray, group_mask, node_ma
 
 
 class MultiActorAgent:
-    """Bundles the layout, scaling, networks and optimizers for one cluster."""
+    """The networks, node groups, scaling and optimizers for one cluster.
+
+    `group_nodes[g][n]` is the node id of joint action (group g, node n), groups in
+    GROUP_ORDER; `group_positions` holds the same nodes' positions in cluster order, the
+    order of an observation's lists. The group actor, the node actors (one per group,
+    an empty group keeping one output) and the critic draw their weights in that order.
+    """
 
     def __init__(self, cluster: ClusterSpec, seed: int | Sequence[int] = 0):
         self.cluster = cluster
-        self.layout = ActionSpaceLayout.from_cluster(cluster)
+        groups = cluster.pricing_groups()
+        position = {n.id: i for i, n in enumerate(cluster.nodes)}
+        self.group_nodes = tuple(tuple(n.id for n in groups[g]) for g in GROUP_ORDER)
+        self.group_positions = tuple(tuple(position[i] for i in ids) for ids in self.group_nodes)
         self.scaling = ScalingConstants.from_cluster(cluster)
-        self.policies = PolicySet.build(state_dim(len(cluster.nodes)), self.layout,
-                                        np.random.default_rng(seed_list(seed) + [0]))
+        rng = np.random.default_rng(seed_list(seed) + [0])
+        layers = [state_dim(len(cluster.nodes)), *HIDDEN_SIZES]
+        self.group_actor = Mlp([*layers, len(GROUP_ORDER)], rng, policy_head=True)
+        self.node_actors = tuple(Mlp([*layers, max(1, len(ids))], rng, policy_head=True)
+                                 for ids in self.group_nodes)
+        self.critic = Mlp([*layers, 1], rng)
         self._optimizers = {
-            "group": Adam(self.policies.group_actor.vector, LEARNING_RATE),
-            "nodes": [Adam(net.vector, LEARNING_RATE) for net in self.policies.node_actors],
-            "critic": Adam(self.policies.critic.vector, LEARNING_RATE),
+            "group": Adam(self.group_actor.vector, LEARNING_RATE),
+            "nodes": [Adam(net.vector, LEARNING_RATE) for net in self.node_actors],
+            "critic": Adam(self.critic.vector, LEARNING_RATE),
         }
 
     # -- acting ------------------------------------------------------------
@@ -199,9 +168,9 @@ class MultiActorAgent:
             rng: np.random.Generator) -> tuple[str, SelectedAction, np.ndarray]:
         """(node id, choice, features), the choice sampled from rng."""
         features = encode(obs, self.scaling)
-        group_mask, node_masks = feasibility_masks(obs.fit, self.layout)
-        choice = select_action(self.policies, features, group_mask, node_masks, rng)
-        return self.layout.group_nodes[choice.group][choice.node], choice, features
+        group_mask, node_masks = feasibility_masks(obs.fit, self.group_positions)
+        choice = select_action(self, features, group_mask, node_masks, rng)
+        return self.group_nodes[choice.group][choice.node], choice, features
 
     def scheduler(self) -> Callable[[Observation], str]:
         """Greedy policy callback for evaluation episodes: each level's largest live logit.
@@ -209,14 +178,15 @@ class MultiActorAgent:
         It builds no distribution, draws nothing and takes no log-probability, and like
         act it never reads the critic.
         """
-        policies, layout, scaling = self.policies, self.layout, self.scaling
+        group_actor, node_actors, scaling = self.group_actor, self.node_actors, self.scaling
+        group_nodes, positions = self.group_nodes, self.group_positions
 
         def greedy(obs: Observation) -> str:
             features = encode(obs, scaling)
-            group_mask, node_masks = feasibility_masks(obs.fit, layout)
-            g = masked_argmax_row(forward(policies.group_actor, features), group_mask)
-            n = masked_argmax_row(forward(policies.node_actors[g], features), node_masks[g])
-            return layout.group_nodes[g][n]
+            group_mask, node_masks = feasibility_masks(obs.fit, positions)
+            g = masked_argmax_row(forward(group_actor, features), group_mask)
+            n = masked_argmax_row(forward(node_actors[g], features), node_masks[g])
+            return group_nodes[g][n]
         return greedy
 
     # -- learning ----------------------------------------------------------
@@ -233,14 +203,14 @@ class MultiActorAgent:
         for _ in range(EPOCHS):
             idx = rng.choice(n, size=min(MINIBATCH_SIZE, n), replace=False)
             mb = Rollout(*(column[idx] for column in batch))
-            group_mask, node_masks = feasibility_masks(mb.fits, self.layout)
+            group_mask, node_masks = feasibility_masks(mb.fits, self.group_positions)
             report["critic_loss"].append(
-                critic_step(self.policies.critic, opts["critic"], mb.features, mb.returns))
-            loss, diagnostics = actor_step(self.policies.group_actor, opts["group"], mb.features,
+                critic_step(self.critic, opts["critic"], mb.features, mb.returns))
+            loss, diagnostics = actor_step(self.group_actor, opts["group"], mb.features,
                                            mb.groups, mb.logp_groups, mb.advantages, group_mask)
             for k, v in {"group_loss": loss, **diagnostics()}.items():
                 report[k].append(v)
-            for g, net in enumerate(self.policies.node_actors):
+            for g, net in enumerate(self.node_actors):
                 rows = np.flatnonzero(mb.groups == g)
                 if not rows.size:
                     continue
@@ -288,7 +258,7 @@ def train(agent: MultiActorAgent,
             rows.append((features, fit, choice.group, choice.node, choice.logp_group,
                          choice.logp_node, reward))
         # the critic's values after the last decision: only update changes the critic
-        report = (agent.update(rollout(rows, partial(forward, agent.policies.critic)), update_rng)
+        report = (agent.update(rollout(rows, partial(forward, agent.critic)), update_rng)
                   if rows else dict.fromkeys(UPDATE_STATS, 0.0))
         curve.append(EpisodeRecord(episode=episode, total_reward=total_reward,
                                    **env.episode_stats().row(), **report))
@@ -348,15 +318,12 @@ def _load_net(doc: dict, net: Mlp, where: str) -> None:
 def save_checkpoint(agent: MultiActorAgent, path: str | Path) -> None:
     doc = {
         "format_version": CHECKPOINT_VERSION,
-        "groups": {
-            name: list(nodes)
-            for name, nodes in zip(GROUP_ORDER, agent.layout.group_nodes)
-        },
+        "groups": {name: list(nodes) for name, nodes in zip(GROUP_ORDER, agent.group_nodes)},
         "scaling": asdict(agent.scaling),
         "networks": {
-            "group_actor": _net_to_dict(agent.policies.group_actor),
-            "node_actors": [_net_to_dict(n) for n in agent.policies.node_actors],
-            "critic": _net_to_dict(agent.policies.critic),
+            "group_actor": _net_to_dict(agent.group_actor),
+            "node_actors": [_net_to_dict(n) for n in agent.node_actors],
+            "critic": _net_to_dict(agent.critic),
         },
     }
     Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
@@ -377,11 +344,9 @@ def load_checkpoint(path: str | Path, cluster: ClusterSpec) -> MultiActorAgent:
             raise ConfigError(f"{path}: checkpoint groups: {name} must be a list of node ids")
     agent = MultiActorAgent(cluster)
     stored = tuple(tuple(doc["groups"][name]) for name in GROUP_ORDER)
-    if stored != agent.layout.group_nodes:
+    if stored != agent.group_nodes:
         raise LayoutMismatchError(
-            f"{path}: checkpoint groups {stored} do not match cluster layout "
-            f"{agent.layout.group_nodes}"
-        )
+            f"{path}: checkpoint groups {stored} do not match cluster layout {agent.group_nodes}")
     check_fields(doc["scaling"], _SCALING_FIELDS, f"{path}: checkpoint scaling")
     try:
         scaling = ScalingConstants(**doc["scaling"])
@@ -394,15 +359,15 @@ def load_checkpoint(path: str | Path, cluster: ClusterSpec) -> MultiActorAgent:
                 raise ConfigError(f"{path}: checkpoint scaling: {norm} {getattr(scaling, norm)!r} "
                                   f"makes node {node.id!r}'s feature infinite")
     agent.scaling = scaling
-    nets, policies = doc["networks"], agent.policies
+    nets = doc["networks"]
     check_fields(nets, _NETWORKS_FIELDS, f"{path}: checkpoint networks")
     node_docs = nets["node_actors"]
-    if not isinstance(node_docs, list) or len(node_docs) != len(policies.node_actors):
+    if not isinstance(node_docs, list) or len(node_docs) != len(agent.node_actors):
         raise LayoutMismatchError(
-            f"{path}: the cluster needs a list of {len(policies.node_actors)} node actors")
+            f"{path}: the cluster needs a list of {len(agent.node_actors)} node actors")
     node_names = [f"node_actors[{g}]" for g in range(len(node_docs))]
     for name, doc, net in zip(["group_actor", *node_names, "critic"],
                               [nets["group_actor"], *node_docs, nets["critic"]],
-                              [policies.group_actor, *policies.node_actors, policies.critic]):
+                              [agent.group_actor, *agent.node_actors, agent.critic]):
         _load_net(doc, net, f"{path}: checkpoint network {name}")
     return agent

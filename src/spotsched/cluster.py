@@ -6,7 +6,6 @@ interruptions that kill whatever they were running.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, NamedTuple
@@ -189,9 +188,7 @@ class NodeState:
 
 
 def sample_next_interruption(rate_per_hour: float, rng: np.random.Generator) -> float:
-    """Exponential gap (seconds) to the next spot interruption; inf at rate 0."""
-    if rate_per_hour == 0:
-        return math.inf
+    """Exponential gap (seconds) to the next spot interruption, at a rate above 0."""
     return float(rng.exponential(3600.0 / rate_per_hour))
 
 

@@ -187,13 +187,10 @@ class SimEnv:
         rate = self.cluster.interruption_rate_per_hour
         self._int_rng = {}
         for idx, spec in enumerate(self.cluster.nodes):
-            if spec.pricing_class != SPOT:
-                continue
-            rng = np.random.default_rng(self.seed + [idx])
-            self._int_rng[spec.id] = rng
-            gap = sample_next_interruption(rate, rng)
-            if math.isfinite(gap):
-                self._push(gap, INTERRUPT, (spec.id,))
+            if spec.pricing_class == SPOT and rate > 0:
+                rng = np.random.default_rng(self.seed + [idx])
+                self._int_rng[spec.id] = rng
+                self._push(sample_next_interruption(rate, rng), INTERRUPT, (spec.id,))
         return self._advance()
 
     def step(self, node_id: str) -> tuple[Observation | None, float, bool]:
@@ -370,11 +367,9 @@ class SimEnv:
         self._refresh(node_id)
         revive_at = self.now + self.cluster.interruption_downtime_s
         self._push(revive_at, REVIVE, (node_id,))
-        gap = sample_next_interruption(
-            self.cluster.interruption_rate_per_hour, self._int_rng[node_id]
-        )
-        if math.isfinite(gap):
-            self._push(revive_at + gap, INTERRUPT, (node_id,))
+        gap = sample_next_interruption(self.cluster.interruption_rate_per_hour,
+                                       self._int_rng[node_id])
+        self._push(revive_at + gap, INTERRUPT, (node_id,))
         for wf_id, _task_id in killed:
             run = self.runs[wf_id]
             if run.outcome is None:

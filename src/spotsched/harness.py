@@ -14,7 +14,7 @@ from .baselines import BASELINE_NAMES, baseline_cluster, make_baseline
 from .cluster import ClusterSpec
 from .engine import ROW_FIELDS, run_episode
 from .errors import ConfigError
-from .workflow import WorkflowSpec, duplicates, load_workflow
+from .workflow import WorkflowSpec, duplicates, load_workflow, seed_list
 from .workload import WorkloadConfig, generate, load_config
 
 AGENT_NAME = "agent"
@@ -107,12 +107,17 @@ def summarize(rows: Sequence[MetricsRow]) -> SchedulerSummary:
 def compare(schedulers: Sequence[str], cluster: ClusterSpec, source: WorkloadSource,
             seeds: Sequence[int], agent: MultiActorAgent | None = None,
             ) -> tuple[list[MetricsRow], list[SchedulerSummary]]:
-    """All schedulers over the same seeds; summaries sorted by mean cost."""
+    """All schedulers over the same seeds; summaries sorted by mean cost.
+
+    Each seed, scheduler name and scheduler's cluster, and the agent, are checked before the
+    first episode runs."""
+    seeds = seed_list(seeds)
     if not seeds:
         raise ConfigError("seed list must be nonempty")
     for name in schedulers:
         if name not in SCHEDULER_NAMES:
             raise ConfigError(f"unknown scheduler {name!r}; expected one of {SCHEDULER_NAMES}")
+        baseline_cluster(cluster, name)
     dupes = duplicates(schedulers)
     if dupes:
         raise ConfigError(f"duplicate schedulers {dupes}")

@@ -231,19 +231,19 @@ def test_criterion_3_policy_numerics(builtin_cluster, monkeypatch):
     fit = np.ones(len(builtin_cluster.nodes), dtype=bool)
     for i in range(6):
         g = i % 2
-        node_mask = [True] * agent.layout.group_sizes[g]
+        node_mask = [True] * len(agent.group_nodes[g])
         state = np.zeros(dim)
         state[0] = 0.1 * i
-        p_group = masked_softmax_row(forward(agent.policies.group_actor, state), group_mask)
-        p_node = masked_softmax_row(forward(agent.policies.node_actors[g], state), node_mask)
+        p_group = masked_softmax_row(forward(agent.group_actor, state), group_mask)
+        p_node = masked_softmax_row(forward(agent.node_actors[g], state), node_mask)
         rows.append((state, fit, g, 0, math.log(p_group[g]), math.log(p_node[0]), 0.0))
     monkeypatch.setattr(ppo, "ENTROPY_WEIGHT", 0.0)
     # a zero critic head: values exactly 0.0 against the zero returns
-    for p in agent.policies.critic.params[-2:]:
+    for p in agent.critic.params[-2:]:
         p[...] = 0.0
-    batch = rollout(rows, partial(forward, agent.policies.critic))
+    batch = rollout(rows, partial(forward, agent.critic))
     assert np.all(batch.advantages == 0.0)
-    actors = [agent.policies.group_actor, *agent.policies.node_actors]
+    actors = [agent.group_actor, *agent.node_actors]
     before = [p.copy() for net in actors for p in net.params]
     agent.update(batch, np.random.default_rng(0))
     after = [p for net in actors for p in net.params]

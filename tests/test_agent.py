@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from spotsched.agent import (
-    ActionSpaceLayout,
     MultiActorAgent,
     UPDATE_STATS,
     ScalingConstants,
@@ -26,7 +25,7 @@ from spotsched.cluster import ON_DEMAND, SPOT, ClusterSpec, NodeSpec, default_cl
 from spotsched.engine import Observation, SimEnv, run_episode
 from spotsched.errors import ConfigError, LayoutMismatchError
 from spotsched.harness import train_run
-from spotsched.nets import forward, masked_argmax_row, masked_softmax_row
+from spotsched.nets import Mlp, forward, masked_argmax_row, masked_softmax_row
 from spotsched.ppo import EPOCHS, LEARNING_RATE, TrainConfig, rollout
 from spotsched.workflow import TaskSpec, WorkflowSpec
 from spotsched.workload import WorkloadConfig, generate
@@ -54,12 +53,37 @@ def offer(cluster, workload):
 
 
 def test_layout_orders_on_demand_first():
-    layout = ActionSpaceLayout.from_cluster(default_cluster())
-    assert len(layout.group_nodes) == 2
-    assert all(i.startswith("od-") for i in layout.group_nodes[0])
-    assert all(i.startswith("spot-") for i in layout.group_nodes[1])
-    assert layout.group_sizes == (5, 6)
-    assert layout.group_nodes[1][3] == "spot-xlarge-1"
+    cluster = default_cluster()
+    agent = MultiActorAgent(cluster)
+    assert len(agent.group_nodes) == 2
+    assert all(i.startswith("od-") for i in agent.group_nodes[0])
+    assert all(i.startswith("spot-") for i in agent.group_nodes[1])
+    assert tuple(map(len, agent.group_nodes)) == (5, 6)
+    assert agent.group_nodes[1][3] == "spot-xlarge-1"
+    ids = [n.id for n in cluster.nodes]
+    assert [[ids[i] for i in pos] for pos in agent.group_positions] == list(
+        map(list, agent.group_nodes))
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("spot_free, dim, group_sizes",
+                         [(False, 58, (5, 6)), (True, 28, (5, 1))], ids=["default", "spot-free"])
+def test_networks_draw_in_a_fixed_order(seed, spot_free, dim, group_sizes):
+    # from the stream [seed, 0]: the group actor, the on-demand then the spot node
+    # actor, then the critic, each 64-64 hidden; a spot-free cluster's empty spot
+    # group keeps one output. Reordering the draws changes every vector.
+    cluster = default_cluster()
+    if spot_free:
+        cluster = ClusterSpec(nodes=tuple(n for n in cluster.nodes if n.pricing_class == ON_DEMAND))
+    agent = MultiActorAgent(cluster, seed=seed)
+    rng = np.random.default_rng([seed, 0])
+    want = [Mlp([dim, 64, 64, 2], rng, policy_head=True),
+            *(Mlp([dim, 64, 64, n], rng, policy_head=True) for n in group_sizes),
+            Mlp([dim, 64, 64, 1], rng)]
+    have = [agent.group_actor, *agent.node_actors, agent.critic]
+    assert [net.sizes for net in have] == [net.sizes for net in want]
+    assert [net.policy_head for net in have] == [True, True, True, False]
+    assert all(np.array_equal(h.vector, w.vector) for h, w in zip(have, want))
 
 
 def test_scaling_constants_from_cluster():
@@ -147,11 +171,11 @@ def test_feasibility_masks_respect_capacity():
     cluster = default_cluster()
     # cpu 6 only fits the 8-core flavors
     obs = offer(cluster, [single(cpu=6.0, mem=2.0)])
-    layout = ActionSpaceLayout.from_cluster(cluster)
-    gmask, nmasks = feasibility_masks(obs.fit, layout)
+    agent = MultiActorAgent(cluster)
+    gmask, nmasks = feasibility_masks(obs.fit, agent.group_positions)
     assert gmask == [True, True]
-    od_fit = [layout.group_nodes[0][i] for i in np.flatnonzero(nmasks[0])]
-    spot_fit = [layout.group_nodes[1][i] for i in np.flatnonzero(nmasks[1])]
+    od_fit = [agent.group_nodes[0][i] for i in np.flatnonzero(nmasks[0])]
+    spot_fit = [agent.group_nodes[1][i] for i in np.flatnonzero(nmasks[1])]
     assert od_fit == ["od-2xlarge-0"]
     assert spot_fit == ["spot-2xlarge-0"]
 
@@ -161,20 +185,20 @@ def test_feasibility_masks_batch_matches_rows():
     spot_free = ClusterSpec(nodes=tuple(n for n in default_cluster().nodes
                                         if n.pricing_class == ON_DEMAND))
     for cluster in (default_cluster(), small_cluster(), spot_free):
-        layout = ActionSpaceLayout.from_cluster(cluster)
+        positions = MultiActorAgent(cluster).group_positions
         fits = rng.random((40, len(cluster.nodes))) < 0.3
         fits[0] = np.arange(len(cluster.nodes)) == 1  # a single live entry
-        gmasks, nmasks = feasibility_masks(fits, layout)
+        gmasks, nmasks = feasibility_masks(fits, positions)
         assert gmasks.shape == (40, 2)
         for b, fit in enumerate(fits):
-            gmask, row_masks = feasibility_masks(fit.tolist(), layout)  # an observation's list
+            gmask, row_masks = feasibility_masks(fit.tolist(), positions)  # an observation's list
             assert gmasks[b].tolist() == gmask
             assert all(m[b].tolist() == r for m, r in zip(nmasks, row_masks))
     # the spot-free cluster's empty group: one output, never feasible, in a
     # batch as in a single row
     assert nmasks[1].shape == (40, 1) and not nmasks[1].any() and not gmasks[:, 1].any()
     assert row_masks[1] == [False] and gmask[1] is False
-    assert feasibility_masks(fits[0].tolist(), layout)[0] == [True, False]
+    assert feasibility_masks(fits[0].tolist(), positions)[0] == [True, False]
 
 
 def test_masks_and_baselines_match_engine_fit_over_episodes():
@@ -217,7 +241,7 @@ def test_single_feasible_node_is_forced():
     agent = MultiActorAgent(cluster, seed=0)
     node_id, choice, _ = agent.act(obs, np.random.default_rng(0))
     assert node_id == "o0"
-    assert feasibility_masks(obs.fit, agent.layout)[0] == [True, False]
+    assert feasibility_masks(obs.fit, agent.group_positions)[0] == [True, False]
     assert choice.logp_group == 0.0 and choice.logp_node == 0.0
     assert agent.scheduler()(obs) == "o0"  # the greedy pick
 
@@ -258,7 +282,7 @@ def test_greedy_act_skips_the_critic():
     cluster = default_cluster()
     obs = offer(cluster, [single()])
     agent = MultiActorAgent(cluster, seed=0)
-    agent.policies.critic.vector[:] = np.nan
+    agent.critic.vector[:] = np.nan
     assert agent.scheduler()(obs) in obs.node_ids
     node_id, _, _ = agent.act(obs, np.random.default_rng(0))
     assert node_id in obs.node_ids
@@ -267,7 +291,7 @@ def test_greedy_act_skips_the_critic():
 def test_train_rejects_a_nonfinite_critic_before_any_update():
     # the episode's value pass raises, so no optimizer has stepped
     agent = MultiActorAgent(small_cluster(), seed=0)
-    agent.policies.critic.vector[:] = np.nan
+    agent.critic.vector[:] = np.nan
     with pytest.raises(FloatingPointError):
         train(agent, lambda e: generate(WorkloadConfig(count=2, seed=e)),
               TrainConfig(episodes=2, seed=0))
@@ -292,8 +316,7 @@ def test_episode_value_pass_trains_as_the_per_row_critic(monkeypatch):
         agent = MultiActorAgent(cluster, seed=0)
         train(agent, lambda e: generate(WorkloadConfig(count=3, seed=(100, e))),
               TrainConfig(episodes=3, seed=0))
-        p = agent.policies
-        return [net.vector for net in (p.group_actor, *p.node_actors, p.critic)]
+        return [net.vector for net in (agent.group_actor, *agent.node_actors, agent.critic)]
 
     stacked = trained()
     monkeypatch.setattr(agent_mod, "forward", per_row)
@@ -350,10 +373,9 @@ def test_greedy_scheduler_picks_the_softmax_argmax_over_an_episode(scale):
     workflows = generate(WorkloadConfig(count=40, parallelism=(6,), interarrival_range=(4.0, 8.0),
                                         work_range=(100.0, 150.0), timeout=60.0, seed=1))
     agent = MultiActorAgent(cluster, seed=0)
-    policies = agent.policies
     if scale is not None:
         rng = np.random.default_rng(5)
-        for net in (policies.group_actor, *policies.node_actors):
+        for net in (agent.group_actor, *agent.node_actors):
             net.vector[:] = rng.normal(scale=scale, size=net.vector.size)
     greedy = agent.scheduler()
     offers, dead, picked = 0, 0, set()
@@ -361,11 +383,11 @@ def test_greedy_scheduler_picks_the_softmax_argmax_over_an_episode(scale):
     def checked(obs):
         nonlocal offers, dead
         features = encode(obs, agent.scaling)
-        group_mask, node_masks = feasibility_masks(obs.fit, agent.layout)
-        p = masked_softmax_row(forward(policies.group_actor, features), group_mask)
+        group_mask, node_masks = feasibility_masks(obs.fit, agent.group_positions)
+        p = masked_softmax_row(forward(agent.group_actor, features), group_mask)
         g = p.index(max(p))
-        p = masked_softmax_row(forward(policies.node_actors[g], features), node_masks[g])
-        want = agent.layout.group_nodes[g][p.index(max(p))]
+        p = masked_softmax_row(forward(agent.node_actors[g], features), node_masks[g])
+        want = agent.group_nodes[g][p.index(max(p))]
         node_id = greedy(obs)
         assert node_id == want
         offers += 1
@@ -403,11 +425,11 @@ def test_untrained_group_choice_is_near_even():
     obs = offer(cluster, [single()])
     agent = MultiActorAgent(cluster, seed=0)
     feats = encode(obs, agent.scaling)
-    gmask, nmasks = feasibility_masks(obs.fit, agent.layout)
+    gmask, nmasks = feasibility_masks(obs.fit, agent.group_positions)
     rng = np.random.default_rng(123)
     counts = np.zeros(2)
     for _ in range(10_000):
-        counts[select_action(agent.policies, feats, gmask, nmasks, rng).group] += 1
+        counts[select_action(agent, feats, gmask, nmasks, rng).group] += 1
     freq = counts / 10_000
     assert abs(freq[0] - 0.5) <= 0.02
     assert abs(freq[1] - 0.5) <= 0.02
@@ -453,7 +475,7 @@ def _collect_rollout(agent, cluster, wfs, seed):
         obs, reward, _ = env.step(node_id)
         rows.append((feats, fit, choice.group, choice.node, choice.logp_group,
                      choice.logp_node, reward))
-    return rollout(rows, partial(forward, agent.policies.critic))
+    return rollout(rows, partial(forward, agent.critic))
 
 
 def test_update_reports_and_steps_optimizers():
@@ -567,16 +589,16 @@ def test_checkpoint_round_trip(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     clone = load_checkpoint(path, cluster)
     built = MultiActorAgent(cluster)
-    nets = lambda p: [p.group_actor, *p.node_actors, p.critic]
-    for mine, theirs, fresh in zip(nets(agent.policies), nets(clone.policies),
-                                   nets(built.policies)):
+    nets = lambda a: [a.group_actor, *a.node_actors, a.critic]
+    for mine, theirs, fresh in zip(nets(agent), nets(clone), nets(built)):
         assert mine.sizes == theirs.sizes
         for a, b in zip(mine.params, theirs.params):
             assert np.array_equal(a, b)
         assert not np.array_equal(theirs.vector, fresh.vector)
     assert clone.scaling == replace(agent.scaling, wait_norm=500.0)
     assert clone.scaling != built.scaling
-    assert clone.layout == agent.layout
+    assert clone.group_nodes == agent.group_nodes
+    assert clone.group_positions == agent.group_positions
 
 
 def test_loaded_parameters_stay_views_the_optimizers_train(tmp_path):
@@ -585,17 +607,17 @@ def test_loaded_parameters_stay_views_the_optimizers_train(tmp_path):
     path = tmp_path / "ck.json"
     save_checkpoint(agent, path)
     clone = load_checkpoint(path, cluster)
-    for policies in (agent.policies, clone.policies):
-        for net in [policies.group_actor, *policies.node_actors, policies.critic]:
+    for a in (agent, clone):
+        for net in [a.group_actor, *a.node_actors, a.critic]:
             assert all(np.shares_memory(p, net.vector) for p in net.params)
     feats = np.full(state_dim(2), 0.5)
     group_mask = [True, True]
-    before = masked_softmax_row(forward(clone.policies.group_actor, feats), group_mask)
-    value_before = forward(clone.policies.critic, feats)
+    before = masked_softmax_row(forward(clone.group_actor, feats), group_mask)
+    value_before = forward(clone.critic, feats)
     batch = _collect_rollout(clone, cluster, generate(WorkloadConfig(count=3, seed=4)), seed=[1])
     clone.update(batch, np.random.default_rng(0))
-    assert masked_softmax_row(forward(clone.policies.group_actor, feats), group_mask) != before
-    assert forward(clone.policies.critic, feats) != value_before
+    assert masked_softmax_row(forward(clone.group_actor, feats), group_mask) != before
+    assert forward(clone.critic, feats) != value_before
 
 
 def test_optimizers_are_built_with_the_agent(tmp_path):
@@ -604,8 +626,8 @@ def test_optimizers_are_built_with_the_agent(tmp_path):
     path = tmp_path / "ck.json"
     save_checkpoint(agent, path)
     for built in (agent, load_checkpoint(path, cluster)):
-        p, opts = built.policies, built._optimizers
-        nets = [p.group_actor, *p.node_actors, p.critic]
+        opts = built._optimizers
+        nets = [built.group_actor, *built.node_actors, built.critic]
         optimizers = [opts["group"], *opts["nodes"], opts["critic"]]
         assert len(optimizers) == len(nets) == 4
         for net, opt in zip(nets, optimizers):

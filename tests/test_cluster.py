@@ -129,10 +129,6 @@ def test_estimated_wait_equals_the_clamped_formula(rate, tasks, ahead, alive):
     assert state.estimated_wait(now).hex() == reference_wait(state, now).hex()
 
 
-def test_sample_next_interruption_edge_rates():
-    assert sample_next_interruption(0.0, np.random.default_rng(0)) == math.inf
-
-
 def test_sample_next_interruption_mean():
     rng = np.random.default_rng(1234)
     slow = np.array([sample_next_interruption(1.0, rng) for _ in range(100_000)])

@@ -339,6 +339,17 @@ def test_without_interruptions_everything_completes(seed):
     assert stats.interrupted == 0 and stats.timed_out == 0
 
 
+def test_zero_interruption_rate_traces_no_interrupt_or_revive():
+    # at rate 0 reset draws no first interruption, so none follows either
+    cluster = default_cluster(interruption_rate_per_hour=0.0)
+    records = []
+    stats = run_episode(RandomPolicy(seed=[1]), cluster, generate(WorkloadConfig(count=6, seed=3)),
+                        seed=[5], on_event=records.append)
+    kinds = {r["kind"] for r in records}
+    assert {"place", "finish"} <= kinds and not kinds & {"interrupt", "revive"}
+    assert stats.interrupted == 0
+
+
 def test_interruption_fails_workflow_and_still_charges_it():
     cluster = two_nodes(rate_per_hour=60.0)
     # same stream the environment derives for the spot node

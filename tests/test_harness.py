@@ -1,5 +1,6 @@
 """Evaluation rows, summaries, CSV output, and the training driver."""
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -116,13 +117,27 @@ def test_compare_orders_by_cost_and_validates():
         compare(["agent"], cluster, WorkloadConfig(count=1), [1])  # no checkpoint
 
 
-def test_compare_refuses_a_missing_agent_before_any_episode(monkeypatch):
+SPOT_ONLY = ClusterSpec(nodes=tuple(n for n in default_cluster().nodes
+                                    if n.pricing_class == SPOT))
+
+
+@pytest.mark.parametrize("schedulers, cluster, seeds, message", [
+    (["random", "agent"], default_cluster(), [1], "scheduler 'agent' requires a checkpoint"),
+    (["k8-default", "random"], default_cluster(), [1, -1], "seed must be an integer >= 0, got -1"),
+    (["k8-default", "random"], default_cluster(), [1, 2.0],
+     "seed must be an integer or a sequence of integers, got [1, 2.0]"),
+    (["k8-default", "random"], default_cluster(), [1, True],
+     "seed must be an integer or a sequence of integers, got [1, True]"),
+    (["random", "k8-default", "on-demand"], SPOT_ONLY, [1], "cluster has no on-demand nodes"),
+], ids=["missing-agent", "negative-seed", "float-seed", "bool-seed", "no-on-demand-nodes"])
+def test_compare_refuses_a_missing_agent_before_any_episode(schedulers, cluster, seeds, message,
+                                                           monkeypatch):
     def no_episode(*args, **kwargs):
-        raise AssertionError("an episode ran before the missing agent was refused")
+        raise AssertionError("an episode ran before the bad input was refused")
 
     monkeypatch.setattr("spotsched.harness.run_episode", no_episode)
-    with pytest.raises(ConfigError, match="requires a checkpoint"):
-        compare(["random", "agent"], default_cluster(), WorkloadConfig(count=1), [1])
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        compare(schedulers, cluster, WorkloadConfig(count=3), seeds)
 
 
 def test_compare_rejects_duplicate_schedulers():
